@@ -31,12 +31,13 @@ type Instrumented struct {
 
 // OpHook observes every completed device operation: write selects the write
 // path, ops is the element-access count the call stands for (coalesced calls
-// carry the ops they replaced), and bytes is what actually moved. The raid
-// layer uses it to feed the windowed per-disk load tracker without blockdev
-// knowing which column it is.
-type OpHook func(write bool, ops, bytes int64)
+// carry the ops they replaced), bytes is what actually moved, and end is the
+// completion time the latency was measured at — handed on so observers need
+// no clock read of their own. The raid layer uses it to feed the windowed
+// per-disk load tracker without blockdev knowing which column it is.
+type OpHook func(write bool, ops, bytes int64, end time.Time)
 
-// Instrument wraps dev. The wrapper adds two atomic ops and one clock read
+// Instrument wraps dev. The wrapper adds a few atomic ops and two clock reads
 // per call — negligible next to any real device access.
 func Instrument(dev Device) *Instrumented {
 	lb, _ := dev.(LinkedDevice)
@@ -80,7 +81,8 @@ func (d *Instrumented) ReadAtN(p []byte, off int64, ops int64) (int, error) {
 // handed to the device, so the observed latency includes any time it queued
 // there.
 func (d *Instrumented) AccountRead(start time.Time, n int, err error, ops int64) {
-	d.m.ReadLatency.Observe(time.Since(start))
+	end := time.Now()
+	d.m.ReadLatency.Observe(end.Sub(start))
 	if err != nil {
 		d.m.Reads.Inc()
 		d.m.ReadErrors.Inc()
@@ -90,13 +92,14 @@ func (d *Instrumented) AccountRead(start time.Time, n int, err error, ops int64)
 	}
 	d.m.BytesRead.Add(int64(n))
 	if d.hook != nil {
-		d.hook(false, ops, int64(n))
+		d.hook(false, ops, int64(n), end)
 	}
 }
 
 // AccountWrite is AccountRead for the write path; see WriteAtN.
 func (d *Instrumented) AccountWrite(start time.Time, n int, err error, ops int64) {
-	d.m.WriteLatency.Observe(time.Since(start))
+	end := time.Now()
+	d.m.WriteLatency.Observe(end.Sub(start))
 	if err != nil {
 		d.m.Writes.Inc()
 		d.m.WriteErrors.Inc()
@@ -106,7 +109,7 @@ func (d *Instrumented) AccountWrite(start time.Time, n int, err error, ops int64
 	}
 	d.m.BytesWritten.Add(int64(n))
 	if d.hook != nil {
-		d.hook(true, ops, int64(n))
+		d.hook(true, ops, int64(n), end)
 	}
 }
 

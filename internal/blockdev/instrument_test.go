@@ -3,6 +3,7 @@ package blockdev
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestInstrumentedCountsAndErrors(t *testing.T) {
@@ -106,7 +107,7 @@ func TestInstrumentedOpHook(t *testing.T) {
 	mem := NewMem(4096)
 	dev := Instrument(mem)
 	var calls []call
-	dev.SetOpHook(func(write bool, ops, bytes int64) {
+	dev.SetOpHook(func(write bool, ops, bytes int64, _ time.Time) {
 		calls = append(calls, call{write, ops, bytes})
 	})
 

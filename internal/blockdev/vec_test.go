@@ -202,7 +202,7 @@ func TestInstrumentedVecTallies(t *testing.T) {
 	mem := NewMem(4096)
 	d := Instrument(mem)
 	var hookOps, hookBytes int64
-	d.SetOpHook(func(write bool, ops, bytes int64) {
+	d.SetOpHook(func(write bool, ops, bytes int64, _ time.Time) {
 		hookOps += ops
 		hookBytes += bytes
 	})

@@ -15,9 +15,10 @@ import (
 // visible while it is happening — and flags hot disks whose share of the
 // window's load exceeds a configurable factor of the per-disk mean.
 //
-// Recording is lock-free on the hot path: one clock read, one atomic load,
-// and one atomic add. Slot rotation (crossing into a new time slot) takes a
-// mutex, but only the single op that first observes the new slot pays it.
+// Recording is lock-free on the hot path: one atomic load and one atomic add,
+// on a timestamp the caller already holds. Slot rotation (crossing into a new
+// time slot) takes a mutex, but only the single op that first observes the new
+// slot pays it.
 // Counts are approximate at slot boundaries — a laggard recorder can land an
 // op in a slot being recycled — which is acceptable for a monitoring view.
 //
@@ -101,12 +102,14 @@ func (w *LoadWindow) advance(slot int64) {
 	w.cur.Store(slot)
 }
 
-// Record tallies n accesses on disk i; write selects the write cell.
-func (w *LoadWindow) Record(i int, write bool, n int64) {
+// Record tallies n accesses on disk i that completed at now; write selects
+// the write cell. The caller supplies the timestamp it already took for its
+// latency measurement, so recording costs no clock read.
+func (w *LoadWindow) Record(i int, write bool, n int64, now time.Time) {
 	if w == nil {
 		return
 	}
-	slot := w.slotAt(time.Now().UnixNano())
+	slot := w.slotAt(now.UnixNano())
 	if slot > w.cur.Load() {
 		w.advance(slot)
 	}

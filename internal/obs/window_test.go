@@ -9,8 +9,8 @@ import (
 func TestLoadWindowRecordAndSnapshot(t *testing.T) {
 	w := NewLoadWindow(3, 60, time.Second)
 	for d := 0; d < 3; d++ {
-		w.Record(d, false, 10)
-		w.Record(d, true, 5)
+		w.Record(d, false, 10, time.Now())
+		w.Record(d, true, 5, time.Now())
 	}
 	s := w.Snapshot()
 	for d := 0; d < 3; d++ {
@@ -38,9 +38,9 @@ func TestLoadWindowRecordAndSnapshot(t *testing.T) {
 func TestLoadWindowHotDiskDetection(t *testing.T) {
 	w := NewLoadWindow(4, 60, time.Second)
 	for d := 0; d < 4; d++ {
-		w.Record(d, false, 10)
+		w.Record(d, false, 10, time.Now())
 	}
-	w.Record(2, true, 100) // disk 2 now way over 1.5× the mean
+	w.Record(2, true, 100, time.Now()) // disk 2 now way over 1.5× the mean
 	s := w.Snapshot()
 	if len(s.HotDisks) != 1 || s.HotDisks[0] != 2 {
 		t.Errorf("hot disks %v, want [2]", s.HotDisks)
@@ -62,7 +62,7 @@ func TestLoadWindowHotDiskDetection(t *testing.T) {
 func TestLoadWindowAgesOut(t *testing.T) {
 	// 4 slots × 10ms: counts must disappear once the window rolls past them.
 	w := NewLoadWindow(2, 4, 10*time.Millisecond)
-	w.Record(0, false, 100)
+	w.Record(0, false, 100, time.Now())
 	if s := w.Snapshot(); s.Reads[0] != 100 {
 		t.Fatalf("fresh count missing: %v", s.Reads)
 	}
@@ -80,8 +80,8 @@ func TestLoadWindowAgesOut(t *testing.T) {
 
 func TestLoadWindowReset(t *testing.T) {
 	w := NewLoadWindow(2, 8, time.Second)
-	w.Record(0, false, 7)
-	w.Record(1, true, 9)
+	w.Record(0, false, 7, time.Now())
+	w.Record(1, true, 9, time.Now())
 	w.Reset()
 	s := w.Snapshot()
 	if s.Reads[0] != 0 || s.Writes[1] != 0 || s.Load.Total != 0 {
@@ -91,7 +91,7 @@ func TestLoadWindowReset(t *testing.T) {
 
 func TestLoadWindowNilSafe(t *testing.T) {
 	var w *LoadWindow
-	w.Record(0, false, 1) // must not panic
+	w.Record(0, false, 1, time.Now()) // must not panic
 }
 
 // TestLoadWindowConcurrent exercises rotation racing Record and Snapshot;
@@ -104,7 +104,7 @@ func TestLoadWindowConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				w.Record(g, i%3 == 0, 1)
+				w.Record(g, i%3 == 0, 1, time.Now())
 			}
 		}(g)
 	}

@@ -11,7 +11,7 @@ package raid
 //     cell — what a read of that cell must return. For healthy columns that
 //     is the device content; for failed columns it is the reconstruction
 //     result, which the surviving disks guarantee. Every write path
-//     therefore either writes the new logical value through (rmwElement,
+//     therefore either writes the new logical value through (rmwStripe,
 //     reconstructWrite, the degraded full-stripe path) or invalidates.
 //   - Reads populate on miss (readCells), so a hot working set converges to
 //     memory; degraded reads insert reconstructed elements, so repeated

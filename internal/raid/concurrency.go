@@ -10,8 +10,8 @@ package raid
 //     physical device call, tallied through Instrumented.ReadAtN/WriteAtN as
 //     the element operations it replaces;
 //   - the sync.Pool-backed per-operation scratch (stripe buffer, mark
-//     bitmaps, coordinate lists, RMW buffers) that makes the steady-state
-//     data path allocation-free.
+//     bitmaps, coordinate lists) that makes the steady-state data path
+//     allocation-free.
 
 import (
 	"runtime"
@@ -176,8 +176,9 @@ func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc 
 	return hits, nil
 }
 
-// cacheFill inserts freshly read cells; populate-on-miss happens here so a
-// partial failure (the caller retries degraded) caches nothing stale.
+// cacheFill inserts the listed cells' content from s: populate-on-miss after a
+// fully successful read (so a partial failure, which the caller retries
+// degraded, caches nothing stale), and write-through of a commit set.
 func (a *Array) cacheFill(si int64, cells []erasure.Coord, s *stripe.Stripe) {
 	if a.cache == nil {
 		return
@@ -289,10 +290,10 @@ func (a *Array) writeColumn(si int64, col int, s *stripe.Stripe, parent trace.Li
 
 // opScratch is the pooled per-stripe-task scratch: one stripe buffer used as
 // the element arena, mark bitmaps (consumers clear the ones they use before
-// use — pooled state is stale by design), coordinate and run lists, an XOR
-// gather list, and two element-sized RMW buffers. One opScratch serves one
-// stripe task at a time; the per-column goroutines under it only touch
-// disjoint cells of sc.s and the shared run list built before the fan-out.
+// use — pooled state is stale by design), coordinate and run lists, and an
+// XOR gather list. One opScratch serves one stripe task at a time; the
+// per-column goroutines under it only touch disjoint cells of sc.s and the
+// shared run list built before the fan-out.
 type opScratch struct {
 	s       *stripe.Stripe
 	seen    []bool // rows×cols cell marks
@@ -307,7 +308,6 @@ type opScratch struct {
 	vruns   []vecRun    // direct-path coalesced device runs
 	vecbufs [][]byte    // direct-path iovec assembly (cleared after use)
 	data    [][]byte    // direct-path user-buffer views by data index (cleared after use)
-	b1, b2  []byte      // element-sized RMW scratch (new value, delta)
 	tc      trace.Ctx   // the stripe task's span; set at every task start (pooled state is stale)
 
 	// Async-scheduler staging (see async.go): completion handles, device
@@ -330,8 +330,6 @@ func (a *Array) getScratch() *opScratch {
 		part:  make([]bool, cells),
 		gseen: make([]bool, len(a.code.Groups())),
 		data:  make([][]byte, a.code.DataElems()),
-		b1:    make([]byte, a.elemSize),
-		b2:    make([]byte, a.elemSize),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"dcode/internal/codes"
 	"dcode/internal/ioload"
+	"dcode/internal/obs"
 	"dcode/internal/workload"
 )
 
@@ -14,11 +15,12 @@ import (
 // live load-balance factor within 5% of internal/ioload's analytic count for
 // the same trace.
 //
-// The trace is shaped so the two accountings are element-for-element
-// identical: write lengths are clamped to one element, which forces the
-// array onto the read-modify-write path (2 accesses on the data disk plus 2
-// per touched parity disk — exactly the simulator's Eq. 8 bookkeeping), and
-// the element cache stays off so every logical access reaches a device.
+// The two accountings are element-for-element identical: writes of up to
+// MaxLen 8 elements are the read-modify-write regime for these codes at p=7,
+// and the engine's stripe-level RMW costs 2 accesses per written data element
+// plus 2 per distinct touched parity — exactly the simulator's Eq. 8
+// bookkeeping. The element cache stays off so every logical access reaches a
+// device.
 func TestLiveLFMatchesSimulator(t *testing.T) {
 	const (
 		stripes = 4
@@ -46,9 +48,6 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range ops {
-				if ops[i].Kind == workload.Write {
-					ops[i].L = 1 // single-element RMW matches the simulator exactly
-				}
 				if ops[i].S+ops[i].L > total { // Generate lets L spill past the end
 					ops[i].L = total - ops[i].S
 				}
@@ -61,23 +60,7 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 			}
 
 			a, _ := newArrayConc(t, tc.id, tc.p, stripes, WithConcurrency(1))
-			buf := make([]byte, 8*elemSize)
-			for _, op := range ops {
-				off := int64(op.S) * elemSize
-				n := op.L * elemSize
-				for r := 0; r < op.T; r++ {
-					if op.Kind == workload.Read {
-						_, err = a.ReadAt(buf[:n], off)
-					} else {
-						_, err = a.WriteAt(pattern(n, byte(op.S)), off)
-					}
-					if err != nil {
-						t.Fatalf("%v S=%d L=%d: %v", op.Kind, op.S, op.L, err)
-					}
-				}
-			}
-
-			live := a.LoadWindow().Snapshot()
+			live := replayLive(t, a, ops)
 			liveLF := live.Load.LF
 			t.Logf("%s: live LF=%.4f simulated LF=%.4f (live per-disk %v, sim per-disk %v)",
 				tc.id, liveLF, simLF, live.Load.PerDisk, sim.PerDisk)
@@ -96,5 +79,76 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// replayLive runs an element-addressed trace against a and returns the load
+// window's view of it.
+func replayLive(t *testing.T, a *Array, ops []workload.Op) obs.WindowSnapshot {
+	t.Helper()
+	var buf []byte
+	for _, op := range ops {
+		off := int64(op.S) * elemSize
+		n := op.L * elemSize
+		if n > len(buf) {
+			buf = make([]byte, n)
+		}
+		for r := 0; r < op.T; r++ {
+			var err error
+			if op.Kind == workload.Read {
+				_, err = a.ReadAt(buf[:n], off)
+			} else {
+				_, err = a.WriteAt(pattern(n, byte(op.S)), off)
+			}
+			if err != nil {
+				t.Fatalf("%v S=%d L=%d: %v", op.Kind, op.S, op.L, err)
+			}
+		}
+	}
+	return a.LoadWindow().Snapshot()
+}
+
+// TestLiveMixedLFOrdering is the paper's Fig. 4 ordering as a test: under the
+// read-write evenly mixed profile (the paper's 2000 ops of L ≤ 20) the live
+// engine must balance D-Code's disks better than X-Code's, HDP's and RDP's.
+// Consecutive data elements share D-Code's horizontal parities, so a
+// multi-element write touches each once; that only shows when the engine's RMW
+// reads and writes a shared parity once per stripe task rather than once per
+// element.
+func TestLiveMixedLFOrdering(t *testing.T) {
+	const (
+		p       = 7
+		stripes = 4
+	)
+	for _, seed := range []int64{1, 2, 42} {
+		liveLF := func(id string) float64 {
+			code := codes.MustNew(id, p)
+			total := stripes * code.DataElems()
+			ops, err := workload.Generate(workload.Config{
+				MaxTimes:  4,
+				DataElems: total,
+				Seed:      seed,
+			}, workload.Mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ops {
+				if ops[i].S+ops[i].L > total {
+					ops[i].L = total - ops[i].S
+				}
+			}
+			a, _ := newArrayConc(t, id, p, stripes, WithConcurrency(1))
+			lf := replayLive(t, a, ops).Load.LF
+			if lf < 1 || math.IsInf(lf, 0) || math.IsNaN(lf) {
+				t.Fatalf("%s seed %d: degenerate live LF %v", id, seed, lf)
+			}
+			return lf
+		}
+		dcode := liveLF("dcode")
+		for _, id := range []string{"xcode", "hdp", "rdp"} {
+			if other := liveLF(id); dcode >= other {
+				t.Errorf("seed %d: D-Code live LF %.4f not below %s's %.4f", seed, dcode, id, other)
+			}
+		}
 	}
 }

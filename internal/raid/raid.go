@@ -12,6 +12,7 @@ package raid
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,8 +48,11 @@ type Array struct {
 	// to deadlock on.
 	stripeLocks [64]sync.Mutex
 
+	// failed is the failed-column set, bit c for column c (New rejects codes
+	// wider than 64 columns). Every device call and stripe task reads it with
+	// one atomic load; failMu only serializes the rare transitions.
 	failMu sync.Mutex
-	failed map[int]bool
+	failed atomic.Uint64
 
 	// m and iodevs are the observability layer (see obs.go): lock-free
 	// counters and latency histograms at the array level, plus a
@@ -114,20 +118,34 @@ func (a *Array) lockStripe(si int64) *sync.Mutex {
 	return &a.stripeLocks[si%int64(len(a.stripeLocks))]
 }
 
-func (a *Array) isFailed(col int) bool {
-	a.failMu.Lock()
-	defer a.failMu.Unlock()
-	return a.failed[col]
+// failSet is a snapshot of the failed-column set: bit c is set while column c
+// is down.
+type failSet uint64
+
+func (f failSet) has(col int) bool { return f&(1<<uint(col)) != 0 }
+func (f failSet) count() int       { return bits.OnesCount64(uint64(f)) }
+
+// cols lists the failed columns in ascending order.
+func (f failSet) cols() []int {
+	out := make([]int, 0, f.count())
+	for m := uint64(f); m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
+	}
+	return out
 }
+
+func (a *Array) failedSet() failSet    { return failSet(a.failed.Load()) }
+func (a *Array) isFailed(col int) bool { return a.failedSet().has(col) }
+func (a *Array) failedCount() int      { return a.failedSet().count() }
 
 // markFailed marks col failed and reports whether this call made the
 // transition (false when the column was already down).
 func (a *Array) markFailed(col int) bool {
 	a.failMu.Lock()
-	first := !a.failed[col]
-	a.failed[col] = true
+	old := a.failedSet()
+	a.failed.Store(uint64(old) | 1<<uint(col))
 	a.failMu.Unlock()
-	return first
+	return !old.has(col)
 }
 
 // failDisk is markFailed plus the flight-recorder event, stamped with the
@@ -140,14 +158,8 @@ func (a *Array) failDisk(col int, traceID uint64) {
 
 func (a *Array) clearFailed(col int) {
 	a.failMu.Lock()
-	delete(a.failed, col)
+	a.failed.Store(a.failed.Load() &^ (1 << uint(col)))
 	a.failMu.Unlock()
-}
-
-func (a *Array) failedCount() int {
-	a.failMu.Lock()
-	defer a.failMu.Unlock()
-	return len(a.failed)
 }
 
 // Stats aggregates array-level counters.
@@ -168,6 +180,9 @@ func New(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64
 	if len(devs) != code.Cols() {
 		return nil, fmt.Errorf("raid: %d devices for a %d-column code", len(devs), code.Cols())
 	}
+	if code.Cols() > 64 {
+		return nil, fmt.Errorf("raid: %d columns exceed the 64 the failure mask tracks", code.Cols())
+	}
 	if elemSize <= 0 {
 		return nil, fmt.Errorf("raid: element size %d must be positive", elemSize)
 	}
@@ -183,7 +198,6 @@ func New(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64
 	a := &Array{
 		code:     code,
 		elemSize: elemSize,
-		failed:   make(map[int]bool),
 		stripes:  stripes,
 		iodevs:   make([]*blockdev.Instrumented, len(devs)),
 		devs:     make([]blockdev.Device, len(devs)),
@@ -236,19 +250,7 @@ func (a *Array) Stats() Stats {
 
 // FailedDisks returns the currently failed columns, sorted.
 func (a *Array) FailedDisks() []int {
-	return a.failedList()
-}
-
-func (a *Array) failedList() []int {
-	a.failMu.Lock()
-	defer a.failMu.Unlock()
-	out := make([]int, 0, len(a.failed))
-	for c := 0; c < a.code.Cols(); c++ {
-		if a.failed[c] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return a.failedSet().cols()
 }
 
 // FailDisk marks a column failed (as after an I/O error or pulled drive).
@@ -382,15 +384,15 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 	rows := a.code.Rows()
 	s := sc.s
 	for {
-		failed := a.failedList()
-		if len(failed) > 2 {
+		failed := a.failedSet()
+		if failed.count() > 2 {
 			return ErrTooManyFailures
 		}
 		var err error
 		if a.aio != nil {
 			runs := sc.runs[:0]
 			for c := 0; c < a.code.Cols(); c++ {
-				if !slices.Contains(failed, c) {
+				if !failed.has(c) {
 					runs = append(runs, cellRun{col: c, row: 0, n: rows})
 				}
 			}
@@ -398,10 +400,8 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 			err = a.readRunsAsync(stripeIdx, runs, s, sc)
 		} else {
 			err = a.fanOut(a.code.Cols(), func(c int) error {
-				for _, f := range failed {
-					if f == c {
-						return nil
-					}
+				if failed.has(c) {
+					return nil
 				}
 				return a.readRun(stripeIdx, cellRun{col: c, row: 0, n: rows}, s, sc.tc.Link())
 			})
@@ -412,9 +412,9 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 			// grows, so this terminates).
 			continue
 		}
-		if len(failed) > 0 {
+		if failed != 0 {
 			ps := time.Now()
-			err := a.code.Reconstruct(s, failed...)
+			err := a.code.Reconstruct(s, failed.cols()...)
 			a.m.parityLatency.Observe(time.Since(ps))
 			if err != nil {
 				return err
@@ -632,7 +632,7 @@ func outOfRangeErr(a *Array, off int64, n int) error {
 // when present — skipping reconstruction entirely — and healthy-column hits
 // are absorbed inside readCells.
 func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error {
-	failed := a.failedList()
+	failed := a.failedSet()
 	cols := a.code.Cols()
 	clear(sc.seen)
 	wanted := sc.coords[:0]
@@ -643,12 +643,7 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 			continue
 		}
 		sc.seen[idx] = true
-		lost := false
-		for _, f := range failed {
-			if er.coord.Col == f {
-				lost = true
-			}
-		}
+		lost := failed.has(er.coord.Col)
 		if lost && a.cacheGet(si, er.coord, sc.s.Elem(er.coord.Row, er.coord.Col)) {
 			// A previously reconstructed (or pre-failure write-through)
 			// element: reconstruction is paid once, then served from memory.
@@ -672,19 +667,20 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 		}
 		return nil
 
-	case len(failed) == 1:
+	case failed.count() == 1:
 		// Single failure: fetch only the recovery plan's cells. The plan is
 		// memoized and shared — copy its fetch list before readCells, which
 		// sorts in place during coalescing.
+		down := bits.TrailingZeros64(uint64(failed))
 		start := time.Now()
-		tcd := a.tr.Begin(trace.OpDegradedRead, int32(failed[0]), si, sc.tc.Link())
-		a.ev.Record(obs.EvDegradedRead, int32(failed[0]), si, tcd.Link().Trace, 0)
+		tcd := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
+		a.ev.Record(obs.EvDegradedRead, int32(down), si, tcd.Link().Trace, 0)
 		defer func() {
 			a.m.degradedReadLatency.Observe(time.Since(start))
 			a.tr.End(tcd, int64(len(wanted))*int64(a.elemSize), false)
 		}()
 		a.m.degradedReads.Inc()
-		plan, err := a.planDegraded(failed[0], wanted)
+		plan, err := a.planDegraded(down, wanted)
 		if err != nil {
 			return err
 		}
@@ -853,8 +849,8 @@ func (a *Array) writeStripeRunLocked(r stripeRun, ranges []elemRange, p []byte, 
 //     data + every parity — (D−w) + partials reads and w + G writes.
 //
 // A degraded array (including failures discovered mid-write) takes the
-// load-reconstruct-encode-store path. Elements already committed by RMW stay
-// consistent, so falling back mid-stripe is safe.
+// load-reconstruct-encode-store path. Both strategies can fail recoverably
+// only while gathering, before any device is mutated, so falling back is safe.
 func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
 	// An aligned full-stripe write on a healthy cache-less array gathers
 	// straight from p, encoding parity from the user's views (EncodeFrom) —
@@ -863,41 +859,7 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 		return err
 	}
 	if a.failedCount() == 0 {
-		cols := a.code.Cols()
-		clear(sc.seen)
-		clear(sc.part)
-		clear(sc.gseen)
-		coords := sc.coords[:0]
-		partials := 0
-		for _, er := range ers {
-			idx := er.coord.Row*cols + er.coord.Col
-			if !sc.seen[idx] {
-				sc.seen[idx] = true
-				coords = append(coords, er.coord)
-			}
-			if er.start != 0 || er.length != a.elemSize {
-				partials++
-				sc.part[idx] = true
-			}
-		}
-		sc.coords = coords
-		w := len(coords)
-		// Count the distinct parities the write touches via the gseen bitmap
-		// — same set GroupsTouchedBy computes, without its map and sort.
-		pCnt := 0
-		for _, co := range coords {
-			for _, gi := range a.code.UpdateGroups(co.Row, co.Col) {
-				if !sc.gseen[gi] {
-					sc.gseen[gi] = true
-					pCnt++
-				}
-			}
-		}
-		d := a.code.DataElems()
-		g := len(a.code.Groups())
-		rmwCost := 2*w + 2*pCnt
-		rwCost := (d - w) + partials + w + g
-
+		rmwCost, rwCost := a.planStripeWrite(ers, sc)
 		var err error
 		if rwCost < rmwCost {
 			err = a.reconstructWrite(si, ers, p, sc)
@@ -905,18 +867,8 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 				a.m.fullStripeWrites.Inc()
 				return nil
 			}
-		} else {
-			ok := true
-			for _, er := range ers {
-				if err = a.rmwElement(si, er, p, sc); err != nil {
-					ok = false
-					break
-				}
-				a.m.rmwWrites.Inc()
-			}
-			if ok {
-				return nil
-			}
+		} else if err = a.rmwStripe(si, ers, p, sc); err == nil {
+			return nil
 		}
 		if a.failedCount() > 2 {
 			return err
@@ -926,10 +878,7 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 	if err := a.loadStripe(si, sc); err != nil {
 		return err
 	}
-	for _, er := range ers {
-		copy(sc.s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length],
-			p[er.bufOff:er.bufOff+er.length])
-	}
+	overlayRanges(sc.s, ers, p)
 	ps := time.Now()
 	a.code.Encode(sc.s)
 	a.m.parityLatency.Observe(time.Since(ps))
@@ -942,6 +891,53 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 	a.cachePutStripe(si, sc.s)
 	a.m.fullStripeWrites.Inc()
 	return nil
+}
+
+// overlayRanges copies the written byte ranges from the caller's buffer over
+// their elements in stripe memory.
+func overlayRanges(s *stripe.Stripe, ers []elemRange, p []byte) {
+	for _, er := range ers {
+		copy(s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length],
+			p[er.bufOff:er.bufOff+er.length])
+	}
+}
+
+// planStripeWrite marks one stripe task's write set in the scratch — sc.coords
+// the distinct written elements, sc.seen/sc.part their cell and partial-write
+// marks, sc.gseen the parity groups they update — and prices both healthy-array
+// strategies in element accesses.
+func (a *Array) planStripeWrite(ers []elemRange, sc *opScratch) (rmwCost, rwCost int) {
+	cols := a.code.Cols()
+	clear(sc.seen)
+	clear(sc.part)
+	clear(sc.gseen)
+	coords := sc.coords[:0]
+	partials := 0
+	for _, er := range ers {
+		idx := er.coord.Row*cols + er.coord.Col
+		if !sc.seen[idx] {
+			sc.seen[idx] = true
+			coords = append(coords, er.coord)
+		}
+		if er.length != a.elemSize && !sc.part[idx] {
+			sc.part[idx] = true
+			partials++
+		}
+	}
+	sc.coords = coords
+	w := len(coords)
+	// Count the distinct parities the write touches via the gseen bitmap
+	// — same set GroupsTouchedBy computes, without its map and sort.
+	pCnt := 0
+	for _, co := range coords {
+		for _, gi := range a.code.UpdateGroups(co.Row, co.Col) {
+			if !sc.gseen[gi] {
+				sc.gseen[gi] = true
+				pCnt++
+			}
+		}
+	}
+	return 2*w + 2*pCnt, (a.code.DataElems() - w) + partials + w + len(a.code.Groups())
 }
 
 // reconstructWrite serves a large partial write on a healthy array: it reads
@@ -967,10 +963,7 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 	if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
 		return err
 	}
-	for _, er := range ers {
-		copy(sc.s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length],
-			p[er.bufOff:er.bufOff+er.length])
-	}
+	overlayRanges(sc.s, ers, p)
 	ps := time.Now()
 	a.code.Encode(sc.s)
 	a.m.parityLatency.Observe(time.Since(ps))
@@ -988,34 +981,35 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 	// Write-through: the committed cells' new logical values. A device that
 	// failed mid-commit keeps the cached value correct — the surviving
 	// parities reconstruct exactly what sc.s holds.
-	if a.cache != nil {
-		for _, co := range commit {
-			a.cachePut(si, co, sc.s.Elem(co.Row, co.Col))
-		}
-	}
+	a.cacheFill(si, commit, sc.s)
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
 	return nil
 }
 
-// rmwElement performs a read-modify-write of one (possibly partial) data
-// element in two phases. Phase one gathers the old data and every old parity
-// (coalesced where adjacent) without mutating anything, so a read failure
-// (which marks the disk) is safe to retry on the degraded path. Phase two
-// commits the new data and the patched parities; a disk that fails during
-// commit is skipped — its contents are moot and the delta applied to the
-// surviving parities keeps the new value reconstructable.
-func (a *Array) rmwElement(stripeIdx int64, er elemRange, p []byte, sc *opScratch) error {
-	// Phase 1: gather old data + old parities into sc.s.
-	groups := a.code.UpdateGroups(er.coord.Row, er.coord.Col)
-	fetch := sc.fetch[:0]
-	fetch = append(fetch, er.coord)
-	for _, gi := range groups {
-		fetch = append(fetch, a.code.Groups()[gi].Parity)
+// rmwStripe performs the read-modify-write of one stripe task in three
+// steps, at the paper's 2w + 2P element accesses. The written set and the
+// touched groups arrive in sc.coords/sc.gseen from planStripeWrite. Gather:
+// the w old data cells and the P distinct old parities come in through one
+// coalesced readCells, mutating nothing, so a read failure (which marks the
+// disk) is safe to retry on the degraded path. Fold: each touched parity takes
+// old ⊕ new of every written byte range it covers — whole elements of one
+// group through a single XORMulti pass, partial ranges on their sub-slices —
+// so a parity shared by several written elements is patched once. Commit: new
+// data and patched parities go out through the best-effort run writer; a disk
+// that fails during commit is skipped — its contents are moot and the delta
+// applied to the surviving parities keeps the new values reconstructable.
+func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) error {
+	groups := a.code.Groups()
+	cells := append(sc.fetch[:0], sc.coords...)
+	for gi, touched := range sc.gseen {
+		if touched {
+			cells = append(cells, groups[gi].Parity)
+		}
 	}
-	sc.fetch = fetch
-	hits, err := a.readCells(stripeIdx, fetch, sc.s, sc)
+	sc.fetch = cells
+	hits, err := a.readCells(si, cells, sc.s, sc)
 	if err != nil {
 		return err
 	}
@@ -1025,25 +1019,37 @@ func (a *Array) rmwElement(stripeIdx int64, er elemRange, p []byte, sc *opScratc
 		a.m.rmwPreReadsAbsorbed.Add(int64(hits))
 	}
 
-	// Phase 2: commit.
-	old := sc.s.Elem(er.coord.Row, er.coord.Col)
-	newVal := sc.b1
-	copy(newVal, old)
-	copy(newVal[er.start:er.start+er.length], p[er.bufOff:er.bufOff+er.length])
-	delta := sc.b2
-	stripe.XORInto(delta, old, newVal)
-	_ = a.writeElemTraced(stripeIdx, er.coord, newVal, sc.tc.Link())
-	a.cachePut(stripeIdx, er.coord, newVal)
-	for _, gi := range groups {
-		pc := a.code.Groups()[gi].Parity
-		pe := sc.s.Elem(pc.Row, pc.Col)
-		stripe.XOR(pe, delta)
-		_ = a.writeElemTraced(stripeIdx, pc, pe, sc.tc.Link())
-		a.cachePut(stripeIdx, pc, pe)
+	srcs := sc.srcs
+	for gi, touched := range sc.gseen {
+		if !touched {
+			continue
+		}
+		pe := sc.s.Elem(groups[gi].Parity.Row, groups[gi].Parity.Col)
+		srcs = srcs[:0]
+		for _, er := range ers {
+			if !slices.Contains(a.code.UpdateGroups(er.coord.Row, er.coord.Col), gi) {
+				continue
+			}
+			old := sc.s.Elem(er.coord.Row, er.coord.Col)[er.start : er.start+er.length]
+			upd := p[er.bufOff : er.bufOff+er.length]
+			if er.length == a.elemSize {
+				srcs = append(srcs, old, upd)
+			} else {
+				stripe.XORMulti(pe[er.start:er.start+er.length], old, upd)
+			}
+		}
+		stripe.XORMulti(pe, srcs...)
+		clear(srcs) // drop the user-buffer references before the scratch is pooled
 	}
+	sc.srcs = srcs
+	overlayRanges(sc.s, ers, p)
+
+	a.writeCellsBestEffort(si, cells, sc.s, sc)
+	a.cacheFill(si, cells, sc.s)
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
+	a.m.rmwWrites.Add(int64(len(sc.coords)))
 	return nil
 }
 

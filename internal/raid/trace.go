@@ -18,7 +18,6 @@ package raid
 import (
 	"time"
 
-	"dcode/internal/erasure"
 	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
@@ -64,8 +63,8 @@ func (a *Array) initObservability() {
 	}
 	for i := range a.iodevs {
 		col := i
-		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64) {
-			a.window.Record(col, write, ops)
+		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64, end time.Time) {
+			a.window.Record(col, write, ops, end)
 		})
 	}
 }
@@ -75,14 +74,4 @@ func (a *Array) initObservability() {
 type TraceSnapshot struct {
 	trace.Stats
 	SlowSpans []trace.Span `json:"slow_spans,omitempty"`
-}
-
-// writeElemTraced is writeElem wrapped in a device-write span; the RMW
-// commit path uses it for its element-grained parity patches, which don't
-// go through the coalesced run writers.
-func (a *Array) writeElemTraced(si int64, co erasure.Coord, src []byte, parent trace.Link) error {
-	tc := a.tr.Begin(trace.OpDevWrite, int32(co.Col), si, parent)
-	err := a.writeElemL(si, co, src, tc.Link())
-	a.tr.End(tc, int64(len(src)), err != nil)
-	return err
 }
