@@ -21,25 +21,20 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 	if len(failed) == 0 {
 		return nil
 	}
-	seen := make(map[int]bool, len(failed))
+	// Collect unknowns: every cell of every failed column. unknownAt maps a
+	// cell (row*cols+col) to 1 + its index in unknowns, 0 for a surviving cell.
+	unknownAt := make([]int, c.rows*c.cols)
+	unknowns := make([]Coord, 0, len(failed)*c.rows)
 	for _, f := range failed {
 		if f < 0 || f >= c.cols {
 			return fmt.Errorf("erasure: %s: failed column %d out of range [0,%d)", c.name, f, c.cols)
 		}
-		if seen[f] {
+		if unknownAt[f] != 0 { // row 0 of column f is already lost
 			return fmt.Errorf("erasure: %s: failed column %d listed twice", c.name, f)
 		}
-		seen[f] = true
-	}
-
-	// Collect unknowns: every cell of every failed column.
-	unknownIdx := make(map[Coord]int)
-	var unknowns []Coord
-	for f := range seen {
 		for r := 0; r < c.rows; r++ {
-			co := Coord{r, f}
-			unknownIdx[co] = len(unknowns)
-			unknowns = append(unknowns, co)
+			unknowns = append(unknowns, Coord{r, f})
+			unknownAt[r*c.cols+f] = len(unknowns)
 		}
 	}
 
@@ -55,8 +50,8 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 		return cells
 	}
 	isUnknown := func(co Coord) (int, bool) {
-		ui, ok := unknownIdx[co]
-		if !ok || solved[ui] {
+		ui := unknownAt[co.Row*c.cols+co.Col] - 1
+		if ui < 0 || solved[ui] {
 			return 0, false
 		}
 		return ui, true
@@ -69,46 +64,20 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 	for remaining > 0 {
 		progress := false
 		for gi := range c.groups {
-			cells := eqCells(gi)
+			g := &c.groups[gi]
 			var target Coord
 			targetUI, missing := -1, 0
-			for _, co := range cells {
-				if ui, unk := isUnknown(co); unk {
+			for i := 0; i <= len(g.Members) && missing <= 1; i++ {
+				if ui, unk := isUnknown(g.cell(i)); unk {
 					missing++
-					if missing > 1 {
-						break
-					}
-					target, targetUI = co, ui
+					target, targetUI = g.cell(i), ui
 				}
 			}
 			if missing != 1 {
 				continue
 			}
-			// Recover target = XOR of the equation's other cells: seed dst
-			// with the first one, fold the rest through the multi-source
-			// kernel (same size-2 XOR-op count as the zero-then-XOR loop).
-			dst := s.Elem(target.Row, target.Col)
-			var arr [16][]byte
-			srcs := arr[:0]
-			seeded := false
-			for _, co := range cells {
-				if co == target {
-					continue
-				}
-				e := s.Elem(co.Row, co.Col)
-				if !seeded {
-					copy(dst, e)
-					seeded = true
-					continue
-				}
-				srcs = append(srcs, e)
-				if len(srcs) == cap(srcs) {
-					stripe.XORMulti(dst, srcs...)
-					srcs = srcs[:0]
-				}
-			}
-			stripe.XORMulti(dst, srcs...)
-			peelOps += int64(len(cells) - 2)
+			c.foldGroup(s.Elem(target.Row, target.Col), s, nil, gi, target)
+			peelOps += int64(len(g.Members) - 1)
 			solved[targetUI] = true
 			remaining--
 			progress = true

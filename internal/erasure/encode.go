@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"fmt"
 
 	"dcode/internal/stripe"
@@ -38,24 +39,48 @@ func (c *Code) EncodeGroup(s *stripe.Stripe, gi int) {
 }
 
 // encodeGroupInto is EncodeGroup without the XOR tally, shared with the
-// parallel encoder (which tallies once for the whole stripe). Members are
-// folded through the multi-source kernel so the parity accumulator is
-// traversed once per four members instead of once per member.
+// parallel encoder (which tallies once for the whole stripe).
 func (c *Code) encodeGroupInto(s *stripe.Stripe, gi int) {
+	p := c.groups[gi].Parity
+	c.foldGroup(s.Elem(p.Row, p.Col), s, nil, gi, p)
+}
+
+// FoldGroup overwrites dst with the XOR of every cell of group gi — members
+// and parity — except target, reading the cells from s, and returns how many
+// cells it folded (the element-XOR count decode tallies report). It is the
+// one seed-and-fold loop of the repository: with target the group's parity
+// it encodes the group, with target a lost cell it recovers that cell, and
+// into a scratch buffer it yields the value Verify compares. dst is usually
+// target's own cell in s; it must not be any other cell of the group.
+func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, gi int, target Coord) int {
+	return c.foldGroup(dst, s, nil, gi, target)
+}
+
+// foldGroup is FoldGroup reading data cells through EncodeFrom's overlay
+// (see cellFrom; nil reads everything from s). Sources are gathered into a
+// stack array and handed to the set-form kernel, so no call allocates and no
+// seed copy precedes the first XOR; a group wider than the array continues
+// through the accumulate form.
+func (c *Code) foldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, target Coord) int {
 	g := &c.groups[gi]
-	dst := s.Elem(g.Parity.Row, g.Parity.Col)
-	first := g.Members[0]
-	copy(dst, s.Elem(first.Row, first.Col))
 	var arr [16][]byte
 	srcs := arr[:0]
-	for _, m := range g.Members[1:] {
-		srcs = append(srcs, s.Elem(m.Row, m.Col))
-		if len(srcs) == cap(srcs) {
-			stripe.XORMulti(dst, srcs...)
+	folded := 0
+	for i := 0; i <= len(g.Members); i++ {
+		if m := g.cell(i); m != target {
+			srcs = append(srcs, c.cellFrom(s, data, m))
+		}
+		if len(srcs) == cap(srcs) || i == len(g.Members) {
+			if folded == 0 {
+				stripe.XORSet(dst, srcs...)
+			} else {
+				stripe.XORMulti(dst, srcs...)
+			}
+			folded += len(srcs)
 			srcs = srcs[:0]
 		}
 	}
-	stripe.XORMulti(dst, srcs...)
+	return folded
 }
 
 // EncodeFrom computes every parity element like Encode, but reads each data
@@ -69,18 +94,7 @@ func (c *Code) EncodeFrom(s *stripe.Stripe, data [][]byte) {
 	c.checkStripe(s)
 	for _, gi := range c.encodeOrder {
 		g := &c.groups[gi]
-		dst := s.Elem(g.Parity.Row, g.Parity.Col)
-		copy(dst, c.cellFrom(s, data, g.Members[0]))
-		var arr [16][]byte
-		srcs := arr[:0]
-		for _, m := range g.Members[1:] {
-			srcs = append(srcs, c.cellFrom(s, data, m))
-			if len(srcs) == cap(srcs) {
-				stripe.XORMulti(dst, srcs...)
-				srcs = srcs[:0]
-			}
-		}
-		stripe.XORMulti(dst, srcs...)
+		c.foldGroup(s.Elem(g.Parity.Row, g.Parity.Col), s, data, gi, g.Parity)
 		ops := int64(len(g.Members) - 1)
 		c.xor.addEncode(ops, ops*int64(s.ElemSize()))
 	}
@@ -99,8 +113,7 @@ func (c *Code) cellFrom(s *stripe.Stripe, data [][]byte, m Coord) []byte {
 
 // codeScratch is the pooled per-call scratch of UpdateData and Verify.
 type codeScratch struct {
-	buf  []byte
-	srcs [][]byte
+	buf []byte
 }
 
 func (c *Code) getScratch(elemSize int) *codeScratch {
@@ -113,12 +126,6 @@ func (c *Code) getScratch(elemSize int) *codeScratch {
 		return sc
 	}
 	return &codeScratch{buf: make([]byte, elemSize)}
-}
-
-func (c *Code) putScratch(sc *codeScratch) {
-	clear(sc.srcs) // drop element references so pooled scratch pins no stripe
-	sc.srcs = sc.srcs[:0]
-	c.scratch.Put(sc)
 }
 
 // UpdateData applies a read-modify-write style small write: it stores
@@ -142,28 +149,21 @@ func (c *Code) UpdateData(s *stripe.Stripe, r, col int, newData []byte) {
 		p := c.groups[gi].Parity
 		stripe.XOR(s.Elem(p.Row, p.Col), delta)
 	}
-	c.putScratch(sc)
+	c.scratch.Put(sc)
 	ops := int64(1 + len(c.updateOf[r][col])) // the delta plus one patch per parity
 	c.xor.addEncode(ops, ops*int64(s.ElemSize()))
 }
 
-// Verify reports whether every parity equation holds on the stripe.
+// Verify reports whether every parity equation holds on the stripe: each
+// group's members are folded into scratch and compared with the parity cell.
 func (c *Code) Verify(s *stripe.Stripe) bool {
 	c.checkStripe(s)
 	sc := c.getScratch(s.ElemSize())
-	defer c.putScratch(sc)
-	buf := sc.buf
-	for _, g := range c.groups {
-		first := g.Members[0]
-		copy(buf, s.Elem(first.Row, first.Col))
-		srcs := sc.srcs[:0]
-		for _, m := range g.Members[1:] {
-			srcs = append(srcs, s.Elem(m.Row, m.Col))
-		}
-		srcs = append(srcs, s.Elem(g.Parity.Row, g.Parity.Col))
-		sc.srcs = srcs
-		stripe.XORMulti(buf, srcs...)
-		if !stripe.IsZero(buf) {
+	defer c.scratch.Put(sc)
+	for gi := range c.groups {
+		p := c.groups[gi].Parity
+		c.foldGroup(sc.buf, s, nil, gi, p)
+		if !bytes.Equal(sc.buf, s.Elem(p.Row, p.Col)) {
 			return false
 		}
 	}

@@ -47,11 +47,13 @@ func (c *Code) EncodeParallel(s *stripe.Stripe, workers int) {
 		c.Encode(s)
 		return
 	}
-	// Chunk boundaries aligned to 8 bytes so the XOR kernel stays word-wide.
+	// Chunk boundaries aligned to 64 bytes — a cache line, and the block the
+	// vectorized XOR loop consumes — so no two workers write the same line
+	// and every chunk but the last is whole vector blocks.
 	bounds := make([]int, workers+1)
 	for w := 0; w <= workers; w++ {
 		b := size * w / workers
-		b &^= 7
+		b &^= 63
 		bounds[w] = b
 	}
 	bounds[workers] = size

@@ -44,6 +44,15 @@ type Group struct {
 	Members []Coord
 }
 
+// cell returns the i-th cell of the group's equation: the members in order,
+// then the parity at index len(Members).
+func (g *Group) cell(i int) Coord {
+	if i < len(g.Members) {
+		return g.Members[i]
+	}
+	return g.Parity
+}
+
 // Code is a fully constructed XOR array code over a rows×cols stripe.
 // Construct with New; the zero value is not usable.
 type Code struct {

@@ -308,6 +308,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDegradedReadSteadyStateAllocs pins the degraded read path: with one
+// column failed and the plan memo warm, aligned multi-element reads that
+// cross the failed column — plan lookup, planned fetch, group folds — must
+// not allocate.
+func TestDegradedReadSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless under -race")
+	}
+	a, _ := newArrayConc(t, "dcode", 7, 4, WithConcurrency(1))
+	if _, err := a.WriteAt(pattern(int(a.Size()), 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	elem := int64(a.ElemSize())
+	buf := make([]byte, 5*elem)
+	sweep := func() {
+		for off := int64(0); off+int64(len(buf)) <= a.Size(); off += elem {
+			if _, err := a.ReadAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := a.Stats().DegradedReads
+	sweep() // warm the pools and the plan memo
+	sweep()
+	if a.Stats().DegradedReads == before {
+		t.Fatal("sweep never took the degraded path")
+	}
+	if avg := testing.AllocsPerRun(20, sweep); avg >= 1 {
+		t.Errorf("degraded aligned ReadAt sweep allocates %.1f/run in steady state, want 0", avg)
+	}
+}
+
 // TestCoalesceRuns checks the run splitter: same-column row-adjacent cells
 // merge, anything else starts a new run.
 func TestCoalesceRuns(t *testing.T) {

@@ -27,7 +27,11 @@ const (
 	planMemoMaxCells = 512
 	// planMemoMaxEntries bounds the memo; on overflow it is cleared
 	// wholesale (degraded access patterns repeat, so it refills instantly).
-	planMemoMaxEntries = 256
+	// Sized above the key space of the paper's read stream on the default
+	// geometry — contiguous runs of 1–20 elements crossing the failed column
+	// make about 600 distinct wanted-masks — so that stream never trips the
+	// clear; the plans of a full memo stay under 1 MiB.
+	planMemoMaxEntries = 1024
 )
 
 // planKey is the failure signature: the failed column and the wanted set as

@@ -659,91 +659,75 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 		return nil
 	}
 
-	switch {
-	case !needLost:
+	if !needLost {
 		// All wanted elements live on healthy disks.
 		if _, err := a.readCells(si, wanted, sc.s, sc); err != nil {
 			return errRetryDegraded
 		}
 		return nil
-
-	case failed.count() == 1:
-		// Single failure: fetch only the recovery plan's cells. The plan is
-		// memoized and shared — copy its fetch list before readCells, which
-		// sorts in place during coalescing.
-		down := bits.TrailingZeros64(uint64(failed))
-		start := time.Now()
-		tcd := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
-		a.ev.Record(obs.EvDegradedRead, int32(down), si, tcd.Link().Trace, 0)
-		defer func() {
-			a.m.degradedReadLatency.Observe(time.Since(start))
-			a.tr.End(tcd, int64(len(wanted))*int64(a.elemSize), false)
-		}()
-		a.m.degradedReads.Inc()
-		plan, err := a.planDegraded(down, wanted)
-		if err != nil {
-			return err
-		}
-		fetch := append(sc.fetch[:0], plan.Fetch...)
-		sc.fetch = fetch
-		if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
-			return errRetryDegraded
-		}
-		for _, step := range plan.Steps {
-			// Recover target = XOR of its group's other cells; seed with the
-			// first and fold the rest through the multi-source kernel. One
-			// XOR op per non-target cell, same count as the iterated path.
-			g := a.code.Groups()[step.Group]
-			dst := sc.s.Elem(step.Target.Row, step.Target.Col)
-			srcs := sc.srcs[:0]
-			var seed []byte
-			addCell := func(cell erasure.Coord) {
-				if cell == step.Target {
-					return
-				}
-				e := sc.s.Elem(cell.Row, cell.Col)
-				if seed == nil {
-					seed = e
-					return
-				}
-				srcs = append(srcs, e)
-			}
-			for _, cell := range g.Members {
-				addCell(cell)
-			}
-			addCell(g.Parity)
-			copy(dst, seed)
-			stripe.XORMulti(dst, srcs...)
-			sc.srcs = srcs
-			a.countDecodeXOR(1 + len(srcs))
-			// Memoize the reconstruction so repeated reads of the failed
-			// column hit the cache instead of re-deriving the element.
-			a.cachePut(si, step.Target, dst)
-		}
-		return nil
-
-	default:
-		// Double failure: whole-stripe reconstruction.
-		start := time.Now()
-		tcd := a.tr.Begin(trace.OpDegradedRead, -1, si, sc.tc.Link())
-		a.ev.Record(obs.EvDegradedRead, -1, si, tcd.Link().Trace, 0)
-		defer func() {
-			a.m.degradedReadLatency.Observe(time.Since(start))
-			a.tr.End(tcd, int64(len(wanted))*int64(a.elemSize), false)
-		}()
-		a.m.degradedReads.Inc()
-		if err := a.loadStripe(si, sc); err != nil {
-			return err
-		}
-		// Insert the wanted cells (loadStripe bypasses the cache): the lost
-		// ones memoize reconstruction, the healthy ones the device read.
-		if a.cache != nil {
-			for _, co := range wanted {
-				a.cachePut(si, co, sc.s.Elem(co.Row, co.Col))
-			}
-		}
-		return nil
 	}
+
+	// Degraded: one span, event and latency sample around whichever strategy
+	// the failure count picks (column -1 marks the double-failure path).
+	down := -1
+	if failed.count() == 1 {
+		down = bits.TrailingZeros64(uint64(failed))
+	}
+	start := time.Now()
+	tcd := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
+	a.ev.Record(obs.EvDegradedRead, int32(down), si, tcd.Link().Trace, 0)
+	a.m.degradedReads.Inc()
+	var err error
+	if down >= 0 {
+		err = a.fetchPlanned(si, down, wanted, sc)
+	} else {
+		err = a.fetchReconstructed(si, wanted, sc)
+	}
+	a.m.degradedReadLatency.Observe(time.Since(start))
+	a.tr.End(tcd, int64(len(wanted))*int64(a.elemSize), false)
+	return err
+}
+
+// fetchPlanned serves a single-failure degraded fetch: it reads only the
+// recovery plan's cells and rebuilds each lost wanted cell from its group.
+// The plan is memoized and shared — its fetch list is copied before
+// readCells, which sorts in place during coalescing.
+func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opScratch) error {
+	plan, err := a.planDegraded(down, wanted)
+	if err != nil {
+		return err
+	}
+	fetch := append(sc.fetch[:0], plan.Fetch...)
+	sc.fetch = fetch
+	if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
+		return errRetryDegraded
+	}
+	for _, step := range plan.Steps {
+		// Recover target = XOR of its group's other cells, one XOR op per
+		// cell folded.
+		dst := sc.s.Elem(step.Target.Row, step.Target.Col)
+		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, step.Group, step.Target))
+		// Memoize the reconstruction so repeated reads of the failed
+		// column hit the cache instead of re-deriving the element.
+		a.cachePut(si, step.Target, dst)
+	}
+	return nil
+}
+
+// fetchReconstructed serves a double-failure degraded fetch by whole-stripe
+// reconstruction.
+func (a *Array) fetchReconstructed(si int64, wanted []erasure.Coord, sc *opScratch) error {
+	if err := a.loadStripe(si, sc); err != nil {
+		return err
+	}
+	// Insert the wanted cells (loadStripe bypasses the cache): the lost
+	// ones memoize reconstruction, the healthy ones the device read.
+	if a.cache != nil {
+		for _, co := range wanted {
+			a.cachePut(si, co, sc.s.Elem(co.Row, co.Col))
+		}
+	}
+	return nil
 }
 
 // WriteAt writes len(p) bytes at offset off. Whole stripes are encoded and
@@ -1176,57 +1160,23 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 	// XOR-op accounting matches the serial path: one op per sourced cell.
 	for r := 0; r < rows; r++ {
 		if gi := plan.GroupChoice[r]; gi >= 0 {
-			g := a.code.Groups()[gi]
 			target := erasure.Coord{Row: r, Col: col}
-			dst := sc.s.Elem(r, col)
-			srcs := sc.srcs[:0]
-			var seed []byte
-			addCell := func(cell erasure.Coord) {
-				if cell == target {
-					return
-				}
-				e := sc.s.Elem(cell.Row, cell.Col)
-				if seed == nil {
-					seed = e
-					return
-				}
-				srcs = append(srcs, e)
-			}
-			for _, cell := range g.Members {
-				addCell(cell)
-			}
-			addCell(g.Parity)
-			copy(dst, seed)
-			stripe.XORMulti(dst, srcs...)
-			sc.srcs = srcs
-			a.countDecodeXOR(1 + len(srcs))
+			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, gi, target))
 			sc.seen[r*cols+col] = true
 		}
 	}
 	for r := 0; r < rows; r++ {
 		if gi := a.code.ParityGroup(r, col); gi >= 0 {
-			g := a.code.Groups()[gi]
-			dst := sc.s.Elem(r, col)
-			srcs := sc.srcs[:0]
-			var seed []byte
-			for _, m := range g.Members {
+			for _, m := range a.code.Groups()[gi].Members {
 				if !sc.seen[m.Row*cols+m.Col] {
 					// A member this pass cannot source (e.g. an unrecovered
 					// parity cell on the failed column); let the caller fall
 					// back to whole-stripe reconstruction.
 					return fmt.Errorf("raid: planned rebuild cannot source %v", m)
 				}
-				e := sc.s.Elem(m.Row, m.Col)
-				if seed == nil {
-					seed = e
-					continue
-				}
-				srcs = append(srcs, e)
 			}
-			copy(dst, seed)
-			stripe.XORMulti(dst, srcs...)
-			sc.srcs = srcs
-			a.countDecodeXOR(1 + len(srcs))
+			target := erasure.Coord{Row: r, Col: col}
+			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, gi, target))
 		}
 	}
 	if err := a.writeColumn(si, col, sc.s, sc.tc.Link()); err != nil {

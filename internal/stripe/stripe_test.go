@@ -1,9 +1,6 @@
 package stripe
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewGeometry(t *testing.T) {
 	s := New(4, 6, 16)
@@ -143,10 +140,10 @@ func TestZeroColumn(t *testing.T) {
 	s.Fill(42)
 	s.ZeroColumn(2)
 	for r := 0; r < 4; r++ {
-		if !IsZero(s.Elem(r, 2)) {
+		if !allZero(s.Elem(r, 2)) {
 			t.Fatalf("element (%d,2) not zeroed", r)
 		}
-		if IsZero(s.Elem(r, 1)) {
+		if allZero(s.Elem(r, 1)) {
 			t.Fatalf("element (%d,1) unexpectedly zero; Fill too weak or ZeroColumn overreach", r)
 		}
 	}
@@ -156,11 +153,11 @@ func TestZeroElemAndZero(t *testing.T) {
 	s := New(2, 2, 4)
 	s.Fill(7)
 	s.ZeroElem(1, 1)
-	if !IsZero(s.Elem(1, 1)) {
+	if !allZero(s.Elem(1, 1)) {
 		t.Fatal("ZeroElem left data behind")
 	}
 	s.Zero()
-	if !IsZero(s.Bytes()) {
+	if !allZero(s.Bytes()) {
 		t.Fatal("Zero left data behind")
 	}
 }
@@ -178,139 +175,12 @@ func TestFillDeterministic(t *testing.T) {
 	}
 }
 
-// xorOracle is the obviously-correct byte-at-a-time reference.
-func xorOracle(dst, src []byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
-
-func TestXORMatchesOracle(t *testing.T) {
-	f := func(a, b []byte) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		got := append([]byte(nil), a[:n]...)
-		want := append([]byte(nil), a[:n]...)
-		XOR(got, b[:n])
-		xorOracle(want, b[:n])
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXORIntoMatchesOracle(t *testing.T) {
-	f := func(a, b []byte) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		dst := make([]byte, n)
-		XORInto(dst, a[:n], b[:n])
-		for i := 0; i < n; i++ {
-			if dst[i] != a[i]^b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXORSelfInverse(t *testing.T) {
-	f := func(a, b []byte) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		got := append([]byte(nil), a[:n]...)
-		XOR(got, b[:n])
-		XOR(got, b[:n])
-		for i := range got {
-			if got[i] != a[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXORIntoAliasing(t *testing.T) {
-	a := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	b := []byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	want := make([]byte, len(a))
-	XORInto(want, a, b)
-	dst := append([]byte(nil), a...)
-	XORInto(dst, dst, b) // dst aliases a-copy
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("aliased XORInto wrong at %d: got %d want %d", i, dst[i], want[i])
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
 		}
 	}
-}
-
-func TestXORLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("XOR with mismatched lengths did not panic")
-		}
-	}()
-	XOR(make([]byte, 3), make([]byte, 4))
-}
-
-func TestXORIntoLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("XORInto with mismatched lengths did not panic")
-		}
-	}()
-	XORInto(make([]byte, 3), make([]byte, 3), make([]byte, 4))
-}
-
-func TestIsZero(t *testing.T) {
-	if !IsZero(nil) || !IsZero(make([]byte, 9)) {
-		t.Fatal("IsZero false on zero input")
-	}
-	if IsZero([]byte{0, 0, 1}) {
-		t.Fatal("IsZero true on non-zero input")
-	}
-}
-
-func BenchmarkXOR4K(b *testing.B) {
-	dst := make([]byte, 4096)
-	src := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XOR(dst, src)
-	}
-}
-
-func BenchmarkXOROracle4K(b *testing.B) {
-	dst := make([]byte, 4096)
-	src := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xorOracle(dst, src)
-	}
+	return true
 }

@@ -1,176 +1,74 @@
 package stripe
 
-import "encoding/binary"
+import "crypto/subtle"
+
+// Every XOR in the repository lands on subtle.XORBytes, the standard
+// library's vectorized region XOR (assembly on amd64 and arm64, a word-wide
+// generic loop elsewhere or under the purego tag). The wrappers below add the
+// two things it does not give: XORBytes silently truncates to its shorter
+// operand, where a length mismatch here is always a caller bug and panics;
+// and it knows nothing about the accumulate-many-sources shapes parity code
+// needs. Operands may overlap dst exactly or not at all — XORBytes panics on
+// an inexact overlap.
 
 // XOR computes dst ^= src element-wise. The slices must have equal length.
-// It processes eight bytes per step where possible; the Go compiler turns the
-// binary.LittleEndian calls into single unaligned loads/stores on amd64 and
-// arm64, so this is within a small factor of a hand-written SIMD kernel while
-// staying pure stdlib.
 func XOR(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("stripe: XOR length mismatch")
 	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // XORInto computes dst = a ^ b element-wise. The slices must have equal
-// length; dst may alias a or b.
+// length; dst may alias a or b exactly.
 func XORInto(dst, a, b []byte) {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		panic("stripe: XORInto length mismatch")
 	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
+	subtle.XORBytes(dst, a, b)
 }
 
 // XORMulti folds every source into dst: dst ^= srcs[0] ^ srcs[1] ^ ... .
-// Sources are consumed eight at a time (then four, then a short tail), so dst
-// is loaded and stored once per eight sources instead of once per source —
-// for a wide parity group this cuts the memory traffic of iterated XOR calls
-// to a fraction, which is where the XOR kernels of this repository spend
-// their time (the accumulator stays in registers within a pass). All sources
-// must have dst's length; none may alias dst.
+// All sources must have dst's length; none may alias dst (sources may alias
+// each other).
 func XORMulti(dst []byte, srcs ...[]byte) {
+	checkSources("XORMulti", dst, srcs)
+	for _, s := range srcs {
+		subtle.XORBytes(dst, dst, s)
+	}
+}
+
+// XORSet overwrites dst with the XOR of the sources: dst = srcs[0] ^
+// srcs[1] ^ ... . The first pass is three-operand, so dst's prior contents
+// are never read and the caller does not seed it with a copy; one source
+// degenerates to that copy and none to the empty XOR, all zeros. All sources
+// must have dst's length; none may alias dst.
+func XORSet(dst []byte, srcs ...[]byte) {
+	checkSources("XORSet", dst, srcs)
+	switch len(srcs) {
+	case 0:
+		clear(dst)
+	case 1:
+		copy(dst, srcs[0])
+	default:
+		subtle.XORBytes(dst, srcs[0], srcs[1])
+		for _, s := range srcs[2:] {
+			subtle.XORBytes(dst, dst, s)
+		}
+	}
+}
+
+// checkSources panics unless every source has dst's length and none starts
+// where dst does. An exactly aliased source would make a later pass fold dst
+// into itself and silently drop everything accumulated so far; XORBytes
+// already panics on the inexact overlaps.
+func checkSources(fn string, dst []byte, srcs [][]byte) {
 	for _, s := range srcs {
 		if len(s) != len(dst) {
-			panic("stripe: XORMulti length mismatch")
+			panic("stripe: " + fn + " length mismatch")
+		}
+		if len(s) > 0 && &s[0] == &dst[0] {
+			panic("stripe: " + fn + " source aliases dst")
 		}
 	}
-	for len(srcs) >= 8 {
-		xor8(dst, srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], srcs[5], srcs[6], srcs[7])
-		srcs = srcs[8:]
-	}
-	if len(srcs) >= 4 {
-		xor4(dst, srcs[0], srcs[1], srcs[2], srcs[3])
-		srcs = srcs[4:]
-	}
-	switch len(srcs) {
-	case 3:
-		xor3(dst, srcs[0], srcs[1], srcs[2])
-	case 2:
-		xor2(dst, srcs[0], srcs[1])
-	case 1:
-		XOR(dst, srcs[0])
-	}
-}
-
-// XOR8 folds exactly eight sources into dst in one pass:
-// dst ^= a ^ b ^ c ^ d ^ e ^ f ^ g ^ h. It is the widest single-pass kernel:
-// nine streams in flight keeps the load ports busy while dst is loaded and
-// stored only once for all eight sources. All slices must have dst's length;
-// no source may alias dst.
-func XOR8(dst, a, b, c, d, e, f, g, h []byte) {
-	n := len(dst)
-	if len(a) != n || len(b) != n || len(c) != n || len(d) != n ||
-		len(e) != n || len(f) != n || len(g) != n || len(h) != n {
-		panic("stripe: XOR8 length mismatch")
-	}
-	xor8(dst, a, b, c, d, e, f, g, h)
-}
-
-// The unexported kernels reslice every source to dst's length up front; with
-// len(src) == n established, the loop condition i+8 <= n proves every 8-byte
-// load in range and the compiler drops the bounds checks from the inner loop
-// (verified with -gcflags='-d=ssa/check_bce').
-func xor8(dst, a, b, c, d, e, f, g, h []byte) {
-	n := len(dst)
-	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
-	e, f, g, h = e[:n], f[:n], g[:n], h[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^
-				binary.LittleEndian.Uint64(a[i:])^
-				binary.LittleEndian.Uint64(b[i:])^
-				binary.LittleEndian.Uint64(c[i:])^
-				binary.LittleEndian.Uint64(d[i:])^
-				binary.LittleEndian.Uint64(e[i:])^
-				binary.LittleEndian.Uint64(f[i:])^
-				binary.LittleEndian.Uint64(g[i:])^
-				binary.LittleEndian.Uint64(h[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= a[i] ^ b[i] ^ c[i] ^ d[i] ^ e[i] ^ f[i] ^ g[i] ^ h[i]
-	}
-}
-
-func xor4(dst, a, b, c, d []byte) {
-	n := len(dst)
-	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^
-				binary.LittleEndian.Uint64(a[i:])^
-				binary.LittleEndian.Uint64(b[i:])^
-				binary.LittleEndian.Uint64(c[i:])^
-				binary.LittleEndian.Uint64(d[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= a[i] ^ b[i] ^ c[i] ^ d[i]
-	}
-}
-
-func xor3(dst, a, b, c []byte) {
-	n := len(dst)
-	a, b, c = a[:n], b[:n], c[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^
-				binary.LittleEndian.Uint64(a[i:])^
-				binary.LittleEndian.Uint64(b[i:])^
-				binary.LittleEndian.Uint64(c[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= a[i] ^ b[i] ^ c[i]
-	}
-}
-
-func xor2(dst, a, b []byte) {
-	n := len(dst)
-	a, b = a[:n], b[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^
-				binary.LittleEndian.Uint64(a[i:])^
-				binary.LittleEndian.Uint64(b[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= a[i] ^ b[i]
-	}
-}
-
-// IsZero reports whether every byte of b is zero, eight bytes per step.
-func IsZero(b []byte) bool {
-	n := len(b)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		if binary.LittleEndian.Uint64(b[i:]) != 0 {
-			return false
-		}
-	}
-	for ; i < n; i++ {
-		if b[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
