@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,11 +23,13 @@ import (
 //
 // Each operation takes one pooled connection for its request/response
 // exchange (responses are matched by request id), under a per-request
-// deadline. Transport errors — dial failures, timeouts, resets, short frames
-// — are retried with exponential backoff on a fresh connection, up to the
-// attempt budget; protocol-level errors the server reports (bad range, a
-// failed backing device) are deterministic and returned immediately, mapped
-// back to the sentinel errors errors.Is callers check.
+// deadline. Payloads are not staged: a write's buffers go out behind the
+// header in one vectored write, and a read's response is received straight
+// into the caller's buffer. Transport errors — dial failures, timeouts,
+// resets, short frames — are retried with exponential backoff on a fresh
+// connection, up to the attempt budget; protocol-level errors the server
+// reports (bad range, a failed backing device) are deterministic and returned
+// immediately, mapped back to the sentinel errors errors.Is callers check.
 type Remote struct {
 	addr string
 	size int64
@@ -57,11 +60,13 @@ type Remote struct {
 	evDisk int32
 }
 
-// rconn is one pooled protocol connection with its reusable frame buffers.
+// rconn is one pooled protocol connection with its reusable codec scratch.
+// Whoever took it from the pool owns all of it until putConn.
 type rconn struct {
-	c    net.Conn
-	rbuf []byte
-	wbuf []byte
+	c   net.Conn
+	hdr [blockserve.MaxHeader]byte // response header scratch
+	fw  blockserve.Writer          // request header scratch and write vector
+	buf []byte                     // where a vectored read lands before the scatter
 }
 
 // InjectFunc simulates a transport fault: it runs before each attempt of
@@ -144,7 +149,7 @@ func DialRemote(addr string, opts ...RemoteOption) (*Remote, error) {
 	for _, opt := range opts {
 		opt(r)
 	}
-	f, err := r.do(blockserve.Frame{Type: blockserve.OpStatus})
+	f, _, err := r.do(blockserve.Frame{Type: blockserve.OpStatus}, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("blockdev: remote %s: %w", addr, err)
 	}
@@ -203,8 +208,9 @@ func (r *Remote) Retries() int64 { return r.retries.Load() }
 // Addr returns the remote endpoint address.
 func (r *Remote) Addr() string { return r.addr }
 
-// getConn pops an idle connection or dials a new one under ctx.
-func (r *Remote) getConn(ctx context.Context) (*rconn, error) {
+// getConn pops an idle connection or dials a new one under the operation's
+// context.
+func (r *Remote) getConn(oc *opCtx) (*rconn, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -217,7 +223,7 @@ func (r *Remote) getConn(ctx context.Context) (*rconn, error) {
 		return rc, nil
 	}
 	r.mu.Unlock()
-	c, err := r.dial(ctx)
+	c, err := r.dial(oc.get())
 	if err != nil {
 		return nil, err
 	}
@@ -256,35 +262,55 @@ func (e *remoteError) Unwrap() error {
 	return nil
 }
 
-// opCtx derives the whole-operation context: the per-attempt deadline times
-// the attempt budget, plus every backoff pause and injected latency. Every
-// request below this point carries a deadline — the serve boundary's
-// propagation contract — so a wedged remote can never hold an operation
-// (or a raid stripe write above it) forever.
-func (r *Remote) opCtx() (context.Context, context.CancelFunc) {
+// opCtx is the whole-operation context, built on first use: only dialing and
+// backing off wait on one, so an operation served by a pooled connection on
+// its first attempt never builds it — there the attempt's connection deadline
+// is the bound. The budget runs from the operation's start whenever it is
+// built: the per-attempt deadline times the attempt budget, plus every
+// backoff pause and injected latency. So a wedged remote can never hold an
+// operation (or a raid stripe write above it) forever.
+type opCtx struct {
+	r      *Remote
+	start  time.Time
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+func (o *opCtx) get() context.Context {
+	if o.ctx != nil {
+		return o.ctx
+	}
+	r := o.r
 	budget := time.Duration(r.attempts) * r.timeout
 	for i := 1; i < r.attempts; i++ {
 		budget += r.backoff << (i - 1)
 	}
 	budget += time.Duration(r.attempts) * time.Duration(r.latencyNs.Load())
 	if budget <= 0 {
-		return context.WithCancel(context.Background())
+		o.ctx, o.cancel = context.WithCancel(context.Background())
+	} else {
+		o.ctx, o.cancel = context.WithDeadline(context.Background(), o.start.Add(budget))
 	}
-	return context.WithTimeout(context.Background(), budget)
+	return o.ctx
+}
+
+func (o *opCtx) release() {
+	if o.cancel != nil {
+		o.cancel()
+	}
 }
 
 // do runs one request/response exchange with retry-with-backoff on transport
 // errors. Protocol errors (an ERR response) return immediately — the server
 // answered authoritatively, retrying cannot change the outcome — and the
 // connection stays pooled, since the exchange itself completed cleanly.
-func (r *Remote) do(req blockserve.Frame) (blockserve.Frame, error) {
-	ctx, cancel := r.opCtx()
-	defer cancel()
-	return r.doCtx(ctx, req)
-}
-
-// doCtx is do under a caller-supplied context.
-func (r *Remote) doCtx(ctx context.Context, req blockserve.Frame) (blockserve.Frame, error) {
+//
+// out is the request's payload, sent as is. in is where an OK response's
+// payload goes, and n how much of it arrived; with a nil in the payload comes
+// back in a fresh resp.Data.
+func (r *Remote) do(req blockserve.Frame, out, in [][]byte) (blockserve.Frame, int, error) {
+	oc := opCtx{r: r, start: time.Now()}
+	defer oc.release()
 	var lastErr error
 	for attempt := 0; attempt < r.attempts; attempt++ {
 		if attempt > 0 {
@@ -293,9 +319,10 @@ func (r *Remote) doCtx(ctx context.Context, req blockserve.Frame) (blockserve.Fr
 			// unlinked), so a postmortem ties the transport trouble back to
 			// the exact op span that suffered it.
 			r.events.Record(obs.EvRemoteRetry, r.evDisk, -1, req.Trace, int64(attempt))
+			ctx := oc.get()
 			select {
 			case <-ctx.Done():
-				return blockserve.Frame{}, fmt.Errorf("%w: %s after %d attempts: %v (%v)",
+				return blockserve.Frame{}, 0, fmt.Errorf("%w: %s after %d attempts: %v (%v)",
 					ErrFailed, r.addr, attempt, lastErr, ctx.Err())
 			case <-time.After(r.backoff << (attempt - 1)):
 			}
@@ -309,73 +336,106 @@ func (r *Remote) doCtx(ctx context.Context, req blockserve.Frame) (blockserve.Fr
 				continue
 			}
 		}
-		resp, err := r.attempt(ctx, req)
+		resp, n, err := r.attempt(&oc, req, out, in)
 		if err == nil {
-			return resp, nil
+			return resp, n, nil
 		}
 		var rerr *remoteError
 		if errors.As(err, &rerr) {
-			return blockserve.Frame{}, err
+			return blockserve.Frame{}, 0, err
 		}
 		lastErr = err
 	}
-	return blockserve.Frame{}, fmt.Errorf("%w: %s after %d attempts: %v", ErrFailed, r.addr, r.attempts, lastErr)
+	return blockserve.Frame{}, 0, fmt.Errorf("%w: %s after %d attempts: %v", ErrFailed, r.addr, r.attempts, lastErr)
 }
 
-// attempt performs one exchange on one connection. The connection deadline
-// is the tighter of the per-attempt timeout and ctx's deadline.
-func (r *Remote) attempt(ctx context.Context, req blockserve.Frame) (blockserve.Frame, error) {
-	rc, err := r.getConn(ctx)
+// attempt performs one exchange on one connection, and decides the
+// connection's fate: a failed exchange leaves the stream in an unknown state,
+// so the connection is dropped; a completed one — an ERR answer included —
+// pools it. The ERR message is the exchange's own allocation, not connection
+// memory, so it stays valid once another operation has the connection.
+func (r *Remote) attempt(oc *opCtx, req blockserve.Frame, out, in [][]byte) (blockserve.Frame, int, error) {
+	rc, err := r.getConn(oc)
 	if err != nil {
-		return blockserve.Frame{}, err
+		return blockserve.Frame{}, 0, err
 	}
-	req.ID = r.seq.Add(1)
-	if r.timeout > 0 {
-		deadline := time.Now().Add(r.timeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		_ = rc.c.SetDeadline(deadline)
-	} else if d, ok := ctx.Deadline(); ok {
-		_ = rc.c.SetDeadline(d)
-	}
-	exchangeStart := time.Now()
-	if rc.wbuf, err = blockserve.WriteFrame(rc.c, rc.wbuf, req); err != nil {
-		_ = rc.c.Close()
-		return blockserve.Frame{}, err
-	}
-	var resp blockserve.Frame
-	resp, rc.rbuf, err = blockserve.ReadFrame(rc.c, rc.rbuf)
+	resp, n, err := r.exchange(oc, rc, req, out, in)
 	if err != nil {
 		_ = rc.c.Close()
-		return blockserve.Frame{}, err
-	}
-	r.rtt.Observe(time.Since(exchangeStart))
-	if resp.Type == blockserve.RespErr && resp.ID == 0 && req.ID != 0 {
-		// A connection-level rejection (client cap, draining): the server sent
-		// it before reading our request, so it carries no request id. The
-		// condition can clear, so surface it as a retriable transport error
-		// that keeps the server's reason.
-		_ = rc.c.Close()
-		return blockserve.Frame{}, fmt.Errorf("blockdev: remote %s rejected connection: %s", r.addr, resp.Data)
-	}
-	if resp.ID != req.ID {
-		// A stale response on a reused connection (e.g. a late reply after a
-		// previous deadline expiry); the stream is unsynchronized — drop it.
-		_ = rc.c.Close()
-		return blockserve.Frame{}, fmt.Errorf("blockdev: remote %s: response id %d for request %d", r.addr, resp.ID, req.ID)
-	}
-	if resp.Type == blockserve.RespErr {
-		r.putConn(rc)
-		return blockserve.Frame{}, &remoteError{msg: string(resp.Data)}
-	}
-	// The response payload aliases the connection's read buffer; copy it out
-	// before the connection (and buffer) are reused.
-	if len(resp.Data) > 0 {
-		resp.Data = append([]byte(nil), resp.Data...)
+		return blockserve.Frame{}, 0, err
 	}
 	r.putConn(rc)
-	return resp, nil
+	if resp.Type == blockserve.RespErr {
+		return blockserve.Frame{}, 0, &remoteError{msg: string(resp.Data)}
+	}
+	return resp, n, nil
+}
+
+// exchange sends req with out as its payload on rc and receives the response.
+// The connection deadline is the tighter of the per-attempt timeout and the
+// operation's deadline, where one has been built. Every error it returns
+// means the stream can no longer be trusted.
+func (r *Remote) exchange(oc *opCtx, rc *rconn, req blockserve.Frame, out, in [][]byte) (resp blockserve.Frame, n int, err error) {
+	req.ID = r.seq.Add(1)
+	start := time.Now()
+	deadline := start.Add(r.timeout)
+	if oc.ctx != nil {
+		if d, ok := oc.ctx.Deadline(); ok && d.Before(deadline) {
+			deadline = d
+		}
+	}
+	_ = rc.c.SetDeadline(deadline)
+	if err := rc.fw.WriteFrame(rc.c, req, out...); err != nil {
+		return resp, 0, err
+	}
+	if resp, n, err = blockserve.ReadHeader(rc.c, &rc.hdr); err != nil {
+		return resp, 0, err
+	}
+	// A connection-level rejection (client cap, draining) was sent before the
+	// server read our request, so it carries no request id; anything else
+	// with a foreign id is a stale response on a reused connection — the
+	// stream is unsynchronized, and its payload must not reach the caller.
+	rejected := resp.Type == blockserve.RespErr && resp.ID == 0
+	if resp.ID != req.ID && !rejected {
+		return resp, 0, fmt.Errorf("blockdev: remote %s: response id %d for request %d", r.addr, resp.ID, req.ID)
+	}
+	total := VecLen(in)
+	switch {
+	case resp.Type != blockserve.RespOK || in == nil:
+		// Error messages and STATUS documents outlive the exchange.
+		if n > 0 {
+			resp.Data = make([]byte, n)
+			_, err = io.ReadFull(rc.c, resp.Data)
+		}
+	case n > total:
+		// More than was asked for can never be written past the caller's
+		// buffers, and a server that sends it is not speaking the protocol.
+		err = fmt.Errorf("blockdev: remote %s: %d-byte response to a %d-byte read", r.addr, n, total)
+	case len(in) == 1:
+		_, err = io.ReadFull(rc.c, in[0][:n])
+	default:
+		// One read into the connection's buffer and a scatter, not a read
+		// call per buffer.
+		if cap(rc.buf) < n {
+			rc.buf = make([]byte, total)
+		}
+		src := rc.buf[:n]
+		if _, err = io.ReadFull(rc.c, src); err == nil {
+			for _, b := range in {
+				src = src[copy(b, src):]
+			}
+		}
+	}
+	if err != nil {
+		return resp, 0, err
+	}
+	r.rtt.Observe(time.Since(start))
+	if rejected {
+		// The condition can clear, so surface it as a retriable transport
+		// error that keeps the server's reason.
+		return resp, 0, fmt.Errorf("blockdev: remote %s rejected connection: %s", r.addr, resp.Data)
+	}
+	return resp, n, nil
 }
 
 // ReadAt implements Device.
@@ -387,19 +447,7 @@ func (r *Remote) ReadAt(p []byte, off int64) (int, error) {
 // carries a trace extension (capability permitting), so the serving node's
 // spans join the caller's trace. The zero Link sends a plain request.
 func (r *Remote) ReadAtLink(p []byte, off int64, l trace.Link) (int, error) {
-	if len(p) > blockserve.MaxPayload {
-		return 0, fmt.Errorf("blockdev: remote read of %d bytes exceeds frame limit %d", len(p), blockserve.MaxPayload)
-	}
-	req := blockserve.Frame{Type: blockserve.OpRead, Off: off, Count: uint32(len(p))}
-	r.stamp(&req, l)
-	f, err := r.do(req)
-	if err != nil {
-		return 0, err
-	}
-	if len(f.Data) != len(p) {
-		return copy(p, f.Data), fmt.Errorf("blockdev: remote short read: %d of %d bytes", len(f.Data), len(p))
-	}
-	return copy(p, f.Data), nil
+	return r.ReadVecAtLink([][]byte{p}, off, l)
 }
 
 // WriteAt implements Device.
@@ -409,22 +457,14 @@ func (r *Remote) WriteAt(p []byte, off int64) (int, error) {
 
 // WriteAtLink is WriteAt stamped with the caller's span link; see ReadAtLink.
 func (r *Remote) WriteAtLink(p []byte, off int64, l trace.Link) (int, error) {
-	if len(p) > blockserve.MaxPayload {
-		return 0, fmt.Errorf("blockdev: remote write of %d bytes exceeds frame limit %d", len(p), blockserve.MaxPayload)
-	}
-	req := blockserve.Frame{Type: blockserve.OpWrite, Off: off, Data: p}
-	r.stamp(&req, l)
-	f, err := r.do(req)
-	if err != nil {
-		return 0, err
-	}
-	return int(f.Count), nil
+	return r.WriteVecAtLink([][]byte{p}, off, l)
 }
 
 // ReadVecAt implements Device. The wire protocol moves one contiguous
 // payload either way, so a vectored read is a single request for the total
-// length scattered into bufs on receipt — still one remote round trip per
-// coalesced run; the scatter copy is the unavoidable deserialization cost.
+// length — still one remote round trip per coalesced run. A single buffer
+// receives the response directly; several are scattered into from the
+// connection's buffer, the one copy deserialization needs.
 func (r *Remote) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	return r.ReadVecAtLink(bufs, off, trace.Link{})
 }
@@ -434,26 +474,19 @@ func (r *Remote) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 func (r *Remote) ReadVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error) {
 	total := VecLen(bufs)
 	if total > blockserve.MaxPayload {
-		return 0, fmt.Errorf("blockdev: remote vectored read of %d bytes exceeds frame limit %d", total, blockserve.MaxPayload)
+		return 0, fmt.Errorf("blockdev: remote read of %d bytes exceeds frame limit %d", total, blockserve.MaxPayload)
 	}
 	req := blockserve.Frame{Type: blockserve.OpRead, Off: off, Count: uint32(total)}
 	r.stamp(&req, l)
-	f, err := r.do(req)
-	if err != nil {
-		return 0, err
+	_, n, err := r.do(req, nil, bufs)
+	if err == nil && n != total {
+		err = fmt.Errorf("blockdev: remote short read: %d of %d bytes", n, total)
 	}
-	n := 0
-	for _, b := range bufs {
-		n += copy(b, f.Data[min(n, len(f.Data)):])
-	}
-	if len(f.Data) != total {
-		return n, fmt.Errorf("blockdev: remote short read: %d of %d bytes", len(f.Data), total)
-	}
-	return n, nil
+	return n, err
 }
 
-// WriteVecAt implements Device, gathering bufs into one frame payload — a
-// single remote round trip per coalesced run.
+// WriteVecAt implements Device: bufs go out as one frame's payload in one
+// vectored write — a single remote round trip per coalesced run, no gather.
 func (r *Remote) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	return r.WriteVecAtLink(bufs, off, trace.Link{})
 }
@@ -461,17 +494,12 @@ func (r *Remote) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 // WriteVecAtLink is WriteVecAt stamped with the caller's span link; see
 // ReadAtLink.
 func (r *Remote) WriteVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error) {
-	total := VecLen(bufs)
-	if total > blockserve.MaxPayload {
-		return 0, fmt.Errorf("blockdev: remote vectored write of %d bytes exceeds frame limit %d", total, blockserve.MaxPayload)
+	if total := VecLen(bufs); total > blockserve.MaxPayload {
+		return 0, fmt.Errorf("blockdev: remote write of %d bytes exceeds frame limit %d", total, blockserve.MaxPayload)
 	}
-	p := make([]byte, 0, total)
-	for _, b := range bufs {
-		p = append(p, b...)
-	}
-	req := blockserve.Frame{Type: blockserve.OpWrite, Off: off, Data: p}
+	req := blockserve.Frame{Type: blockserve.OpWrite, Off: off}
 	r.stamp(&req, l)
-	f, err := r.do(req)
+	f, _, err := r.do(req, bufs, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -480,13 +508,13 @@ func (r *Remote) WriteVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, er
 
 // Flush asks the remote to persist outstanding writes.
 func (r *Remote) Flush() error {
-	_, err := r.do(blockserve.Frame{Type: blockserve.OpFlush})
+	_, _, err := r.do(blockserve.Frame{Type: blockserve.OpFlush}, nil, nil)
 	return err
 }
 
 // Status fetches the remote volume's status document.
 func (r *Remote) Status() ([]byte, error) {
-	f, err := r.do(blockserve.Frame{Type: blockserve.OpStatus})
+	f, _, err := r.do(blockserve.Frame{Type: blockserve.OpStatus}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +523,7 @@ func (r *Remote) Status() ([]byte, error) {
 
 // Rebuild asks the remote volume (an array endpoint) to rebuild a disk.
 func (r *Remote) Rebuild(disk int) error {
-	_, err := r.do(blockserve.Frame{Type: blockserve.OpRebuild, Off: int64(disk)})
+	_, _, err := r.do(blockserve.Frame{Type: blockserve.OpRebuild, Off: int64(disk)}, nil, nil)
 	return err
 }
 

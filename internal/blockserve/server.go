@@ -1,7 +1,6 @@
 package blockserve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -93,8 +92,10 @@ var (
 	ErrClientCap = errors.New("blockserve: server at client capacity")
 )
 
-// clientState is one connection's tally; counters are atomics because the
-// reader goroutine and the per-request handler goroutines all touch them.
+// clientState is one connection: its tally and the buffers its goroutine
+// serves requests through. The counters are atomics because Snapshot reads
+// them from other goroutines; everything else belongs to the connection's
+// goroutine alone.
 type clientState struct {
 	id   int64
 	addr string
@@ -103,14 +104,24 @@ type clientState struct {
 	reads, writes, flushes, admin, errs atomic.Int64
 	bytesIn, bytesOut                   atomic.Int64
 
-	// wmu serializes response frames; pipelined requests complete out of
-	// order and interleave on the shared connection.
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte
-	// inflight counts this connection's requests being served; drain waits
-	// for every connection to quiesce before closing it.
-	inflight atomic.Int64
+	hdr [MaxHeader]byte // request header scratch
+	fw  Writer          // response header scratch and write vector
+	// buf is the connection's one payload buffer, grown to the largest
+	// payload seen and kept. A request's payload is received into it and
+	// handed to the backend as is; a READ is served into it and sent from it.
+	// Requests on a connection are served one at a time, so nothing else
+	// holds it: the backend may use the slice until its call returns, the
+	// kernel until the response write returns, and the next request reuses it.
+	buf []byte
+}
+
+// payload returns the first n bytes of the connection's payload buffer,
+// growing it if need be. n is bounded by MaxFrame by the time it gets here.
+func (c *clientState) payload(n int) []byte {
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	return c.buf[:n]
 }
 
 func (c *clientState) snapshot(active bool) obs.ClientSnapshot {
@@ -238,7 +249,6 @@ func (s *Server) admit(ctx context.Context, conn net.Conn) {
 		id:   s.nextClient.Add(1),
 		addr: conn.RemoteAddr().String(),
 		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
@@ -248,19 +258,11 @@ func (s *Server) admit(ctx context.Context, conn net.Conn) {
 	go s.serveConn(ctx, c)
 }
 
-// requestCtx derives one request's context from the connection's: bounded by
-// RequestTimeout when configured, otherwise cancellation-only.
-func (s *Server) requestCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// serveConn is the per-client connection goroutine: it decodes request
-// frames and dispatches each to a handler goroutine once an inflight slot is
-// acquired — acquisition blocks further reads from this client, which is the
-// backpressure path.
+// serveConn is the per-client connection goroutine: it reads one request,
+// takes an inflight slot, serves the request and writes the response, all on
+// this goroutine, then reads the next. Waiting for a slot — or for the
+// backend — stops further reads from this client, which is the backpressure
+// path. Pipelined requests are legal and are answered in arrival order.
 func (s *Server) serveConn(ctx context.Context, c *clientState) {
 	defer s.wg.Done()
 	defer func() {
@@ -272,11 +274,13 @@ func (s *Server) serveConn(ctx context.Context, c *clientState) {
 		s.mu.Unlock()
 		s.logf("blockserve: client %d disconnected (%d ops)", c.id, snap.Ops())
 	}()
-	br := bufio.NewReaderSize(c.conn, 64<<10)
-	var rbuf []byte
 	for {
-		f, buf, err := ReadFrame(br, rbuf)
-		rbuf = buf
+		f, n, err := ReadHeader(c.conn, &c.hdr)
+		if err == nil && n > 0 {
+			f.Data = c.payload(n)
+			_, err = io.ReadFull(c.conn, f.Data)
+			err = noEOF(err)
+		}
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !isEOF(err) {
 				s.logf("blockserve: client %d read: %v", c.id, err)
@@ -286,11 +290,6 @@ func (s *Server) serveConn(ctx context.Context, c *clientState) {
 		if f.Type >= RespOK {
 			s.logf("blockserve: client %d sent response type 0x%02x", c.id, f.Type)
 			return
-		}
-		// A WRITE payload aliases the read buffer, which the next ReadFrame
-		// reuses; copy it before the handler leaves this goroutine.
-		if f.Type == OpWrite && len(f.Data) > 0 {
-			f.Data = append([]byte(nil), f.Data...)
 		}
 		// Inflight admission; a full semaphore blocks the reader, which is the
 		// backpressure path. The free-slot fast path records a zero wait
@@ -308,17 +307,15 @@ func (s *Server) serveConn(ctx context.Context, c *clientState) {
 			s.queueWait.Observe(time.Since(waitStart))
 		}
 		s.inflight.Add(1)
-		c.inflight.Add(1)
-		rctx, rcancel := s.requestCtx(ctx)
-		s.wg.Add(1)
-		go func(f Frame) {
-			defer s.wg.Done()
-			defer rcancel()
-			s.handle(rctx, c, f)
-			c.inflight.Add(-1)
-			s.inflight.Add(-1)
-			<-s.sem
-		}(f)
+		err = s.handle(ctx, c, f)
+		s.inflight.Add(-1)
+		<-s.sem
+		if err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				s.logf("blockserve: client %d write: %v", c.id, err)
+			}
+			return
+		}
 	}
 }
 
@@ -326,11 +323,17 @@ func isEOF(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// handle executes one request and writes its response frame. The context
-// carries the server lifetime and the optional per-request deadline; a
-// request that is already expired when it reaches the front of the inflight
-// queue is failed without touching the backend.
-func (s *Server) handle(ctx context.Context, c *clientState, f Frame) {
+// handle executes one request and writes its response frame; the error it
+// returns is the response write's, after which the connection is unusable.
+// ctx carries the server lifetime; a request gets a context of its own only
+// under a configured RequestTimeout, measured from here. A request whose
+// context is already done is failed without touching the backend.
+func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
 	if s.cfg.Events != nil {
 		// Flight-recorder last words: a panicking handler takes the process
 		// down (Go has no global panic hook), so dump the event ring on the
@@ -371,8 +374,8 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) {
 	var err error
 
 	if cerr := ctx.Err(); cerr != nil {
-		// Expired while queued for an inflight slot (or the server is
-		// winding down): answer without touching the backend.
+		// Expired before dispatch (or the server is winding down): answer
+		// without touching the backend.
 		err = fmt.Errorf("request aborted before dispatch: %w", cerr)
 	}
 
@@ -383,7 +386,13 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) {
 			err = fmt.Errorf("read of %d bytes exceeds frame payload limit %d", f.Count, MaxPayload)
 			break
 		}
-		buf := make([]byte, f.Count)
+		// Refuse a range the volume does not have before sizing anything from
+		// the client's count.
+		if size, count := s.backend.Size(), int64(f.Count); f.Off < 0 || count > size || f.Off > size-count {
+			err = fmt.Errorf("read of %d bytes at %d outside the volume's %d bytes", f.Count, f.Off, size)
+			break
+		}
+		buf := c.payload(int(f.Count))
 		var n int
 		if s.linked != nil && tc.Active() {
 			n, err = s.linked.ReadAtLink(buf, f.Off, tc.Link())
@@ -445,18 +454,7 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) {
 		resp = Frame{Type: RespErr, ID: f.ID, Data: []byte(err.Error())}
 	}
 	s.cfg.Tracer.End(tc, bytes, err != nil)
-
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	wbuf, werr := WriteFrame(c.bw, c.wbuf, resp)
-	c.wbuf = wbuf
-	if werr == nil {
-		werr = c.bw.Flush()
-	}
-	if werr != nil {
-		// The reader goroutine notices the closed connection and cleans up.
-		_ = c.conn.Close()
-	}
+	return c.fw.WriteFrame(c.conn, resp)
 }
 
 // Shutdown gracefully drains the server: it stops accepting, waits for every

@@ -591,3 +591,121 @@ func TestServerQueueWaitSnapshot(t *testing.T) {
 		t.Fatalf("queue-wait count = %d, want >= 4 (every admitted request samples)", snap.QueueWait.Count)
 	}
 }
+
+// TestPipelinedWritesDoNotShareThePayloadBuffer pins the server's buffer
+// ownership rule from the outside: one connection has one payload buffer,
+// reused by every request, so a burst of pipelined WRITEs with distinct
+// payloads — all sent before any response is read — must each reach the
+// backend intact, and pipelined READs after them must each get their own
+// bytes. Every id is answered exactly once, in arrival order.
+func TestPipelinedWritesDoNotShareThePayloadBuffer(t *testing.T) {
+	const n = 16
+	mem := blockdev.NewMem(1 << 20)
+	addr, _ := startServer(t, mem, blockserve.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// Payload i has its own length, fill and offset, so a stale or
+	// overwritten buffer shows up as a mismatch.
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, 700+i*301) }
+	offset := func(i int) int64 { return int64(i) * 8192 }
+	var wbuf []byte
+	for i := 0; i < n; i++ {
+		wbuf, err = blockserve.WriteFrame(conn, wbuf, blockserve.Frame{
+			Type: blockserve.OpWrite, ID: uint64(1 + i), Off: offset(i), Data: payload(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		wbuf, err = blockserve.WriteFrame(conn, wbuf, blockserve.Frame{
+			Type: blockserve.OpRead, ID: uint64(100 + i), Off: offset(i), Count: uint32(len(payload(i))),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rbuf []byte
+	for i := 0; i < 2*n; i++ {
+		var f blockserve.Frame
+		f, rbuf, err = blockserve.ReadFrame(conn, rbuf)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if f.Type != blockserve.RespOK {
+			t.Fatalf("response %d: ERR %q", i, f.Data)
+		}
+		if i < n {
+			if want := payload(i); f.ID != uint64(1+i) || int(f.Count) != len(want) {
+				t.Fatalf("response %d: id %d count %d, want WRITE id %d count %d", i, f.ID, f.Count, 1+i, len(want))
+			}
+			continue
+		}
+		if want := payload(i - n); f.ID != uint64(100+i-n) || !bytes.Equal(f.Data, want) {
+			t.Fatalf("response %d: id %d with %d bytes (first 0x%02x), want READ id %d with %d bytes of 0x%02x",
+				i, f.ID, len(f.Data), f.Data[0], 100+i-n, len(want), want[0])
+		}
+	}
+	// The backend, read directly, agrees: no payload bled into another.
+	for i := 0; i < n; i++ {
+		got := make([]byte, len(payload(i)))
+		if _, err := mem.ReadAt(got, offset(i)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload(i)) {
+			t.Fatalf("backend range %d holds another request's payload", i)
+		}
+	}
+}
+
+// sizeOnlyBackend fails the test if a READ reaches it: the server must
+// refuse out-of-range reads from Size alone.
+type sizeOnlyBackend struct {
+	*blockdev.MemDevice
+	t *testing.T
+}
+
+func (b sizeOnlyBackend) ReadAt(p []byte, off int64) (int, error) {
+	b.t.Errorf("out-of-range READ reached the backend: %d bytes at %d", len(p), off)
+	return 0, nil
+}
+
+// TestReadOutsideVolumeIsRefusedBeforeBuffering: a READ whose range the
+// volume does not have is answered with an ERR frame before the server sizes
+// a buffer from the client's count or calls the backend, and the connection
+// stays usable.
+func TestReadOutsideVolumeIsRefusedBeforeBuffering(t *testing.T) {
+	const size = 4096
+	addr, srv := startServer(t, sizeOnlyBackend{blockdev.NewMem(size), t}, blockserve.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, req := range []blockserve.Frame{
+		{Off: -1, Count: 16},
+		{Off: size - 8, Count: 16},
+		{Off: 0, Count: blockserve.MaxPayload}, // 8 MiB asked of a 4 KiB volume
+		{Off: 1<<63 - 1, Count: 16},            // off+count overflows
+		{Off: size + 1, Count: 0},
+	} {
+		req.Type, req.ID = blockserve.OpRead, uint64(i+1)
+		if _, err := blockserve.WriteFrame(conn, nil, req); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := blockserve.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if f.Type != blockserve.RespErr || f.ID != req.ID || !strings.Contains(string(f.Data), "outside the volume") {
+			t.Fatalf("request %d: got type 0x%02x id %d %q, want an out-of-range ERR", i, f.Type, f.ID, f.Data)
+		}
+	}
+	if snap := srv.Snapshot(); snap.Totals.Errors != 5 || snap.Totals.Reads != 0 {
+		t.Fatalf("totals = %+v, want 5 errors and no reads", snap.Totals)
+	}
+}

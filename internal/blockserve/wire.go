@@ -37,6 +37,14 @@
 // The fixed header makes truncated, oversized and garbage frames cheap to
 // reject: length is bounded by MaxFrame before any allocation, and a frame
 // shorter than the header is malformed. FuzzWireFrame pins both properties.
+//
+// It also lets the codec stop at the payload. The data path never holds a
+// whole frame: ReadHeader decodes everything up to the payload through a few
+// bytes of scratch the connection owns, and the payload is then received
+// directly where it is wanted; a Writer sends the header and the payload's
+// buffers, wherever they are, in one vectored write. ReadFrame, WriteFrame
+// and AppendFrame are the contiguous forms over the same header code, for
+// callers that have nowhere better to put a payload.
 package blockserve
 
 import (
@@ -44,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Request ops.
@@ -90,6 +99,10 @@ const Caps = CapTrace
 const (
 	headerLen = 1 + 8 + 8 + 4 // type + id + off + count
 	maxExtLen = 1 + 16        // flags byte + trace context
+	extOff    = 4 + headerLen // where the extension block starts in an encoded header
+	// MaxHeader is the longest encoded header: length prefix, fixed header
+	// and a maximal extension block. Everything after it is payload.
+	MaxHeader = extOff + maxExtLen
 	// MaxPayload is the largest READ/WRITE payload a single frame carries.
 	// It is a fixed constant (not derived from MaxFrame) so that a maximal
 	// non-extended frame is exactly the old protocol's frame bound — peers
@@ -137,40 +150,50 @@ func extLen(flags uint8) int {
 	return n
 }
 
-// AppendFrame appends the encoded frame to dst and returns the result. It is
-// the encoding primitive both sides share; callers keep dst pooled so a
-// steady request stream does not allocate. Flag bits outside the defined set
-// are rejected — an encoder must not emit what no decoder accepts.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	if len(f.Data) > MaxPayload {
-		return dst, ErrFrameTooLarge
+// putHeader encodes f's length prefix, fixed header and extension block for
+// a payload of n bytes into hdr and returns the encoded prefix of it. It is
+// the one header encoder: AppendFrame and Writer both go through it. Flag
+// bits outside the defined set are rejected — an encoder must not emit what
+// no decoder accepts.
+func putHeader(hdr *[MaxHeader]byte, f Frame, n int) ([]byte, error) {
+	if n > MaxPayload {
+		return nil, ErrFrameTooLarge
 	}
 	if f.Flags&^FlagTrace != 0 {
-		return dst, fmt.Errorf("%w: unknown extension flags 0x%02x", ErrMalformed, f.Flags)
+		return nil, fmt.Errorf("%w: unknown extension flags 0x%02x", ErrMalformed, f.Flags)
 	}
-	n := headerLen + extLen(f.Flags) + len(f.Data)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	t := f.Type
+	end := extOff + extLen(f.Flags)
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(end-4+n))
+	hdr[4] = f.Type
+	binary.BigEndian.PutUint64(hdr[5:13], f.ID)
+	binary.BigEndian.PutUint64(hdr[13:21], uint64(f.Off))
+	binary.BigEndian.PutUint32(hdr[21:25], f.Count)
 	if f.Flags != 0 {
-		t |= FlagExt
-	}
-	dst = append(dst, t)
-	dst = binary.BigEndian.AppendUint64(dst, f.ID)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(f.Off))
-	dst = binary.BigEndian.AppendUint32(dst, f.Count)
-	if f.Flags != 0 {
-		dst = append(dst, f.Flags)
+		hdr[4] |= FlagExt
+		ext := hdr[extOff:]
+		ext[0] = f.Flags
 		if f.Flags&FlagTrace != 0 {
-			dst = binary.BigEndian.AppendUint64(dst, f.Trace)
-			dst = binary.BigEndian.AppendUint64(dst, f.Span)
+			binary.BigEndian.PutUint64(ext[1:9], f.Trace)
+			binary.BigEndian.PutUint64(ext[9:17], f.Span)
 		}
 	}
-	dst = append(dst, f.Data...)
-	return dst, nil
+	return hdr[:end], nil
+}
+
+// AppendFrame appends the encoded frame to dst and returns the result: the
+// contiguous form of what Writer sends, for small frames and for tests.
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+	var hdr [MaxHeader]byte
+	h, err := putHeader(&hdr, f, len(f.Data))
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, h...), f.Data...), nil
 }
 
 // WriteFrame encodes f into buf (growing it as needed) and writes it to w in
-// one call, returning the possibly-grown buffer for reuse.
+// one call, returning the possibly-grown buffer for reuse. It copies the
+// payload; the data path uses a Writer, which does not.
 func WriteFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
 	buf, err := AppendFrame(buf[:0], f)
 	if err != nil {
@@ -180,65 +203,138 @@ func WriteFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
 	return buf, err
 }
 
-// ReadFrame reads one frame from r. The returned frame's Data aliases buf
-// when it fits, so the caller may pass a pooled buffer; the possibly-grown
-// buffer is returned for reuse. A frame whose length prefix exceeds MaxFrame
-// fails with ErrFrameTooLarge before any payload allocation; one shorter
-// than the fixed header, or carrying an unknown type, fails with ErrMalformed.
-func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return Frame{}, buf, err
+// Writer sends frames on one connection without copying their payloads: the
+// header is encoded into scratch the Writer owns and goes out with the
+// payload buffers in a single vectored write (one writev on a TCP
+// connection). The scratch and the vector are reused, so a steady stream of
+// frames does not allocate. One goroutine at a time may use a Writer; the
+// payload buffers are only read, and not retained past the call.
+type Writer struct {
+	hdr  [MaxHeader]byte
+	vec  [][]byte    // backing for bufs, grown to the longest payload vector
+	bufs net.Buffers // what WriteTo consumes; a field because its receiver escapes
+}
+
+// WriteFrame writes f's header followed by f.Data and then every buffer of
+// tail as the frame's payload — tail lets a gathered write pass its vector
+// straight through.
+func (fw *Writer) WriteFrame(w io.Writer, f Frame, tail ...[]byte) error {
+	n := len(f.Data)
+	for _, b := range tail {
+		n += len(b)
 	}
-	n := binary.BigEndian.Uint32(lb[:])
+	h, err := putHeader(&fw.hdr, f, n)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		_, err = w.Write(h)
+		return err
+	}
+	fw.vec = append(fw.vec[:0], h)
+	if len(f.Data) > 0 {
+		fw.vec = append(fw.vec, f.Data)
+	}
+	fw.vec = append(fw.vec, tail...)
+	fw.bufs = fw.vec
+	_, err = fw.bufs.WriteTo(w)
+	clear(fw.vec) // a partial write leaves references behind; drop them
+	return err
+}
+
+// ReadHeader reads one frame's length prefix, fixed header and extension
+// block from r through hdr — scratch the connection owns, so decoding does not
+// allocate — and returns the frame with nil Data and the length of the
+// payload that follows. The caller must consume exactly that many bytes from
+// r, into wherever the payload is wanted, before the next ReadHeader. A
+// length prefix above MaxFrame fails with ErrFrameTooLarge before anything
+// is sized from it; one below the fixed header or the extension it
+// announces, an unknown type or a non-canonical extension fails with
+// ErrMalformed.
+func ReadHeader(r io.Reader, hdr *[MaxHeader]byte) (f Frame, payload int, err error) {
+	// Every well-formed frame is at least prefix + fixed header long, so both
+	// arrive in one read; a stream that ends early is still judged by its
+	// length prefix first, as a reader taking the prefix alone would.
+	got, err := io.ReadFull(r, hdr[:extOff])
+	if err != nil && got < 4 {
+		return Frame{}, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[0:4])
 	if n < headerLen {
-		return Frame{}, buf, fmt.Errorf("%w: length %d below header", ErrMalformed, n)
+		return Frame{}, 0, fmt.Errorf("%w: length %d below header", ErrMalformed, n)
 	}
 	if n > MaxFrame {
-		return Frame{}, buf, fmt.Errorf("%w: length %d", ErrFrameTooLarge, n)
+		return Frame{}, 0, fmt.Errorf("%w: length %d", ErrFrameTooLarge, n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, buf, err
-	}
-	f := Frame{
-		Type:  buf[0] &^ FlagExt,
-		ID:    binary.BigEndian.Uint64(buf[1:9]),
-		Off:   int64(binary.BigEndian.Uint64(buf[9:17])),
-		Count: binary.BigEndian.Uint32(buf[17:21]),
+	f = Frame{
+		Type:  hdr[4] &^ FlagExt,
+		ID:    binary.BigEndian.Uint64(hdr[5:13]),
+		Off:   int64(binary.BigEndian.Uint64(hdr[13:21])),
+		Count: binary.BigEndian.Uint32(hdr[21:25]),
 	}
 	if !validType(f.Type) {
-		return Frame{}, buf, fmt.Errorf("%w: unknown type 0x%02x", ErrMalformed, buf[0])
+		return Frame{}, 0, fmt.Errorf("%w: unknown type 0x%02x", ErrMalformed, hdr[4])
 	}
 	body := headerLen
-	if buf[0]&FlagExt != 0 {
+	if hdr[4]&FlagExt != 0 {
 		if n < uint32(headerLen+1) {
-			return Frame{}, buf, fmt.Errorf("%w: extension bit without flags byte", ErrMalformed)
+			return Frame{}, 0, fmt.Errorf("%w: extension bit without flags byte", ErrMalformed)
 		}
-		f.Flags = buf[headerLen]
+		// The one defined extension is also the longest, so min(rest of frame,
+		// maxExtLen) is all of it in one read and never reaches into the
+		// payload of a frame that passes the checks below.
+		ext := hdr[extOff : extOff+min(int(n)-headerLen, maxExtLen)]
+		if _, err := io.ReadFull(r, ext); err != nil {
+			return Frame{}, 0, noEOF(err)
+		}
+		f.Flags = ext[0]
 		// A zero flags byte under FlagExt would decode to a frame that
 		// re-encodes without the extension; reject non-canonical encodings so
 		// decode∘encode is the identity on the wire (FuzzWireFrame pins it).
 		if f.Flags == 0 || f.Flags&^FlagTrace != 0 {
-			return Frame{}, buf, fmt.Errorf("%w: extension flags 0x%02x", ErrMalformed, f.Flags)
+			return Frame{}, 0, fmt.Errorf("%w: extension flags 0x%02x", ErrMalformed, f.Flags)
 		}
 		body += extLen(f.Flags)
 		if n < uint32(body) {
-			return Frame{}, buf, fmt.Errorf("%w: length %d below extension", ErrMalformed, n)
+			return Frame{}, 0, fmt.Errorf("%w: length %d below extension", ErrMalformed, n)
 		}
 		if f.Flags&FlagTrace != 0 {
-			f.Trace = binary.BigEndian.Uint64(buf[headerLen+1 : headerLen+9])
-			f.Span = binary.BigEndian.Uint64(buf[headerLen+9 : headerLen+17])
+			f.Trace = binary.BigEndian.Uint64(ext[1:9])
+			f.Span = binary.BigEndian.Uint64(ext[9:17])
 		}
 	}
-	if int(n) > body {
-		f.Data = buf[body:n]
+	return f, int(n) - body, nil
+}
+
+// ReadFrame reads one whole frame from r, payload into buf: Data aliases buf
+// when it fits, so the caller may pass a pooled buffer; the possibly-grown
+// buffer is returned for reuse. It is ReadHeader for callers with nowhere
+// better to put the payload.
+func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	var hdr [MaxHeader]byte
+	f, n, err := ReadHeader(r, &hdr)
+	if err != nil || n == 0 {
+		return f, buf, err
 	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, noEOF(err)
+	}
+	f.Data = buf
 	return f, buf, nil
+}
+
+// noEOF turns the io.EOF of a read that began inside a frame into
+// io.ErrUnexpectedEOF: only a stream that ends between frames ended cleanly.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

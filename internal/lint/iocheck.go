@@ -95,11 +95,13 @@ func ioCheckTarget(m *Module, info *types.Info, call *ast.CallExpr, writable map
 	if fn, _, ok := deviceCall(m, info, call); ok {
 		return fmt.Sprintf("device I/O error from %s", funcDisplayName(fn)), true
 	}
-	// The blockserve wire surface: a discarded frame read/write error
-	// desynchronizes the protocol stream — every frame after it is garbage.
+	// The blockserve wire surface — the whole-frame functions, the header
+	// decoder of the split codec and Writer's vectored WriteFrame: a discarded
+	// frame read/write error desynchronizes the protocol stream — every frame
+	// after it is garbage.
 	if fn := staticCallee(info, call); fn != nil && fn.Pkg() != nil &&
 		strings.HasSuffix(fn.Pkg().Path(), "/blockserve") &&
-		(fn.Name() == "WriteFrame" || fn.Name() == "ReadFrame") {
+		(fn.Name() == "WriteFrame" || fn.Name() == "ReadFrame" || fn.Name() == "ReadHeader") {
 		return fmt.Sprintf("wire frame error from %s", funcDisplayName(fn)), true
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -51,16 +51,27 @@ func wireDiscards(conn net.Conn, buf []byte) {
 	blockserve.WriteFrame(conn, buf, blockserve.Frame{})        // want `wire frame error from blockserve\.WriteFrame is discarded`
 	_, _ = blockserve.WriteFrame(conn, buf, blockserve.Frame{}) // want `wire frame error from blockserve\.WriteFrame is assigned to the blank identifier`
 	_, _, _ = blockserve.ReadFrame(conn, buf)                   // want `wire frame error from blockserve\.ReadFrame is assigned to the blank identifier`
-	conn.Write(buf)                                             // want `connection write error is discarded`
-	_, _ = conn.Write(buf)                                      // want `connection write error is assigned to the blank identifier`
+	var hdr [blockserve.MaxHeader]byte
+	var fw blockserve.Writer
+	_, _, _ = blockserve.ReadHeader(conn, &hdr)  // want `wire frame error from blockserve\.ReadHeader is assigned to the blank identifier`
+	fw.WriteFrame(conn, blockserve.Frame{}, buf) // want `wire frame error from blockserve\.Writer\.WriteFrame is discarded`
+	conn.Write(buf)                              // want `connection write error is discarded`
+	_, _ = conn.Write(buf)                       // want `connection write error is assigned to the blank identifier`
 }
 
 func wireConsumes(conn net.Conn, buf []byte) error {
 	if _, err := conn.Write(buf); err != nil {
 		return err
 	}
-	_, err := blockserve.WriteFrame(conn, buf, blockserve.Frame{})
-	return err
+	if _, err := blockserve.WriteFrame(conn, buf, blockserve.Frame{}); err != nil {
+		return err
+	}
+	var hdr [blockserve.MaxHeader]byte
+	var fw blockserve.Writer
+	if _, _, err := blockserve.ReadHeader(conn, &hdr); err != nil {
+		return err
+	}
+	return fw.WriteFrame(conn, blockserve.Frame{}, buf)
 }
 
 func closes(path string) error {
