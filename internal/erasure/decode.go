@@ -76,7 +76,7 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 			if missing != 1 {
 				continue
 			}
-			c.foldGroup(s.Elem(target.Row, target.Col), s, nil, gi, target)
+			c.FoldGroup(s.Elem(target.Row, target.Col), s, nil, gi, target)
 			peelOps += int64(len(g.Members) - 1)
 			solved[targetUI] = true
 			remaining--

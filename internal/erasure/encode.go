@@ -42,33 +42,30 @@ func (c *Code) EncodeGroup(s *stripe.Stripe, gi int) {
 // parallel encoder (which tallies once for the whole stripe).
 func (c *Code) encodeGroupInto(s *stripe.Stripe, gi int) {
 	p := c.groups[gi].Parity
-	c.foldGroup(s.Elem(p.Row, p.Col), s, nil, gi, p)
+	c.FoldGroup(s.Elem(p.Row, p.Col), s, nil, gi, p)
 }
 
 // FoldGroup overwrites dst with the XOR of every cell of group gi — members
-// and parity — except target, reading the cells from s, and returns how many
-// cells it folded (the element-XOR count decode tallies report). It is the
-// one seed-and-fold loop of the repository: with target the group's parity
-// it encodes the group, with target a lost cell it recovers that cell, and
-// into a scratch buffer it yields the value Verify compares. dst is usually
-// target's own cell in s; it must not be any other cell of the group.
-func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, gi int, target Coord) int {
-	return c.foldGroup(dst, s, nil, gi, target)
-}
-
-// foldGroup is FoldGroup reading data cells through EncodeFrom's overlay
-// (see cellFrom; nil reads everything from s). Sources are gathered into a
-// stack array and handed to the set-form kernel, so no call allocates and no
-// seed copy precedes the first XOR; a group wider than the array continues
-// through the accumulate form.
-func (c *Code) foldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, target Coord) int {
+// and parity — except target, and returns how many cells it folded (the
+// element-XOR count decode tallies report). It is the one seed-and-fold loop
+// of the repository: with target the group's parity it encodes the group,
+// with target a lost cell it recovers that cell, and into a scratch buffer it
+// yields the value Verify compares. Cells are read through the data overlay
+// (see CellFrom; nil reads every cell from s), so a caller holding some data
+// elements elsewhere — the user's buffer of a zero-copy write or degraded
+// read — folds them from there. dst is usually target's own cell (in s or in
+// the overlay); it must not be any other cell of the group. Sources are
+// gathered into a stack array and handed to the set-form kernel, so no call
+// allocates and no seed copy precedes the first XOR; a group wider than the
+// array continues through the accumulate form.
+func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, target Coord) int {
 	g := &c.groups[gi]
 	var arr [16][]byte
 	srcs := arr[:0]
 	folded := 0
 	for i := 0; i <= len(g.Members); i++ {
 		if m := g.cell(i); m != target {
-			srcs = append(srcs, c.cellFrom(s, data, m))
+			srcs = append(srcs, c.CellFrom(s, data, m))
 		}
 		if len(srcs) == cap(srcs) || i == len(g.Members) {
 			if folded == 0 {
@@ -94,17 +91,18 @@ func (c *Code) EncodeFrom(s *stripe.Stripe, data [][]byte) {
 	c.checkStripe(s)
 	for _, gi := range c.encodeOrder {
 		g := &c.groups[gi]
-		c.foldGroup(s.Elem(g.Parity.Row, g.Parity.Col), s, data, gi, g.Parity)
+		c.FoldGroup(s.Elem(g.Parity.Row, g.Parity.Col), s, data, gi, g.Parity)
 		ops := int64(len(g.Members) - 1)
 		c.xor.addEncode(ops, ops*int64(s.ElemSize()))
 	}
 }
 
-// cellFrom resolves one group member for EncodeFrom: the caller's buffer view
-// for a covered data cell, the stripe cell for parity members (groups that
-// cover other parities, as in RDP/HDP) and for data cells the caller did not
-// provide.
-func (c *Code) cellFrom(s *stripe.Stripe, data [][]byte, m Coord) []byte {
+// CellFrom resolves one cell through a data overlay — data indexed by
+// DataIndex(r, col), as EncodeFrom and FoldGroup take it: the overlay's view
+// for a covered data cell, the stripe cell for parity cells (members of
+// groups that cover other parities, as in RDP/HDP) and for data cells the
+// overlay leaves nil. A nil overlay reads everything from s.
+func (c *Code) CellFrom(s *stripe.Stripe, data [][]byte, m Coord) []byte {
 	if di := c.dataIndex[m.Row][m.Col]; di >= 0 && di < len(data) && data[di] != nil {
 		return data[di]
 	}
@@ -162,7 +160,7 @@ func (c *Code) Verify(s *stripe.Stripe) bool {
 	defer c.scratch.Put(sc)
 	for gi := range c.groups {
 		p := c.groups[gi].Parity
-		c.foldGroup(sc.buf, s, nil, gi, p)
+		c.FoldGroup(sc.buf, s, nil, gi, p)
 		if !bytes.Equal(sc.buf, s.Elem(p.Row, p.Col)) {
 			return false
 		}

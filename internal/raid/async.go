@@ -143,53 +143,6 @@ func (a *Array) readRunElems(si int64, r cellRun, s *stripe.Stripe) error {
 	return nil
 }
 
-// writeRunsBestEffortAsync is readRunsAsync for best-effort writes: failed
-// columns are skipped, an errored run retries element-at-a-time (writeElem
-// marks the disk failed and keeps the cells it can take), and — like
-// writeRunBestEffort — nothing propagates; callers judge the array by
-// failedCount.
-func (a *Array) writeRunsBestEffortAsync(si int64, runs []cellRun, s *stripe.Stripe, sc *opScratch) {
-	abufs := sc.abufs[:0]
-	for _, r := range runs {
-		abufs = append(abufs, s.ColRange(r.col, r.row, r.n))
-	}
-	sc.abufs = abufs
-	comps := sc.comps[:0]
-	ctcs := sc.ctcs[:0]
-	parent := sc.tc.Link()
-	for i, r := range runs {
-		ctcs = append(ctcs, a.tr.Begin(trace.OpDevWrite, int32(r.col), si, parent))
-		if a.isFailed(r.col) {
-			comps = append(comps, nil)
-			continue
-		}
-		comps = append(comps, a.aio.SubmitWriteVec(r.col, abufs[i:i+1], a.deviceOffset(si, r.row), int64(r.n)))
-	}
-	a.aio.Kick()
-	aerrs := sc.aerrs[:0]
-	for _, c := range comps {
-		if c == nil {
-			aerrs = append(aerrs, nil)
-			continue
-		}
-		_, err := c.Wait()
-		aerrs = append(aerrs, err)
-	}
-	for i, r := range runs {
-		if aerrs[i] != nil {
-			for k := 0; k < r.n; k++ {
-				co := erasure.Coord{Row: r.row + k, Col: r.col}
-				_ = a.writeElem(si, co, s.Elem(co.Row, co.Col))
-			}
-		}
-		a.tr.End(ctcs[i], int64(r.n*a.elemSize), false)
-	}
-	sc.comps, sc.ctcs, sc.aerrs = comps, ctcs, aerrs
-	clear(comps) // drop completion (and buffer) references before pooling
-	clear(abufs)
-	clear(aerrs)
-}
-
 // readVecRunsAsync is the async twin of the direct read path's fan-out: each
 // coalesced vecRun scatters straight into the caller's buffer as one staged
 // vectored read, one kick covers the whole stripe. Any error abandons the
@@ -218,25 +171,23 @@ func (a *Array) readVecRunsAsync(si int64, vruns []vecRun, sc *opScratch) bool {
 	return ok
 }
 
-// writeVecColumnsAsync commits the direct write path's per-column gather
-// writes as one staged batch. Failed columns are skipped before submission
-// (no span, as writeVecColumn); an errored column retries element-at-a-time
-// from its iovec list, marking the disk failed — identical best-effort
-// semantics to the synchronous commit.
-func (a *Array) writeVecColumnsAsync(si int64, sc *opScratch) {
-	rows := a.code.Rows()
-	cols := a.code.Cols()
+// writeVecRunsAsync is writeRuns' async form: every staged run of a commit
+// goes out as one gather write in one batch. Failed columns are skipped
+// before submission (their spans still record the run, as writeVecRun); an
+// errored run retries element-at-a-time from its iovec list (writeElem marks
+// the disk failed and keeps the cells it can take) — identical best-effort
+// semantics to the synchronous commit, and nothing propagates.
+func (a *Array) writeVecRunsAsync(si int64, vruns []vecRun, sc *opScratch) {
 	comps := sc.comps[:0]
 	ctcs := sc.ctcs[:0]
 	parent := sc.tc.Link()
-	for c := 0; c < cols; c++ {
-		if a.isFailed(c) {
+	for _, r := range vruns {
+		ctcs = append(ctcs, a.tr.Begin(trace.OpDevWrite, int32(r.col), si, parent))
+		if a.isFailed(r.col) {
 			comps = append(comps, nil)
-			ctcs = append(ctcs, trace.Ctx{})
 			continue
 		}
-		ctcs = append(ctcs, a.tr.Begin(trace.OpDevWrite, int32(c), si, parent))
-		comps = append(comps, a.aio.SubmitWriteVec(c, sc.vecbufs[c*rows:(c+1)*rows], a.deviceOffset(si, 0), int64(rows)))
+		comps = append(comps, a.aio.SubmitWriteVec(r.col, sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n)))
 	}
 	a.aio.Kick()
 	aerrs := sc.aerrs[:0]
@@ -248,18 +199,15 @@ func (a *Array) writeVecColumnsAsync(si int64, sc *opScratch) {
 		_, err := c.Wait()
 		aerrs = append(aerrs, err)
 	}
-	for c := 0; c < cols; c++ {
-		if comps[c] == nil {
-			continue
-		}
-		err := aerrs[c]
-		a.tr.End(ctcs[c], int64(rows*a.elemSize), err != nil)
+	for i, r := range vruns {
+		err := aerrs[i]
 		if err != nil {
-			col := sc.vecbufs[c*rows : (c+1)*rows]
-			for r := 0; r < rows; r++ {
-				_ = a.writeElem(si, erasure.Coord{Row: r, Col: c}, col[r])
+			bufs := sc.vecbufs[r.lo:r.hi]
+			for k := 0; k < r.n; k++ {
+				_ = a.writeElem(si, erasure.Coord{Row: r.row + k, Col: r.col}, a.runCell(bufs, k))
 			}
 		}
+		a.tr.End(ctcs[i], int64(r.n*a.elemSize), err != nil)
 	}
 	sc.comps, sc.ctcs, sc.aerrs = comps, ctcs, aerrs
 	clear(comps) // the completions reference the caller's buffer; drop them

@@ -100,15 +100,17 @@ func (a *Array) cacheInvalidateColumn(col int) {
 	a.cache.InvalidateColumn(col)
 }
 
-// cachePutStripe write-throughs every cell of a freshly encoded stripe; the
-// degraded full-stripe write path uses it so subsequent degraded reads hit.
-func (a *Array) cachePutStripe(si int64, s *stripe.Stripe) {
+// cachePutStripe write-throughs every cell of a freshly encoded stripe, read
+// through the data overlay; the degraded full-stripe write path uses it so
+// subsequent degraded reads hit.
+func (a *Array) cachePutStripe(si int64, s *stripe.Stripe, data [][]byte) {
 	if a.cache == nil {
 		return
 	}
 	for r := 0; r < a.code.Rows(); r++ {
 		for c := 0; c < a.code.Cols(); c++ {
-			a.cache.Put(a.cacheKey(si, erasure.Coord{Row: r, Col: c}), s.Elem(r, c))
+			co := erasure.Coord{Row: r, Col: c}
+			a.cache.Put(a.cacheKey(si, co), a.code.CellFrom(s, data, co))
 		}
 	}
 }

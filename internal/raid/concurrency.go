@@ -153,7 +153,7 @@ func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc 
 		if err := a.readRunsAsync(si, runs, s, sc); err != nil {
 			return hits, err
 		}
-		a.cacheFill(si, cells, s)
+		a.cacheFill(si, cells, s, nil)
 		return hits, nil
 	}
 	// The serial case loops directly: the fanOut closure escapes into its
@@ -164,7 +164,7 @@ func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc 
 				return hits, err
 			}
 		}
-		a.cacheFill(si, cells, s)
+		a.cacheFill(si, cells, s, nil)
 		return hits, nil
 	}
 	if err := a.fanOut(len(runs), func(i int) error {
@@ -172,19 +172,20 @@ func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc 
 	}); err != nil {
 		return hits, err
 	}
-	a.cacheFill(si, cells, s)
+	a.cacheFill(si, cells, s, nil)
 	return hits, nil
 }
 
-// cacheFill inserts the listed cells' content from s: populate-on-miss after a
-// fully successful read (so a partial failure, which the caller retries
-// degraded, caches nothing stale), and write-through of a commit set.
-func (a *Array) cacheFill(si int64, cells []erasure.Coord, s *stripe.Stripe) {
+// cacheFill inserts the listed cells' content from s read through the data
+// overlay: populate-on-miss after a fully successful read (so a partial
+// failure, which the caller retries degraded, caches nothing stale), and
+// write-through of a commit set.
+func (a *Array) cacheFill(si int64, cells []erasure.Coord, s *stripe.Stripe, data [][]byte) {
 	if a.cache == nil {
 		return
 	}
 	for _, co := range cells {
-		a.cache.Put(a.cacheKey(si, co), s.Elem(co.Row, co.Col))
+		a.cache.Put(a.cacheKey(si, co), a.code.CellFrom(s, data, co))
 	}
 }
 
@@ -225,54 +226,103 @@ func (a *Array) readRunDev(si int64, run cellRun, s *stripe.Stripe, l trace.Link
 	return nil
 }
 
-// writeCellsBestEffort writes the listed (distinct) cells of stripe si from
-// s, one goroutine per coalesced run. Like storeStripe it never fails: a
-// device erroring mid-write is marked failed and skipped — its content is
-// moot — and the caller decides via failedCount whether the array survived.
-func (a *Array) writeCellsBestEffort(si int64, cells []erasure.Coord, s *stripe.Stripe, sc *opScratch) {
-	runs := coalesce(cells, sc)
+// writeCellsBestEffort writes the listed (distinct) cells of stripe si, each
+// read through the data overlay — the caller's bytes for a whole written
+// element, sc.s for everything else — as one gather write per coalesced run.
+// Like storeStripe it never fails: a device erroring mid-write is marked
+// failed and skipped — its content is moot — and the caller decides via
+// failedCount whether the array survived.
+func (a *Array) writeCellsBestEffort(si int64, cells []erasure.Coord, data [][]byte, sc *opScratch) {
+	a.writeRuns(si, coalesce(cells, sc), data, sc)
+}
+
+// stageRuns builds the iovec lists of a set of coalesced runs in sc.vecbufs
+// and the matching vecRuns in sc.vruns. A run holding a cell of the data
+// overlay gets one buffer per cell, resolved through erasure's CellFrom (the
+// caller's buffer for a data cell the overlay holds, sc.s otherwise); a run
+// living wholly in stripe memory gets its contiguous ColRange as one buffer,
+// so a device without native scatter/gather still moves it in one call. The
+// caller clears sc.vecbufs once the runs are done.
+func (a *Array) stageRuns(runs []cellRun, data [][]byte, sc *opScratch) []vecRun {
+	bufs := sc.vecbufs[:0]
+	vruns := sc.vruns[:0]
+	for _, r := range runs {
+		lo := len(bufs)
+		if a.inOverlay(r, data) {
+			for k := 0; k < r.n; k++ {
+				bufs = append(bufs, a.code.CellFrom(sc.s, data, erasure.Coord{Row: r.row + k, Col: r.col}))
+			}
+		} else {
+			bufs = append(bufs, sc.s.ColRange(r.col, r.row, r.n))
+		}
+		vruns = append(vruns, vecRun{col: r.col, row: r.row, n: r.n, lo: lo, hi: len(bufs)})
+	}
+	sc.vecbufs = bufs
+	sc.vruns = vruns
+	return vruns
+}
+
+// inOverlay reports whether any cell of run r is a data cell the overlay
+// holds.
+func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
+	if data == nil {
+		return false
+	}
+	for k := 0; k < r.n; k++ {
+		if di := a.code.DataIndex(r.row+k, r.col); di >= 0 && data[di] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// runCell returns cell k of a staged run's iovec list: its own buffer, or
+// its slice of the run's one contiguous buffer.
+func (a *Array) runCell(bufs [][]byte, k int) []byte {
+	if len(bufs) == 1 {
+		return bufs[0][k*a.elemSize : (k+1)*a.elemSize]
+	}
+	return bufs[k]
+}
+
+// writeRuns is the data path's one best-effort run writer: it stages the
+// runs' iovecs (stageRuns) and commits each run as one gather write — run by
+// run, fanned out, or as one async batch.
+func (a *Array) writeRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) {
+	vruns := a.stageRuns(runs, data, sc)
 	if a.aio != nil {
-		a.writeRunsBestEffortAsync(si, runs, s, sc)
-		return
-	}
-	if a.conc <= 1 || len(runs) <= 1 { // see readCells: avoid the escaping closure
-		for _, r := range runs {
-			a.writeRunBestEffort(si, r, s, sc.tc.Link())
+		a.writeVecRunsAsync(si, vruns, sc)
+	} else if a.conc <= 1 || len(vruns) <= 1 { // see readCells: avoid the escaping closure
+		for _, r := range vruns {
+			a.writeVecRun(si, r, sc)
 		}
-		return
+	} else {
+		_ = a.fanOut(len(vruns), func(i int) error { a.writeVecRun(si, vruns[i], sc); return nil })
 	}
-	_ = a.fanOut(len(runs), func(i int) error {
-		a.writeRunBestEffort(si, runs[i], s, sc.tc.Link())
-		return nil
-	})
+	clear(sc.vecbufs) // drop the user-buffer references before the scratch is pooled
 }
 
-func (a *Array) writeRunBestEffort(si int64, run cellRun, s *stripe.Stripe, parent trace.Link) {
-	tc := a.tr.Begin(trace.OpDevWrite, int32(run.col), si, parent)
-	a.writeRunDev(si, run, s, tc.Link())
-	a.tr.End(tc, int64(run.n*a.elemSize), false)
-}
-
-func (a *Array) writeRunDev(si int64, run cellRun, s *stripe.Stripe, l trace.Link) {
-	if run.n == 1 {
-		co := erasure.Coord{Row: run.row, Col: run.col}
-		_ = a.writeElemL(si, co, s.Elem(run.row, run.col), l)
-		return
-	}
-	if a.isFailed(run.col) {
-		return
-	}
-	// The run is one contiguous ColRange of stripe memory: write it out
-	// directly, no staging copy.
-	src := s.ColRange(run.col, run.row, run.n)
-	if _, err := a.iodevs[run.col].WriteAtNLink(src, a.deviceOffset(si, run.row), int64(run.n), l); err != nil {
-		// Retry element-at-a-time so a partially failing device still gets
-		// the cells it can take; writeElemL marks the disk failed on error.
-		for k := 0; k < run.n; k++ {
-			co := erasure.Coord{Row: run.row + k, Col: run.col}
-			_ = a.writeElemL(si, co, s.Elem(co.Row, co.Col), l)
+// writeVecRun commits one staged run. A failed column is skipped (its span
+// still records the run). A single cell goes through writeElemL; a longer run
+// is one WriteVecAtN whose error retries element-at-a-time from the same
+// iovecs, so a partially failing device still gets the cells it can take
+// (writeElemL marks it failed).
+func (a *Array) writeVecRun(si int64, r vecRun, sc *opScratch) {
+	tc := a.tr.Begin(trace.OpDevWrite, int32(r.col), si, sc.tc.Link())
+	bufs := sc.vecbufs[r.lo:r.hi]
+	var err error
+	switch {
+	case a.isFailed(r.col):
+	case r.n == 1:
+		err = a.writeElemL(si, erasure.Coord{Row: r.row, Col: r.col}, bufs[0], tc.Link())
+	default:
+		if _, err = a.iodevs[r.col].WriteVecAtNLink(bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link()); err != nil {
+			for k := 0; k < r.n; k++ {
+				_ = a.writeElemL(si, erasure.Coord{Row: r.row + k, Col: r.col}, a.runCell(bufs, k), tc.Link())
+			}
 		}
 	}
+	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
 }
 
 // writeColumn writes one whole column of a stripe as a single coalesced
@@ -304,11 +354,11 @@ type opScratch struct {
 	miss    []erasure.Coord // readCells' cache-miss list
 	srcs    [][]byte
 	runs    []cellRun
-	ers     []elemRange // direct-path sorted range copy
-	vruns   []vecRun    // direct-path coalesced device runs
-	vecbufs [][]byte    // direct-path iovec assembly (cleared after use)
-	data    [][]byte    // direct-path user-buffer views by data index (cleared after use)
-	tc      trace.Ctx   // the stripe task's span; set at every task start (pooled state is stale)
+	vruns   []vecRun     // vectored device runs (stageRuns, direct reads)
+	vecbufs [][]byte     // their iovec assembly (cleared after use)
+	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
+	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
+	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
 
 	// Async-scheduler staging (see async.go): completion handles, device
 	// spans and harvested errors of the current batch, plus per-run

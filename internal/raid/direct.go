@@ -1,39 +1,48 @@
 package raid
 
-// This file holds the zero-copy vectored fast paths of the data plane. When
-// a stripe task is fully element-aligned on a healthy, cache-less array, the
-// array skips the stripe arena for data bytes entirely:
+// This file holds the zero-copy read path of the data plane and the data
+// overlay it shares with the write commit. When a read's stripe task is fully
+// element-aligned on a cache-less array that is healthy or has one failed
+// column, the array skips the stripe arena for every wanted element: the
+// cells to read — the wanted ones, or the memoized degraded plan's Fetch
+// when a wanted cell is on the failed column — are coalesced into the runs
+// the general path would issue, and each run is one ReadVecAtN whose iovecs
+// point into the caller's buffer for wanted cells and into stripe memory only
+// for recovery-only cells. Each plan step then folds its lost target straight
+// into the target's slice of the caller's buffer (FoldGroup through the
+// overlay).
 //
-//   - reads scatter straight from the device into the caller's buffer, one
-//     ReadVecAtN per coalesced column run;
-//   - full-stripe writes gather straight from the caller's buffer (parity
-//     from stripe memory, computed by EncodeFrom without staging the data),
-//     one WriteVecAtN per column.
+// Writes of every shape commit through the same overlay (overlay, then
+// writeRuns in concurrency.go): whole written elements leave from the
+// caller's buffer, so only partial ranges and parity live in stripe memory.
 //
-// Both paths preserve the general path's accounting exactly: the same
+// The read path preserves the general path's accounting exactly: the same
 // coalesced runs, the same ops-equivalent tallies (one physical call stands
-// for run-length element accesses), the same OpDevRead/OpDevWrite trace
-// spans, and the same XOR counts. Any device error abandons the fast path
-// and lets the general path re-serve the stripe with its full read-repair
-// and failure-marking semantics.
+// for run-length element accesses), the same OpDevRead trace spans, and the
+// same XOR counts. Any device error abandons the direct read and lets the
+// general path re-serve the stripe with its full read-repair and
+// failure-marking semantics. Buffer ownership: the caller's bytes are
+// referenced only until the stripe task returns — the overlay and every iovec
+// list are cleared before the scratch goes back to its pool.
 
 import (
-	"slices"
-	"time"
+	"math/bits"
 
 	"dcode/internal/erasure"
 	"dcode/internal/trace"
 )
 
 // vecRun is one coalesced device run of a vectored operation: rows
-// [row, row+n) of column col, served by the iovec list bufs[lo:hi].
+// [row, row+n) of column col, served by the iovec list bufs[lo:hi] — one
+// buffer per cell, or a single contiguous one when the whole run lives in
+// stripe memory (see stageRuns and runCell).
 type vecRun struct {
 	col, row, n int
 	lo, hi      int
 }
 
 // directRangesEligible reports whether every range covers a whole element —
-// the alignment both fast paths require.
+// the alignment the direct read requires.
 func (a *Array) directRangesEligible(ers []elemRange) bool {
 	for _, er := range ers {
 		if er.start != 0 || er.length != a.elemSize {
@@ -43,71 +52,102 @@ func (a *Array) directRangesEligible(ers []elemRange) bool {
 	return true
 }
 
-// readStripeDirect serves one stripe's element ranges by scattering device
-// reads directly into the caller's buffer, bypassing stripe memory. It
-// returns true only when the stripe was fully served; on any device error it
-// returns false with the buffer contents unspecified, and the caller falls
-// back to the general path, which re-reads everything with read-repair and
-// failure marking. Eligible only on a healthy array with no cache attached
-// (a cache wants elements in stripe memory to fill from) and fully aligned
-// ranges.
+// readStripeDirect serves one stripe's element ranges straight into the
+// caller's buffer. It returns true only when the stripe was fully served; on
+// any device error it returns false with the buffer contents unspecified, and
+// the caller falls back to the general path, which re-reads everything with
+// read-repair and failure marking. Eligible with no cache attached (a cache
+// wants elements in stripe memory to fill from), fully aligned ranges, and at
+// most one failed column. A task that wants a cell on the failed column reads
+// the degraded plan's Fetch instead of the wanted cells and opens the task's
+// degraded record, so a fall back to the general path does not count it
+// again. Device calls, per-disk tallies and XOR counts are exactly the
+// general path's (readCells, fetchPlanned); only the copy of every wanted
+// element out of sc.s is gone.
 func (a *Array) readStripeDirect(si int64, ers []elemRange, p []byte, sc *opScratch) bool {
-	if a.cache != nil || a.failedCount() != 0 || !a.directRangesEligible(ers) {
+	if a.cache != nil || !a.directRangesEligible(ers) {
 		return false
 	}
-	// Sort a pooled copy by (col, row) — the same order coalesce uses — so
-	// device-contiguous runs are adjacent. splitBytes never repeats an
-	// element within one stripe run, so the sorted ranges coalesce into
-	// exactly the runs the general path would issue.
-	sers := append(sc.ers[:0], ers...)
-	sc.ers = sers
-	slices.SortFunc(sers, func(x, y elemRange) int {
-		if x.coord.Col != y.coord.Col {
-			return x.coord.Col - y.coord.Col
-		}
-		return x.coord.Row - y.coord.Row
-	})
-	bufs := sc.vecbufs[:0]
-	vruns := sc.vruns[:0]
-	for k := 0; k < len(sers); {
-		j := k + 1
-		for j < len(sers) && sers[j].coord.Col == sers[k].coord.Col &&
-			sers[j].coord.Row == sers[j-1].coord.Row+1 {
-			j++
-		}
-		lo := len(bufs)
-		for _, er := range sers[k:j] {
-			bufs = append(bufs, p[er.bufOff:er.bufOff+er.length])
-		}
-		vruns = append(vruns, vecRun{
-			col: sers[k].coord.Col, row: sers[k].coord.Row, n: j - k,
-			lo: lo, hi: len(bufs),
-		})
-		k = j
+	down := -1
+	switch failed := a.failedSet(); failed.count() {
+	case 0:
+	case 1:
+		down = bits.TrailingZeros64(uint64(failed))
+	default:
+		return false
 	}
-	sc.vecbufs = bufs
-	sc.vruns = vruns
+	data := a.overlay(ers, p, sc)
+	defer clear(data)
+	cells := sc.coords[:0]
+	lost := false
+	for _, er := range ers {
+		cells = append(cells, er.coord)
+		lost = lost || er.coord.Col == down
+	}
+	sc.coords = cells
+	var plan *erasure.DegradedPlan
+	if lost {
+		var err error
+		if plan, err = a.planDegraded(down, cells); err != nil {
+			return false // the general path plans again and reports the error
+		}
+		a.beginDegraded(si, down, len(cells), sc)
+		// The plan is shared; coalesce sorts, so it sorts a copy.
+		cells = append(sc.fetch[:0], plan.Fetch...)
+		sc.fetch = cells
+	}
+	vruns := a.stageRuns(coalesce(cells, sc), data, sc)
+	ok := a.readVecRuns(si, vruns, sc)
+	clear(sc.vecbufs)
+	if !ok || plan == nil {
+		return ok
+	}
+	for _, step := range plan.Steps {
+		dst := data[a.code.DataIndex(step.Target.Row, step.Target.Col)]
+		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, data, step.Group, step.Target))
+	}
+	return true
+}
 
-	// A failed run abandons the whole stripe to the general path, so there
-	// is no need to finish the remaining runs — fanOut's stop-on-error is
-	// exactly right, and the serial loop mirrors it. The async engine instead
-	// stages the whole stripe as one batch (it must harvest every completion
-	// anyway before the buffer can be reused).
-	ok := true
+// overlay stages one stripe task's ranges as erasure's data overlay, in
+// sc.data: a whole-element range becomes a view of p at the element's data
+// index — FoldGroup, EncodeFrom and the run writers read it from there, so
+// those bytes never transit stripe memory — and a partial range (writes
+// only) is copied over its cell in sc.s, whose old bytes fill the rest of the
+// element. The caller clears the overlay once the stripe task is done with
+// it, before the scratch is pooled.
+func (a *Array) overlay(ers []elemRange, p []byte, sc *opScratch) [][]byte {
+	data := sc.data
+	for _, er := range ers {
+		if er.length == a.elemSize {
+			data[a.code.DataIndex(er.coord.Row, er.coord.Col)] = p[er.bufOff : er.bufOff+er.length]
+		} else {
+			copy(sc.s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length],
+				p[er.bufOff:er.bufOff+er.length])
+		}
+	}
+	return data
+}
+
+// readVecRuns issues a staged set of scatter reads (iovecs in sc.vecbufs),
+// reporting whether every run succeeded. A failed run abandons the whole
+// stripe to the general path, so there is no need to finish the remaining
+// runs — fanOut's stop-on-error is exactly right, and the serial loop
+// mirrors it. The async engine instead stages the whole stripe as one batch
+// (it must harvest every completion anyway before the buffer can be reused).
+func (a *Array) readVecRuns(si int64, vruns []vecRun, sc *opScratch) bool {
 	if a.aio != nil {
-		ok = a.readVecRunsAsync(si, vruns, sc)
-	} else if a.conc <= 1 || len(vruns) <= 1 { // see readCells: avoid the escaping closure
+		return a.readVecRunsAsync(si, vruns, sc)
+	}
+	if a.conc <= 1 || len(vruns) <= 1 { // see readCells: avoid the escaping closure
 		for _, r := range vruns {
 			if a.readVecRun(si, r, sc) != nil {
-				ok = false
-				break
+				return false
 			}
 		}
-	} else if a.fanOut(len(vruns), func(i int) error { return a.readVecRun(si, vruns[i], sc) }) != nil {
-		ok = false
+		return true
 	}
-	clear(bufs) // drop the user-buffer references before the scratch is pooled
-	return ok
+	return a.fanOut(len(vruns), func(i int) error { return a.readVecRun(si, vruns[i], sc) }) == nil
 }
 
 // readVecRun issues one coalesced scatter read of the direct read path; the
@@ -117,78 +157,4 @@ func (a *Array) readVecRun(si int64, r vecRun, sc *opScratch) error {
 	_, err := a.iodevs[r.col].ReadVecAtNLink(sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n), tc.Link())
 	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
 	return err
-}
-
-// writeStripeDirect serves a fully aligned full-stripe write by gathering
-// device writes directly from the caller's buffer: EncodeFrom folds parity
-// from the user's data views into stripe memory, then each column commits as
-// one WriteVecAtN whose iovecs mix user data (in place) with the freshly
-// encoded parity cells. Returns done=false when the write is not eligible
-// (partial stripe, unaligned, degraded array, or a cache wanting
-// write-through); the general path then serves it. Like reconstructWrite,
-// the commit is best-effort per column — a device failing mid-commit is
-// marked (by the element-at-a-time retry) and skipped, and the caller learns
-// the array's fate from the returned error.
-func (a *Array) writeStripeDirect(si int64, ers []elemRange, p []byte, sc *opScratch) (bool, error) {
-	if a.cache != nil || a.failedCount() != 0 || len(ers) != a.code.DataElems() ||
-		!a.directRangesEligible(ers) {
-		return false, nil
-	}
-	data := sc.data
-	for _, er := range ers {
-		data[a.code.DataIndex(er.coord.Row, er.coord.Col)] = p[er.bufOff : er.bufOff+er.length]
-	}
-	ps := time.Now()
-	a.code.EncodeFrom(sc.s, data)
-	a.m.parityLatency.Observe(time.Since(ps))
-	rows := a.code.Rows()
-	cols := a.code.Cols()
-	bufs := sc.vecbufs[:0]
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			if di := a.code.DataIndex(r, c); di >= 0 {
-				bufs = append(bufs, data[di])
-			} else {
-				bufs = append(bufs, sc.s.Elem(r, c))
-			}
-		}
-	}
-	sc.vecbufs = bufs
-
-	if a.aio != nil {
-		a.writeVecColumnsAsync(si, sc)
-	} else if a.conc <= 1 || cols <= 1 { // see readCells: avoid the escaping closure
-		for c := 0; c < cols; c++ {
-			a.writeVecColumn(si, c, sc)
-		}
-	} else {
-		_ = a.fanOut(cols, func(c int) error { a.writeVecColumn(si, c, sc); return nil })
-	}
-	clear(bufs)
-	clear(data)
-	a.m.fullStripeWrites.Inc()
-	if a.failedCount() > 2 {
-		return true, ErrTooManyFailures
-	}
-	return true, nil
-}
-
-// writeVecColumn commits one column of the direct write path as a single
-// gather write from sc.vecbufs, best-effort like writeRunDev: a device error
-// retries element-at-a-time, which marks the disk failed and keeps whatever
-// cells the device can still take.
-func (a *Array) writeVecColumn(si int64, c int, sc *opScratch) {
-	if a.isFailed(c) {
-		return
-	}
-	rows := a.code.Rows()
-	col := sc.vecbufs[c*rows : (c+1)*rows]
-	tc := a.tr.Begin(trace.OpDevWrite, int32(c), si, sc.tc.Link())
-	_, err := a.iodevs[c].WriteVecAtNLink(col, a.deviceOffset(si, 0), int64(rows), tc.Link())
-	a.tr.End(tc, int64(rows*a.elemSize), err != nil)
-	if err != nil {
-		for r := 0; r < rows; r++ {
-			_ = a.writeElemL(si, erasure.Coord{Row: r, Col: c}, col[r], tc.Link())
-		}
-	}
 }

@@ -2,40 +2,73 @@ package raid
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"dcode/internal/blockdev"
 	"dcode/internal/codes"
+	"dcode/internal/erasure"
+	"dcode/internal/obs"
 )
 
-// vecRecorder wraps a device and records the exact iovec slices of every
-// vectored call, so tests can pin that the array passed views of the
-// caller's buffer — not staged copies — down to the device layer.
+// vecRecorder wraps a device and records, element by element, the exact
+// buffers of every vectored call, so tests can pin that the array passed
+// views of the caller's buffer — not staged copies — down to the device
+// layer. An iovec spanning several elements (a run living wholly in stripe
+// memory) is recorded as its element-sized slices. readOffs holds the device
+// offset of each recorded read element, writeIovs the iovec count of each
+// gather write. With failVec set, every gather write fails (and writes
+// nothing) while element writes still succeed.
 type vecRecorder struct {
 	blockdev.Device
-	mu     sync.Mutex
-	reads  [][]byte
-	writes [][]byte
+	mu        sync.Mutex
+	reads     [][]byte
+	readOffs  []int64
+	writes    [][]byte
+	writeIovs []int
+	failVec   bool
 }
 
 func (v *vecRecorder) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	v.mu.Lock()
-	v.reads = append(v.reads, bufs...)
+	at := off
+	for _, b := range bufs {
+		for i := 0; i < len(b); i += elemSize {
+			v.reads = append(v.reads, b[i:min(i+elemSize, len(b))])
+			v.readOffs = append(v.readOffs, at+int64(i))
+		}
+		at += int64(len(b))
+	}
 	v.mu.Unlock()
 	return v.Device.ReadVecAt(bufs, off)
 }
 
 func (v *vecRecorder) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	v.mu.Lock()
-	v.writes = append(v.writes, bufs...)
+	for _, b := range bufs {
+		for i := 0; i < len(b); i += elemSize {
+			v.writes = append(v.writes, b[i:min(i+elemSize, len(b))])
+		}
+	}
+	v.writeIovs = append(v.writeIovs, len(bufs))
 	v.mu.Unlock()
+	if v.failVec {
+		return 0, errors.New("injected gather-write error")
+	}
 	return v.Device.WriteVecAt(bufs, off)
 }
 
 func newRecordedArray(t *testing.T, stripes int64, opts ...Option) (*Array, []*vecRecorder) {
 	t.Helper()
-	code := codes.MustNew("dcode", 5)
+	return newRecordedArrayCode(t, "dcode", 5, stripes, opts...)
+}
+
+func newRecordedArrayCode(t *testing.T, id string, p int, stripes int64, opts ...Option) (*Array, []*vecRecorder) {
+	t.Helper()
+	code := codes.MustNew(id, p)
 	devs := make([]blockdev.Device, code.Cols())
 	recs := make([]*vecRecorder, code.Cols())
 	devSize := stripes * int64(code.Rows()) * elemSize
@@ -100,9 +133,88 @@ func TestDirectReadZeroCopy(t *testing.T) {
 	}
 }
 
-// TestDirectWriteZeroCopy pins the tentpole claim for writes: an aligned
-// full-stripe write gathers the data elements straight from the caller's
-// buffer. Parity iovecs come from stripe memory (they have to — they are
+// TestDegradedDirectReadZeroCopy pins the degraded half of the read claim:
+// with any one column failed, an aligned read lands every surviving wanted
+// cell straight in the caller's buffer — the iovec the device saw for it
+// aliases p — and rebuilds the lost ones there. Only recovery-only cells (read
+// for the plan, wanted by nobody) go to stripe memory, and each surviving
+// wanted cell is read exactly once.
+func TestDegradedDirectReadZeroCopy(t *testing.T) {
+	const stripes = 3
+	a, recs := newRecordedArray(t, stripes, WithConcurrency(1))
+	code := a.Code()
+	d := code.DataElems()
+	want := pattern(stripes*d*elemSize, 13)
+	if _, err := a.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	colStripe := int64(code.Rows() * elemSize) // one stripe's bytes on a column
+	// Reads in elements: the whole volume, runs inside and across stripes,
+	// and a single element.
+	reads := []struct{ off, n int }{{0, stripes * d}, {3, 9}, {d - 2, 5}, {d + 1, 1}}
+	for down := 0; down < code.Cols(); down++ {
+		if err := a.FailDisk(down); err != nil {
+			t.Fatal(err)
+		}
+		degraded := false
+		for _, rd := range reads {
+			for _, r := range recs {
+				r.reads, r.readOffs = nil, nil
+			}
+			p := make([]byte, rd.n*elemSize)
+			before := a.Stats().DegradedReads
+			if _, err := a.ReadAt(p, int64(rd.off*elemSize)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p, want[rd.off*elemSize:(rd.off+rd.n)*elemSize]) {
+				t.Fatalf("down %d, read %+v: wrong data", down, rd)
+			}
+			degraded = degraded || a.Stats().DegradedReads > before
+			wanted := make(map[[3]int]bool) // {stripe, row, col}
+			surviving := 0
+			for e := rd.off; e < rd.off+rd.n; e++ {
+				co := code.DataCoord(e % d)
+				wanted[[3]int{e / d, co.Row, co.Col}] = true
+				if co.Col != down {
+					surviving++
+				}
+			}
+			chunks := aliasSet(p)
+			aliased := 0
+			for col, r := range recs {
+				for i, buf := range r.reads {
+					if len(buf) != elemSize {
+						t.Fatalf("col %d saw a %d-byte iovec, want element-sized %d", col, len(buf), elemSize)
+					}
+					off := r.readOffs[i]
+					cell := [3]int{int(off / colStripe), int(off%colStripe) / elemSize, col}
+					_, inP := chunks[&buf[0]]
+					if wanted[cell] != inP {
+						t.Fatalf("down %d, read %+v: cell %v wanted=%v but its iovec aliases p=%v",
+							down, rd, cell, wanted[cell], inP)
+					}
+					if inP {
+						aliased++
+					}
+				}
+			}
+			if aliased != surviving {
+				t.Fatalf("down %d, read %+v: %d iovecs alias p, want %d (every surviving wanted cell, once)",
+					down, rd, aliased, surviving)
+			}
+		}
+		if !degraded {
+			t.Fatalf("down %d: no read took the degraded path", down)
+		}
+		if err := a.Rebuild(down); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDirectWriteZeroCopy pins the zero-copy claim for writes: an aligned
+// full-stripe write (reconstruct-write with nothing to read) gathers the data
+// elements straight from the caller's buffer. Parity iovecs come from stripe memory (they have to — they are
 // computed), so exactly DataElems of each stripe's iovecs alias p.
 func TestDirectWriteZeroCopy(t *testing.T) {
 	a, recs := newRecordedArray(t, 4, WithConcurrency(1))
@@ -142,30 +254,76 @@ func TestDirectWriteZeroCopy(t *testing.T) {
 
 // TestDirectReadFallsBackOnError pins the safety valve: a device error on
 // the vectored fast path hands the stripe to the general path, which marks
-// the disk and reconstructs — the caller still gets correct data.
+// the disk and reconstructs — the caller still gets correct data. On the
+// degraded branch the stripe task still counts as one degraded read, however
+// many strategies it went through.
 func TestDirectReadFallsBackOnError(t *testing.T) {
-	a, mems := newArray(t, "dcode", 5, 4)
-	stripeBytes := a.code.DataElems() * elemSize
-	want := pattern(stripeBytes, 7)
-	if _, err := a.WriteAt(want, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Fail a device out from under the array (no FailDisk) so the fast
-	// path's eligibility check passes and the error surfaces mid-read.
-	mems[1].Fail()
-	got := make([]byte, len(want))
-	if _, err := a.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("fallback read after mid-path device failure returned wrong data")
-	}
-	if !a.isFailed(1) {
-		t.Fatal("general-path fallback did not mark the failed disk")
-	}
+	t.Run("healthy", func(t *testing.T) {
+		a, mems := newArray(t, "dcode", 5, 4)
+		stripeBytes := a.code.DataElems() * elemSize
+		want := pattern(stripeBytes, 7)
+		if _, err := a.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		// Fail a device out from under the array (no FailDisk) so the fast
+		// path's eligibility check passes and the error surfaces mid-read.
+		mems[1].Fail()
+		got := make([]byte, len(want))
+		if _, err := a.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("fallback read after mid-path device failure returned wrong data")
+		}
+		if !a.isFailed(1) {
+			t.Fatal("general-path fallback did not mark the failed disk")
+		}
+	})
+	t.Run("degraded", func(t *testing.T) {
+		rec := obs.NewRecorder(64)
+		a, mems := newArrayConc(t, "dcode", 5, 4, WithEvents(rec))
+		want := pattern(int(a.Size()), 7)
+		if _, err := a.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		const down = 0
+		if err := a.FailDisk(down); err != nil {
+			t.Fatal(err)
+		}
+		// One element on the failed column: every cell its plan fetches is
+		// plan-only. Break the device under the first of them.
+		e := 0
+		for a.code.DataCoord(e).Col != down {
+			e++
+		}
+		plan, err := a.planDegraded(down, []erasure.Coord{a.code.DataCoord(e)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := plan.Fetch[0].Col
+		mems[victim].Fail()
+		got := make([]byte, elemSize)
+		if _, err := a.ReadAt(got, int64(e*elemSize)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[e*elemSize:(e+1)*elemSize]) {
+			t.Fatal("fallback read after a plan-only cell failed returned wrong data")
+		}
+		if !a.isFailed(victim) {
+			t.Fatalf("general-path fallback did not mark disk %d failed", victim)
+		}
+		if n := a.Stats().DegradedReads; n != 1 {
+			t.Fatalf("DegradedReads = %d, want 1 for the one stripe task", n)
+		}
+		if evs := eventKinds(rec)[obs.EvDegradedRead]; len(evs) != 1 {
+			t.Fatalf("%d degraded_read events, want 1: %+v", len(evs), evs)
+		} else if evs[0].Disk != down {
+			t.Fatalf("degraded_read event names disk %d, want %d", evs[0].Disk, down)
+		}
+	})
 }
 
-// TestDirectWriteFallsBackOnError exercises writeVecColumn's element-at-a-
+// TestDirectWriteFallsBackOnError exercises writeVecRun's element-at-a-
 // time retry: the failing column is marked, the others commit, and a
 // degraded read reconstructs the stripe the write produced.
 func TestDirectWriteFallsBackOnError(t *testing.T) {
@@ -185,5 +343,165 @@ func TestDirectWriteFallsBackOnError(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("degraded read after mid-write failure returned wrong data")
+	}
+}
+
+// TestDirectWriteStripeOnlyRunIsOneBuffer pins stageRuns' contiguous case and
+// the retry that slices it. RDP's parity-only columns hold no overlay cell,
+// so a full-stripe write hands each of them its column as one buffer — a
+// device without native scatter/gather moves it in one call — while a data
+// column gets one iovec per cell. When every gather write fails but element
+// writes succeed, the element-at-a-time retry must land every cell from both
+// kinds of iovec list, leaving no disk marked and the parity consistent.
+func TestDirectWriteStripeOnlyRunIsOneBuffer(t *testing.T) {
+	for _, failVec := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failVec=%v", failVec), func(t *testing.T) {
+			a, recs := newRecordedArrayCode(t, "rdp", 5, 2, WithConcurrency(1))
+			holdsData := make([]bool, a.code.Cols())
+			for i := 0; i < a.code.DataElems(); i++ {
+				holdsData[a.code.DataCoord(i).Col] = true
+			}
+			for _, r := range recs {
+				r.failVec = failVec
+			}
+			want := pattern(a.code.DataElems()*elemSize, 5)
+			if _, err := a.WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			parityOnly := 0
+			for col, r := range recs {
+				wantIovs := a.code.Rows()
+				if !holdsData[col] {
+					wantIovs = 1
+					parityOnly++
+				}
+				if len(r.writeIovs) != 1 || r.writeIovs[0] != wantIovs {
+					t.Fatalf("col %d: gather writes with %v iovecs, want one with %d", col, r.writeIovs, wantIovs)
+				}
+			}
+			if parityOnly == 0 {
+				t.Fatal("rdp has no parity-only column; the test needs one")
+			}
+			if fd := a.FailedDisks(); len(fd) != 0 {
+				t.Fatalf("disks %v marked failed; element writes all succeeded", fd)
+			}
+			for _, r := range recs {
+				r.failVec = false
+			}
+			if fixed, err := a.Scrub(); err != nil || fixed != 0 {
+				t.Fatalf("scrub after the write: %d stripes fixed, err %v; want a consistent stripe", fixed, err)
+			}
+			got := make([]byte, len(want))
+			if _, err := a.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("full-stripe write read back wrong")
+			}
+		})
+	}
+}
+
+// TestDirectPathsMatchGeneralTwin drives one seeded stream of aligned reads
+// and small writes through a cache-less array (the direct read path, healthy
+// and degraded, and the overlay commit) and through a twin with a cache (the
+// general path, whose reads go through stripe memory), first healthy and then
+// with each column failed in turn. The twin's cache is emptied before every
+// op so it absorbs no device I/O. Returned bytes, device contents, per-disk
+// read and write tallies, degraded-read counts and decode XOR ops must all be
+// identical: the direct path moves fewer bytes in memory, never different
+// ones, and never a different I/O.
+func TestDirectPathsMatchGeneralTwin(t *testing.T) {
+	for _, id := range []string{"dcode", "xcode", "rdp", "hdp"} {
+		for _, p := range []int{5, 7} {
+			cols := codes.MustNew(id, p).Cols()
+			for down := 0; down < cols; down++ {
+				t.Run(fmt.Sprintf("%s/p%d/down%d", id, p, down), func(t *testing.T) {
+					testDirectTwin(t, id, p, down)
+				})
+			}
+		}
+	}
+}
+
+func testDirectTwin(t *testing.T, id string, p, down int) {
+	const stripes = 3
+	a, amems := newArrayConc(t, id, p, stripes, WithConcurrency(1))
+	b, bmems := newArrayConc(t, id, p, stripes, WithConcurrency(1), WithCache(1<<20))
+	model := pattern(int(a.Size()), byte(down))
+	for _, arr := range []*Array{a, b} {
+		if _, err := arr.WriteAt(model, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := a.code.DataElems()
+	elems := int(a.Size()) / elemSize
+	rng := rand.New(rand.NewSource(int64(p*100 + down)))
+	op := func(write bool) {
+		t.Helper()
+		n := 1 + rng.Intn(2*d) // reads up to two stripes
+		if write {
+			n = 1 + rng.Intn(d/2) // small writes: read-modify-write
+		}
+		off := rng.Intn(elems-n+1) * elemSize
+		n *= elemSize
+		for c := 0; c < b.code.Cols(); c++ {
+			b.cacheInvalidateColumn(c)
+		}
+		if write {
+			buf := make([]byte, n)
+			rng.Read(buf)
+			for _, arr := range []*Array{a, b} {
+				if _, err := arr.WriteAt(buf, int64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			copy(model[off:], buf)
+			return
+		}
+		ga, gb := make([]byte, n), make([]byte, n)
+		if _, err := a.ReadAt(ga, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.ReadAt(gb, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ga, model[off:off+n]) || !bytes.Equal(gb, ga) {
+			t.Fatalf("read [%d,+%d): direct and general paths disagree with the model", off, n)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		op(i%2 == 0)
+	}
+	for _, arr := range []*Array{a, b} {
+		if err := arr.FailDisk(down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		op(i%3 == 0)
+	}
+
+	devicesEqual(t, amems, bmems)
+	for c := range a.iodevs {
+		ma, mb := a.iodevs[c].Metrics(), b.iodevs[c].Metrics()
+		if ma.Reads.Load() != mb.Reads.Load() || ma.Writes.Load() != mb.Writes.Load() {
+			t.Fatalf("disk %d tallies: direct %d reads / %d writes, general %d / %d",
+				c, ma.Reads.Load(), ma.Writes.Load(), mb.Reads.Load(), mb.Writes.Load())
+		}
+	}
+	// A column holding only parity (RDP's last two) never makes a read
+	// degraded; any other must have.
+	holdsData := false
+	for i := 0; i < d; i++ {
+		holdsData = holdsData || a.code.DataCoord(i).Col == down
+	}
+	sa, sb := a.Stats(), b.Stats()
+	if sa.DegradedReads != sb.DegradedReads || holdsData != (sa.DegradedReads > 0) {
+		t.Fatalf("degraded reads: direct %d, general %d (want equal, nonzero iff disk %d holds data)",
+			sa.DegradedReads, sb.DegradedReads, down)
+	}
+	if xa, xb := a.Snapshot().XOR.DecodeOps, b.Snapshot().XOR.DecodeOps; xa == 0 || xa != xb {
+		t.Fatalf("decode XOR ops: direct %d, general %d (want equal, nonzero)", xa, xb)
 	}
 }

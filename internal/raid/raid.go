@@ -323,30 +323,22 @@ func (a *Array) repairElem(stripeIdx int64, co erasure.Coord, dst []byte) error 
 	// sibling cells on the same disk, which are actually fine) but reuses
 	// the engine's group choice and never touches the bad cell itself. The
 	// plan is memoized per (column, cell) signature; treat it as read-only.
-	plan, err := a.planDegraded(co.Col, []erasure.Coord{co})
+	wanted := [1]erasure.Coord{co}
+	plan, err := a.planDegraded(co.Col, wanted[:])
 	if err != nil {
 		return err
 	}
-	elems := make(map[erasure.Coord][]byte, len(plan.Fetch))
+	// The fetched cells land in a scratch of their own: dst may be a cell of
+	// the caller's stripe task scratch, whose other cells are in use.
+	sc := a.getScratch()
+	defer a.putScratch(sc)
 	for _, cell := range plan.Fetch {
-		buf := make([]byte, a.elemSize)
-		if _, err := a.devs[cell.Col].ReadAt(buf, a.deviceOffset(stripeIdx, cell.Row)); err != nil {
+		if _, err := a.devs[cell.Col].ReadAt(sc.s.Elem(cell.Row, cell.Col), a.deviceOffset(stripeIdx, cell.Row)); err != nil {
 			return err
 		}
-		elems[cell] = buf
-	}
-	for i := range dst {
-		dst[i] = 0
 	}
 	for _, step := range plan.Steps {
-		g := a.code.Groups()[step.Group]
-		for _, cell := range append(append([]erasure.Coord{}, g.Members...), g.Parity) {
-			if cell == co {
-				continue
-			}
-			stripe.XOR(dst, elems[cell])
-			a.countDecodeXOR(1)
-		}
+		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, co))
 	}
 	if _, err := a.devs[co.Col].WriteAt(dst, a.deviceOffset(stripeIdx, co.Row)); err != nil {
 		return err
@@ -424,34 +416,19 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 	}
 }
 
-// storeStripe writes a full encoded stripe from sc.s to every surviving
-// disk — each column as one coalesced device write, fanned out per column or
-// batch-submitted through the async engine. A disk that fails during the
-// store is skipped — its content is moot and the stripe stays
+// storeStripe writes a full encoded stripe — sc.s read through the data
+// overlay (nil: all of sc.s) — to every surviving disk, each column as one
+// gather write through the best-effort run writer. A disk that fails during
+// the store is skipped — its content is moot and the stripe stays
 // reconstructable — unless that pushes the array past two failures.
-func (a *Array) storeStripe(stripeIdx int64, sc *opScratch) error {
+func (a *Array) storeStripe(stripeIdx int64, data [][]byte, sc *opScratch) error {
 	rows := a.code.Rows()
-	s := sc.s
-	if a.aio != nil {
-		runs := sc.runs[:0]
-		for c := 0; c < a.code.Cols(); c++ {
-			if !a.isFailed(c) {
-				runs = append(runs, cellRun{col: c, row: 0, n: rows})
-			}
-		}
-		sc.runs = runs
-		a.writeRunsBestEffortAsync(stripeIdx, runs, s, sc)
-	} else {
-		_ = a.fanOut(a.code.Cols(), func(c int) error {
-			if a.isFailed(c) {
-				return nil
-			}
-			// writeRunBestEffort marks a disk failed on error and keeps going
-			// so the surviving disks still receive a consistent stripe.
-			a.writeRunBestEffort(stripeIdx, cellRun{col: c, row: 0, n: rows}, s, sc.tc.Link())
-			return nil
-		})
+	runs := sc.runs[:0]
+	for c := 0; c < a.code.Cols(); c++ {
+		runs = append(runs, cellRun{col: c, row: 0, n: rows})
 	}
+	sc.runs = runs
+	a.writeRuns(stripeIdx, runs, data, sc)
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
@@ -570,6 +547,7 @@ func (a *Array) readStripeRun(r stripeRun, ranges []elemRange, p []byte, parent 
 	mu := a.lockStripe(r.si)
 	mu.Lock()
 	err := a.readStripeRanges(r.si, ranges[r.lo:r.hi], p, sc)
+	a.endDegraded(sc)
 	mu.Unlock()
 	a.tr.End(sc.tc, rangeBytes(ranges[r.lo:r.hi], sc.tc), err != nil)
 	return err
@@ -589,11 +567,12 @@ func rangeBytes(ers []elemRange, tc trace.Ctx) int64 {
 }
 
 // readStripeRanges serves one stripe's element ranges, retrying with
-// progressively degraded strategies as failures are discovered. The fetched
-// elements land in sc.s.
+// progressively degraded strategies as failures are discovered. The general
+// path fetches the elements into sc.s and copies the ranges out.
 func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
-	// Aligned ranges on a healthy cache-less array scatter device reads
-	// straight into p; any error falls through to the general path below.
+	// Aligned ranges on a cache-less array with at most one column down are
+	// read and rebuilt straight into p; any error falls through to the
+	// general path below.
 	if a.readStripeDirect(si, ers, p, sc) {
 		return nil
 	}
@@ -608,6 +587,7 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 		if err != nil {
 			return err
 		}
+		a.endDegraded(sc) // the degraded record times the fetch, not the copy-out
 		for _, er := range ers {
 			copy(p[er.bufOff:er.bufOff+er.length],
 				sc.s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length])
@@ -667,25 +647,52 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 		return nil
 	}
 
-	// Degraded: one span, event and latency sample around whichever strategy
-	// the failure count picks (column -1 marks the double-failure path).
+	// Degraded: whichever strategy the failure count picks (column -1 marks
+	// the double-failure path) runs under the task's one degraded record.
 	down := -1
 	if failed.count() == 1 {
 		down = bits.TrailingZeros64(uint64(failed))
 	}
-	start := time.Now()
-	tcd := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
-	a.ev.Record(obs.EvDegradedRead, int32(down), si, tcd.Link().Trace, 0)
-	a.m.degradedReads.Inc()
-	var err error
+	a.beginDegraded(si, down, len(wanted), sc)
 	if down >= 0 {
-		err = a.fetchPlanned(si, down, wanted, sc)
-	} else {
-		err = a.fetchReconstructed(si, wanted, sc)
+		return a.fetchPlanned(si, down, wanted, sc)
 	}
-	a.m.degradedReadLatency.Observe(time.Since(start))
-	a.tr.End(tcd, int64(len(wanted))*int64(a.elemSize), false)
-	return err
+	return a.fetchReconstructed(si, wanted, sc)
+}
+
+// degradedRead is a stripe task's degraded-read record — span, flight-recorder
+// event, counter and latency sample — begun when the task first needs a lost
+// cell and ended once the wanted bytes are fetched (or with the task, on
+// error), so a task counts once however many strategies (direct, planned,
+// whole-stripe) it tries on the way. A zero start means the task has not gone
+// degraded.
+type degradedRead struct {
+	tc    trace.Ctx
+	start time.Time
+	bytes int64
+}
+
+// beginDegraded opens the task's degraded record — cells wanted elements,
+// column down failed (-1: more than one) — unless the task already has one,
+// which it keeps.
+func (a *Array) beginDegraded(si int64, down, cells int, sc *opScratch) {
+	if !sc.deg.start.IsZero() {
+		return
+	}
+	tc := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
+	sc.deg = degradedRead{tc: tc, start: time.Now(), bytes: int64(cells) * int64(a.elemSize)}
+	a.ev.Record(obs.EvDegradedRead, int32(down), si, tc.Link().Trace, 0)
+	a.m.degradedReads.Inc()
+}
+
+// endDegraded closes the task's degraded record, if it opened one.
+func (a *Array) endDegraded(sc *opScratch) {
+	if sc.deg.start.IsZero() {
+		return
+	}
+	a.m.degradedReadLatency.Observe(time.Since(sc.deg.start))
+	a.tr.End(sc.deg.tc, sc.deg.bytes, false)
+	sc.deg = degradedRead{}
 }
 
 // fetchPlanned serves a single-failure degraded fetch: it reads only the
@@ -706,7 +713,7 @@ func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opS
 		// Recover target = XOR of its group's other cells, one XOR op per
 		// cell folded.
 		dst := sc.s.Elem(step.Target.Row, step.Target.Col)
-		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, step.Group, step.Target))
+		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, step.Target))
 		// Memoize the reconstruction so repeated reads of the failed
 		// column hit the cache instead of re-deriving the element.
 		a.cachePut(si, step.Target, dst)
@@ -832,16 +839,14 @@ func (a *Array) writeStripeRunLocked(r stripeRun, ranges []elemRange, p []byte, 
 //   - reconstruct-write: read the untouched data, re-encode, write the new
 //     data + every parity — (D−w) + partials reads and w + G writes.
 //
+// A full-stripe write is reconstruct-write with nothing left to read: it
+// encodes parity from the caller's views and commits every column as one
+// gather write, so the data bytes never transit stripe memory.
+//
 // A degraded array (including failures discovered mid-write) takes the
 // load-reconstruct-encode-store path. Both strategies can fail recoverably
 // only while gathering, before any device is mutated, so falling back is safe.
 func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
-	// An aligned full-stripe write on a healthy cache-less array gathers
-	// straight from p, encoding parity from the user's views (EncodeFrom) —
-	// the data bytes never transit stripe memory.
-	if done, err := a.writeStripeDirect(si, ers, p, sc); done {
-		return err
-	}
 	if a.failedCount() == 0 {
 		rmwCost, rwCost := a.planStripeWrite(ers, sc)
 		var err error
@@ -862,28 +867,21 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 	if err := a.loadStripe(si, sc); err != nil {
 		return err
 	}
-	overlayRanges(sc.s, ers, p)
+	data := a.overlay(ers, p, sc)
+	defer clear(data)
 	ps := time.Now()
-	a.code.Encode(sc.s)
+	a.code.EncodeFrom(sc.s, data)
 	a.m.parityLatency.Observe(time.Since(ps))
-	if err := a.storeStripe(si, sc); err != nil {
+	if err := a.storeStripe(si, data, sc); err != nil {
 		return err
 	}
 	// Write the whole encoded stripe through: on a degraded array the cells
 	// of failed columns cannot be stored, but their logical value is exactly
-	// what sc.s holds, so subsequent degraded reads hit without rebuilding.
-	a.cachePutStripe(si, sc.s)
+	// what sc.s and the overlay hold, so subsequent degraded reads hit
+	// without rebuilding.
+	a.cachePutStripe(si, sc.s, data)
 	a.m.fullStripeWrites.Inc()
 	return nil
-}
-
-// overlayRanges copies the written byte ranges from the caller's buffer over
-// their elements in stripe memory.
-func overlayRanges(s *stripe.Stripe, ers []elemRange, p []byte) {
-	for _, er := range ers {
-		copy(s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length],
-			p[er.bufOff:er.bufOff+er.length])
-	}
 }
 
 // planStripeWrite marks one stripe task's write set in the scratch — sc.coords
@@ -924,12 +922,13 @@ func (a *Array) planStripeWrite(ers []elemRange, sc *opScratch) (rmwCost, rwCost
 	return 2*w + 2*pCnt, (a.code.DataElems() - w) + partials + w + len(a.code.Groups())
 }
 
-// reconstructWrite serves a large partial write on a healthy array: it reads
-// only the untouched data elements (plus partially overwritten ones),
-// re-encodes the stripe in memory, and writes the new data elements and
-// every parity. It never reads old parity. The written set and partial marks
-// arrive in sc.seen/sc.part from writeStripeRanges; both the reads and the
-// commit are coalesced per column.
+// reconstructWrite serves a large or full-stripe write on a healthy array: it
+// reads only the untouched data elements (plus partially overwritten ones;
+// nothing for an aligned full stripe), re-encodes the stripe — whole new
+// elements read from p through the data overlay — and writes the new data
+// elements and every parity. It never reads old parity. The written set and
+// partial marks arrive in sc.seen/sc.part from planStripeWrite; both the
+// reads and the commit are coalesced per column.
 func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScratch) error {
 	cols := a.code.Cols()
 	// Read set: untouched data cells, plus partially overwritten ones (they
@@ -947,25 +946,34 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 	if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
 		return err
 	}
-	overlayRanges(sc.s, ers, p)
+	data := a.overlay(ers, p, sc)
 	ps := time.Now()
-	a.code.Encode(sc.s)
+	a.code.EncodeFrom(sc.s, data)
 	a.m.parityLatency.Observe(time.Since(ps))
 	// Commit: written data elements plus every parity cell. Like storeStripe,
 	// a device failing mid-commit is skipped — aborting here would leave the
 	// surviving cells half old, half new; completing the commit keeps them
-	// mutually consistent and the failed column reconstructable.
-	commit := sc.fetch[:0]
-	commit = append(commit, sc.coords...)
-	for _, g := range a.code.Groups() {
-		commit = append(commit, g.Parity)
+	// mutually consistent and the failed column reconstructable. Write-through
+	// caches the committed cells' new logical values: a device that failed
+	// mid-commit keeps the cached value correct — the surviving parities
+	// reconstruct exactly what sc.s and the overlay hold.
+	if len(fetch) == 0 {
+		// Every data element was written whole, so the commit is the whole
+		// stripe (every cell is data or parity): storeStripe's column runs,
+		// with no commit list to coalesce.
+		_ = a.storeStripe(si, data, sc)
+		a.cachePutStripe(si, sc.s, data)
+	} else {
+		commit := sc.fetch[:0]
+		commit = append(commit, sc.coords...)
+		for _, g := range a.code.Groups() {
+			commit = append(commit, g.Parity)
+		}
+		sc.fetch = commit
+		a.writeCellsBestEffort(si, commit, data, sc)
+		a.cacheFill(si, commit, sc.s, data)
 	}
-	sc.fetch = commit
-	a.writeCellsBestEffort(si, commit, sc.s, sc)
-	// Write-through: the committed cells' new logical values. A device that
-	// failed mid-commit keeps the cached value correct — the surviving
-	// parities reconstruct exactly what sc.s holds.
-	a.cacheFill(si, commit, sc.s)
+	clear(data) // drop the user-buffer references before the scratch is pooled
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
@@ -981,7 +989,8 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 // old ⊕ new of every written byte range it covers — whole elements of one
 // group through a single XORMulti pass, partial ranges on their sub-slices —
 // so a parity shared by several written elements is patched once. Commit: new
-// data and patched parities go out through the best-effort run writer; a disk
+// data (whole elements straight from p through the data overlay) and patched
+// parities go out through the best-effort run writer; a disk
 // that fails during commit is skipped — its contents are moot and the delta
 // applied to the surviving parities keeps the new values reconstructable.
 func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) error {
@@ -1026,10 +1035,12 @@ func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) er
 		clear(srcs) // drop the user-buffer references before the scratch is pooled
 	}
 	sc.srcs = srcs
-	overlayRanges(sc.s, ers, p)
-
-	a.writeCellsBestEffort(si, cells, sc.s, sc)
-	a.cacheFill(si, cells, sc.s)
+	// The fold has consumed the old data, so the new bytes may now take its
+	// place: whole elements stay in p, partial ranges go over sc.s.
+	data := a.overlay(ers, p, sc)
+	a.writeCellsBestEffort(si, cells, data, sc)
+	a.cacheFill(si, cells, sc.s, data)
+	clear(data) // drop the user-buffer references before the scratch is pooled
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
@@ -1161,7 +1172,7 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 	for r := 0; r < rows; r++ {
 		if gi := plan.GroupChoice[r]; gi >= 0 {
 			target := erasure.Coord{Row: r, Col: col}
-			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, gi, target))
+			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, nil, gi, target))
 			sc.seen[r*cols+col] = true
 		}
 	}
@@ -1176,7 +1187,7 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 				}
 			}
 			target := erasure.Coord{Row: r, Col: col}
-			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, gi, target))
+			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, nil, gi, target))
 		}
 	}
 	if err := a.writeColumn(si, col, sc.s, sc.tc.Link()); err != nil {
@@ -1235,7 +1246,7 @@ func (a *Array) scrubStripeTask(si int64, parent trace.Link) (fixed int64, err e
 	ps := time.Now()
 	a.code.Encode(sc.s)
 	a.m.parityLatency.Observe(time.Since(ps))
-	if err := a.storeStripe(si, sc); err != nil {
+	if err := a.storeStripe(si, nil, sc); err != nil {
 		return 0, err
 	}
 	// The stripe disagreed with its parity, so some device diverged from

@@ -7,6 +7,7 @@ import (
 
 	"dcode/internal/blockdev"
 	"dcode/internal/codes"
+	"dcode/internal/erasure"
 )
 
 const elemSize = 64
@@ -570,6 +571,47 @@ func TestReadRepairHealsBadSector(t *testing.T) {
 	}
 	if a.Stats().SectorsRepaired != 1 {
 		t.Fatal("repair ran twice for a healed sector")
+	}
+}
+
+// TestReadRepairAllocs pins repairElem's fold: with the plan memo and the
+// scratch pool warm, rebuilding one element from its parity group reads into
+// pooled stripe memory and folds through FoldGroup — no per-cell buffers, no
+// map.
+func TestReadRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless under -race")
+	}
+	a, _ := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
+	data := pattern(int(a.Size()), 57)
+	if _, err := a.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	co := a.Code().DataCoord(0)
+	dst := make([]byte, elemSize)
+	if err := a.repairElem(0, co, dst); err != nil { // warm the memo and the pool
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, data[:elemSize]) {
+		t.Fatal("repair rebuilt the wrong bytes")
+	}
+	xor := a.Snapshot().XOR.DecodeOps
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := a.repairElem(0, co, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("one read-repair allocates %.1f times, want 0", avg)
+	}
+	// One decode XOR per folded cell — the group's other members and its
+	// parity — per repair (AllocsPerRun makes one warm-up call).
+	plan, err := a.planDegraded(co.Col, []erasure.Coord{co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := int64(len(a.Code().Groups()[plan.Steps[0].Group].Members))
+	if got := a.Snapshot().XOR.DecodeOps - xor; got != 21*per {
+		t.Errorf("21 repairs counted %d decode XORs, want %d", got, 21*per)
 	}
 }
 
