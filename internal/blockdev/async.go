@@ -20,8 +20,10 @@ package blockdev
 // Both engines preserve the synchronous path's per-device accounting: a
 // target that is an *Instrumented tallies each completed operation with the
 // same ops-equivalent counts, bytes, error and latency accounting as
-// ReadVecAtN/WriteVecAtN (the pool engine simply calls them; the ring
-// accounts completions through AccountRead/AccountWrite).
+// ReadVecAtNLink/WriteVecAtNLink (the pool engine simply calls them, so a
+// link-capable target also receives each operation's trace link; the ring
+// accounts completions through the same wrapper's accounting and serves only
+// file-backed targets, which have no link to carry).
 //
 // Buffer ownership: from Submit until the Completion is waited on, the
 // engine owns the submitted buffers — the kernel (or a worker goroutine) may
@@ -35,6 +37,7 @@ import (
 	"time"
 
 	"dcode/internal/obs"
+	"dcode/internal/trace"
 )
 
 // AsyncQueue is the device-submission engine interface. Implementations are
@@ -42,13 +45,13 @@ import (
 type AsyncQueue interface {
 	// SubmitReadVec stages one vectored scatter read of target device t
 	// (an index into the queue's device set) at offset off. ops is the
-	// ops-equivalent element count for Instrumented accounting, exactly as
-	// in ReadVecAtN. The operation is not guaranteed to start until Kick
-	// (an engine may start it earlier); the returned handle's Wait blocks
-	// until it completes.
-	SubmitReadVec(t int, bufs [][]byte, off int64, ops int64) *Completion
+	// ops-equivalent element count for Instrumented accounting and l the
+	// caller's span link, exactly as in ReadVecAtNLink. The operation is not
+	// guaranteed to start until Kick (an engine may start it earlier); the
+	// returned handle's Wait blocks until it completes.
+	SubmitReadVec(t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion
 	// SubmitWriteVec is SubmitReadVec for a vectored gather write.
-	SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64) *Completion
+	SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion
 	// Kick flushes everything staged to the devices as one batch.
 	Kick()
 	// Depth is the configured queue depth (maximum useful overlap).
@@ -69,6 +72,7 @@ type Completion struct {
 	bufs  [][]byte
 	off   int64
 	ops   int64
+	link  trace.Link
 	start time.Time // submit time; OpLatency spans submit→completion
 
 	n    int
@@ -101,21 +105,13 @@ func NewAsyncQueue(devs []Device, depth int) AsyncQueue {
 // DefaultAsyncDepth is the queue depth used when none is configured.
 const DefaultAsyncDepth = 32
 
-// vecNDevice is the ops-equivalent vectored surface of Instrumented; the
-// pool engine uses it so completed operations tally exactly like the
-// synchronous path.
-type vecNDevice interface {
-	ReadVecAtN(bufs [][]byte, off int64, ops int64) (int, error)
-	WriteVecAtN(bufs [][]byte, off int64, ops int64) (int, error)
-}
-
 // poolQueue is the portable engine: staged submissions flow through a
 // buffered channel to depth worker goroutines, each executing the same
 // vectored call the synchronous path would have made. Semantically identical
 // to the ring by construction — the device methods themselves do the work
 // and the accounting.
 type poolQueue struct {
-	devs  []Device
+	devs  []*Instrumented
 	depth int
 	m     obs.AsyncMetrics
 
@@ -133,9 +129,16 @@ func NewAsyncPool(devs []Device, depth int) AsyncQueue {
 		depth = DefaultAsyncDepth
 	}
 	q := &poolQueue{
-		devs:  devs,
+		devs:  make([]*Instrumented, len(devs)),
 		depth: depth,
 		ch:    make(chan *Completion, depth),
+	}
+	for i, d := range devs {
+		// Every operation runs through the Instrumented link pair; a bare
+		// target gets a private wrapper, whose tallies nobody reads.
+		if q.devs[i], _ = d.(*Instrumented); q.devs[i] == nil {
+			q.devs[i] = Instrument(d)
+		}
 	}
 	for i := 0; i < depth; i++ {
 		q.wg.Add(1)
@@ -149,18 +152,18 @@ func (q *poolQueue) Engine() string             { return "pool" }
 func (q *poolQueue) Metrics() *obs.AsyncMetrics { return &q.m }
 
 // SubmitReadVec implements AsyncQueue.
-func (q *poolQueue) SubmitReadVec(t int, bufs [][]byte, off int64, ops int64) *Completion {
-	return q.submit(false, t, bufs, off, ops)
+func (q *poolQueue) SubmitReadVec(t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion {
+	return q.submit(false, t, bufs, off, ops, l)
 }
 
 // SubmitWriteVec implements AsyncQueue.
-func (q *poolQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64) *Completion {
-	return q.submit(true, t, bufs, off, ops)
+func (q *poolQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion {
+	return q.submit(true, t, bufs, off, ops, l)
 }
 
-func (q *poolQueue) submit(write bool, t int, bufs [][]byte, off int64, ops int64) *Completion {
+func (q *poolQueue) submit(write bool, t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion {
 	c := &Completion{
-		write: write, t: t, bufs: bufs, off: off, ops: ops,
+		write: write, t: t, bufs: bufs, off: off, ops: ops, link: l,
 		start: time.Now(), done: make(chan struct{}),
 	}
 	q.m.Submitted.Inc()
@@ -203,17 +206,10 @@ func (q *poolQueue) worker() {
 	for c := range q.ch {
 		var n int
 		var err error
-		dev := q.devs[c.t]
-		if v, ok := dev.(vecNDevice); ok {
-			if c.write {
-				n, err = v.WriteVecAtN(c.bufs, c.off, c.ops)
-			} else {
-				n, err = v.ReadVecAtN(c.bufs, c.off, c.ops)
-			}
-		} else if c.write {
-			n, err = dev.WriteVecAt(c.bufs, c.off)
+		if dev := q.devs[c.t]; c.write {
+			n, err = dev.WriteVecAtNLink(c.bufs, c.off, c.ops, c.link)
 		} else {
-			n, err = dev.ReadVecAt(c.bufs, c.off)
+			n, err = dev.ReadVecAtNLink(c.bufs, c.off, c.ops, c.link)
 		}
 		q.finish(c, n, err)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dcode/internal/trace"
 )
 
 // asyncProfile is one deterministic vectored-op workload; the parity tests
@@ -84,7 +86,7 @@ func tallyOf(d *Instrumented) string {
 }
 
 // TestAsyncPoolParity replays each workload profile through the synchronous
-// ReadVecAtN/WriteVecAtN path and through the pool engine and requires
+// ReadVecAtNLink/WriteVecAtNLink path and through the pool engine and requires
 // bit-identical buffers and identical per-device tallies — the fallback
 // engine must be indistinguishable from the path it replaces.
 func TestAsyncPoolParity(t *testing.T) {
@@ -100,9 +102,9 @@ func TestAsyncPoolParity(t *testing.T) {
 				syncBufs[i] = bufs
 				var err error
 				if op.write {
-					_, err = sins[op.t].WriteVecAtN(bufs, op.offs, op.ops)
+					_, err = sins[op.t].WriteVecAtNLink(bufs, op.offs, op.ops, trace.Link{})
 				} else {
-					_, err = sins[op.t].ReadVecAtN(bufs, op.offs, op.ops)
+					_, err = sins[op.t].ReadVecAtNLink(bufs, op.offs, op.ops, trace.Link{})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -117,9 +119,9 @@ func TestAsyncPoolParity(t *testing.T) {
 				bufs := opBufs(op)
 				asyncBufs[i] = bufs
 				if op.write {
-					comps = append(comps, q.SubmitWriteVec(op.t, bufs, op.offs, op.ops))
+					comps = append(comps, q.SubmitWriteVec(op.t, bufs, op.offs, op.ops, trace.Link{}))
 				} else {
-					comps = append(comps, q.SubmitReadVec(op.t, bufs, op.offs, op.ops))
+					comps = append(comps, q.SubmitReadVec(op.t, bufs, op.offs, op.ops, trace.Link{}))
 				}
 				// Writes order-depend on earlier ops in these profiles; drain
 				// between ops so the replay is deterministic. Parity is about
@@ -161,19 +163,19 @@ func TestAsyncPoolFaultInjection(t *testing.T) {
 	defer q.Close()
 
 	mem.InjectBadSector(10)
-	c := q.SubmitReadVec(0, [][]byte{make([]byte, 64)}, 0, 1)
+	c := q.SubmitReadVec(0, [][]byte{make([]byte, 64)}, 0, 1, trace.Link{})
 	q.Kick()
 	if _, err := c.Wait(); !errors.Is(err, ErrBadSector) {
 		t.Fatalf("bad sector: got %v", err)
 	}
 
 	mem.Fail()
-	c = q.SubmitReadVec(0, [][]byte{make([]byte, 64)}, 512, 1)
+	c = q.SubmitReadVec(0, [][]byte{make([]byte, 64)}, 512, 1, trace.Link{})
 	q.Kick()
 	if _, err := c.Wait(); !errors.Is(err, ErrFailed) {
 		t.Fatalf("failed device read: got %v", err)
 	}
-	c = q.SubmitWriteVec(0, [][]byte{make([]byte, 64)}, 512, 1)
+	c = q.SubmitWriteVec(0, [][]byte{make([]byte, 64)}, 512, 1, trace.Link{})
 	q.Kick()
 	if _, err := c.Wait(); !errors.Is(err, ErrFailed) {
 		t.Fatalf("failed device write: got %v", err)
@@ -195,8 +197,8 @@ func TestAsyncAutoKick(t *testing.T) {
 	devs, _ := newInstrumentedMems(1, 1<<12)
 	q := NewAsyncPool(devs, 2)
 	defer q.Close()
-	c1 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 0, 1)
-	c2 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 8, 1)
+	c1 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 0, 1, trace.Link{})
+	c2 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 8, 1, trace.Link{})
 	// Two staged ops reached depth 2: both must complete without Kick.
 	if _, err := c1.Wait(); err != nil {
 		t.Fatal(err)
@@ -216,7 +218,7 @@ func TestAsyncCloseDrains(t *testing.T) {
 	q := NewAsyncQueue(devs, 8)
 	var comps []*Completion
 	for i := 0; i < 30; i++ {
-		comps = append(comps, q.SubmitReadVec(i%2, [][]byte{make([]byte, 32)}, int64(i*32), 1))
+		comps = append(comps, q.SubmitReadVec(i%2, [][]byte{make([]byte, 32)}, int64(i*32), 1, trace.Link{}))
 	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
@@ -298,7 +300,7 @@ func TestAsyncQueueOverlapsDelayed(t *testing.T) {
 	asyncStart := time.Now()
 	comps := make([]*Completion, n)
 	for i := range comps {
-		comps[i] = q.SubmitReadVec(i, [][]byte{make([]byte, 16)}, 0, 1)
+		comps[i] = q.SubmitReadVec(i, [][]byte{make([]byte, 16)}, 0, 1, trace.Link{})
 	}
 	q.Kick()
 	for _, c := range comps {
@@ -343,7 +345,7 @@ func TestURingEngine(t *testing.T) {
 	data := bytes.Repeat([]byte{0xC7}, 4096)
 	var comps []*Completion
 	for i := range devs {
-		comps = append(comps, q.SubmitWriteVec(i, [][]byte{data[:1024], data[1024:]}, 8192, 2))
+		comps = append(comps, q.SubmitWriteVec(i, [][]byte{data[:1024], data[1024:]}, 8192, 2, trace.Link{}))
 	}
 	q.Kick()
 	for _, c := range comps {
@@ -352,7 +354,7 @@ func TestURingEngine(t *testing.T) {
 		}
 	}
 	got := make([]byte, 4096)
-	c := q.SubmitReadVec(2, [][]byte{got[:1000], got[1000:]}, 8192, 2)
+	c := q.SubmitReadVec(2, [][]byte{got[:1000], got[1000:]}, 8192, 2, trace.Link{})
 	q.Kick()
 	if n, err := c.Wait(); err != nil || n != len(got) {
 		t.Fatalf("read n=%d err=%v", n, err)
@@ -366,7 +368,7 @@ func TestURingEngine(t *testing.T) {
 	}
 
 	// A read past EOF comes back short.
-	c = q.SubmitReadVec(0, [][]byte{make([]byte, 4096)}, size-1024, 4)
+	c = q.SubmitReadVec(0, [][]byte{make([]byte, 4096)}, size-1024, 4, trace.Link{})
 	q.Kick()
 	if _, err := c.Wait(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short read: got %v, want ErrUnexpectedEOF", err)
@@ -477,15 +479,15 @@ func FuzzAsyncPoolParity(f *testing.F) {
 			}
 			var serr, aerr error
 			if write {
-				_, serr = sdev.WriteVecAtN([][]byte{sb}, off, 1)
+				_, serr = sdev.WriteVecAtNLink([][]byte{sb}, off, 1, trace.Link{})
 			} else {
-				_, serr = sdev.ReadVecAtN([][]byte{sb}, off, 1)
+				_, serr = sdev.ReadVecAtNLink([][]byte{sb}, off, 1, trace.Link{})
 			}
 			var c *Completion
 			if write {
-				c = q.SubmitWriteVec(0, [][]byte{ab}, off, 1)
+				c = q.SubmitWriteVec(0, [][]byte{ab}, off, 1, trace.Link{})
 			} else {
-				c = q.SubmitReadVec(0, [][]byte{ab}, off, 1)
+				c = q.SubmitReadVec(0, [][]byte{ab}, off, 1, trace.Link{})
 			}
 			q.Kick()
 			_, aerr = c.Wait()

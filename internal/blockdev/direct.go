@@ -15,9 +15,10 @@ package blockdev
 //     kernel page cache handles sub-sector granularity; Linux keeps the two
 //     views of one file coherent).
 //
-// Vectored calls (ReadVecAt/WriteVecAt) always use the buffered descriptor:
-// every iovec would need its own alignment, which the raid layer's
-// caller-provided buffers cannot promise. The async ring engine registers
+// Vectored calls (ReadVecAt/WriteVecAt) of more than one buffer use the
+// buffered descriptor: every iovec would need its own alignment, which the
+// raid layer's caller-provided buffers cannot promise. A one-buffer call —
+// the raid layer's contiguous runs — is dispatched like ReadAt/WriteAt. The async ring engine registers
 // the buffered descriptor for the same reason (see uring_linux.go and the
 // fallback matrix in DESIGN.md §6g).
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"dcode/internal/trace"
 )
 
 func TestInstrumentedCountsAndErrors(t *testing.T) {
@@ -57,7 +59,8 @@ func TestInstrumentedCountsAndErrors(t *testing.T) {
 }
 
 // TestInstrumentedNOps checks the coalesced-I/O accounting contract: one
-// physical ReadAtN/WriteAtN call tallies the element operations it replaces,
+// physical ReadVecAtNLink/WriteVecAtNLink call tallies the element operations
+// it replaces,
 // observes latency once, and on error counts a single op plus one error —
 // matching the element-wise path, where the first failing element stops the
 // loop.
@@ -66,10 +69,10 @@ func TestInstrumentedNOps(t *testing.T) {
 	dev := Instrument(mem)
 
 	buf := make([]byte, 512)
-	if _, err := dev.WriteAtN(buf, 0, 4); err != nil {
+	if _, err := dev.WriteVecAtNLink([][]byte{buf}, 0, 4, trace.Link{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.ReadAtN(buf, 0, 4); err != nil {
+	if _, err := dev.ReadVecAtNLink([][]byte{buf}, 0, 4, trace.Link{}); err != nil {
 		t.Fatal(err)
 	}
 	s := dev.Metrics().Snapshot()
@@ -85,7 +88,7 @@ func TestInstrumentedNOps(t *testing.T) {
 	}
 
 	mem.Fail()
-	if _, err := dev.ReadAtN(buf, 0, 4); !errors.Is(err, ErrFailed) {
+	if _, err := dev.ReadVecAtNLink([][]byte{buf}, 0, 4, trace.Link{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("got %v", err)
 	}
 	s = dev.Metrics().Snapshot()
@@ -112,14 +115,14 @@ func TestInstrumentedOpHook(t *testing.T) {
 	})
 
 	buf := make([]byte, 256)
-	if _, err := dev.WriteAtN(buf, 0, 4); err != nil {
+	if _, err := dev.WriteVecAtNLink([][]byte{buf}, 0, 4, trace.Link{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	mem.Fail()
-	if _, err := dev.ReadAtN(buf, 0, 9); !errors.Is(err, ErrFailed) {
+	if _, err := dev.ReadVecAtNLink([][]byte{buf}, 0, 9, trace.Link{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("got %v", err)
 	}
 

@@ -18,7 +18,7 @@ package blockdev
 // coalesced runs, one syscall. A single harvester goroutine blocks in
 // io_uring_enter(GETEVENTS) and dispatches completions: per-device
 // Instrumented accounting (identical to the synchronous path's
-// ReadVecAtN/WriteVecAtN), then the per-op completion handle.
+// ReadVecAtNLink/WriteVecAtNLink), then the per-op completion handle.
 //
 // Buffer lifetime: the kernel reads and writes the submitted iovecs until
 // their CQE is reaped, so every submitted operation keeps its iovec slice
@@ -38,6 +38,7 @@ import (
 	"unsafe"
 
 	"dcode/internal/obs"
+	"dcode/internal/trace"
 )
 
 const (
@@ -318,13 +319,14 @@ func (q *uringQueue) Depth() int                 { return q.depth }
 func (q *uringQueue) Engine() string             { return "uring" }
 func (q *uringQueue) Metrics() *obs.AsyncMetrics { return &q.m }
 
-// SubmitReadVec implements AsyncQueue.
-func (q *uringQueue) SubmitReadVec(t int, bufs [][]byte, off int64, ops int64) *Completion {
+// SubmitReadVec implements AsyncQueue. The ring serves only FileDevice
+// targets, which have no trace link to carry, so l is not kept.
+func (q *uringQueue) SubmitReadVec(t int, bufs [][]byte, off int64, ops int64, _ trace.Link) *Completion {
 	return q.submit(false, t, bufs, off, ops)
 }
 
-// SubmitWriteVec implements AsyncQueue.
-func (q *uringQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64) *Completion {
+// SubmitWriteVec implements AsyncQueue; see SubmitReadVec.
+func (q *uringQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64, _ trace.Link) *Completion {
 	return q.submit(true, t, bufs, off, ops)
 }
 
@@ -482,7 +484,8 @@ func (q *uringQueue) harvest() {
 }
 
 // complete dispatches one CQE: per-device accounting identical to the
-// synchronous ReadVecAtN/WriteVecAtN path, engine metrics, then the waiter.
+// synchronous ReadVecAtNLink/WriteVecAtNLink path, engine metrics, then the
+// waiter.
 func (q *uringQueue) complete(id uint64, res int32) {
 	q.mu.Lock()
 	op, ok := q.pending[id]
@@ -510,9 +513,9 @@ func (q *uringQueue) complete(id uint64, res int32) {
 	}
 	if d := q.devs[op.c.t]; d.ins != nil {
 		if op.c.write {
-			d.ins.AccountWrite(op.kstart, n, err, op.c.ops)
+			d.ins.accountWrite(op.kstart, n, err, op.c.ops)
 		} else {
-			d.ins.AccountRead(op.kstart, n, err, op.c.ops)
+			d.ins.accountRead(op.kstart, n, err, op.c.ops)
 		}
 	}
 	// The kernel is done with the iovecs and buffers as of this CQE.

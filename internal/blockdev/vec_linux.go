@@ -18,14 +18,22 @@ const iovChunk = 64
 // (per iovChunk chunk), issued via raw Syscall6 so the repository stays
 // dependency-free. The kernel moves the contiguous file range directly into
 // the caller's buffers — no staging copy, no per-buffer syscalls. EINTR and
-// short reads advance the cursor and retry.
+// short reads advance the cursor and retry. On a device with an O_DIRECT
+// descriptor a single buffer is a plain ReadAt, so a contiguous run still
+// takes the direct descriptor when it is aligned (see direct.go).
 func (d *FileDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
+	if d.direct != nil && len(bufs) == 1 {
+		return d.ReadAt(bufs[0], off)
+	}
 	return d.vecIO(bufs, off, syscall.SYS_PREADV)
 }
 
 // WriteVecAt implements Device as a true gather write via pwritev(2); see
 // ReadVecAt.
 func (d *FileDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
+	if d.direct != nil && len(bufs) == 1 {
+		return d.WriteAt(bufs[0], off)
+	}
 	return d.vecIO(bufs, off, syscall.SYS_PWRITEV)
 }
 

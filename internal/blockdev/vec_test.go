@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dcode/internal/trace"
 )
 
 // chunkRand cuts p into deterministic pseudo-random pieces, including some
@@ -207,10 +209,10 @@ func TestInstrumentedVecTallies(t *testing.T) {
 		hookBytes += bytes
 	})
 	bufs := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16)}
-	if _, err := d.WriteVecAtN(bufs, 0, 3); err != nil {
+	if _, err := d.WriteVecAtNLink(bufs, 0, 3, trace.Link{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadVecAtN(bufs, 0, 3); err != nil {
+	if _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}); err != nil {
 		t.Fatal(err)
 	}
 	m := d.Metrics()
@@ -233,7 +235,7 @@ func TestInstrumentedVecTallies(t *testing.T) {
 	}
 	// A failed vectored call is one failed access.
 	mem.Fail()
-	if _, err := d.ReadVecAtN(bufs, 0, 3); !errors.Is(err, ErrFailed) {
+	if _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("vec read on failed device: %v", err)
 	}
 	if m.Reads.Load() != 5 || m.ReadErrors.Load() != 1 {

@@ -20,7 +20,7 @@ import (
 // invalidation (the Array's cache* helpers and the cache package's
 // Put/Invalidate methods). A root — an exported function, or one nothing in
 // the package calls — that reaches a write but no cache touch has no
-// coherence story and is reported. Pure helpers (writeElem, writeColumn,
+// coherence story and is reported. Pure helpers (elemIO, writeColumn,
 // storeStripe) stay silent as long as every root above them touches the
 // cache; pre-cache paths are suppressed with lint:ignore cachecheck and a
 // justification.

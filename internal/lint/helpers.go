@@ -102,19 +102,21 @@ func isMutexType(t types.Type) bool {
 	return typeIs(t, "sync", "Mutex") || typeIs(t, "sync", "RWMutex")
 }
 
-// deviceMethodNames is the accounting-bearing device I/O surface, scalar and
-// vectored alike — a discarded scatter/gather error skips failure marking
-// exactly as a discarded ReadAt error would.
+// deviceMethodNames is the accounting-bearing device I/O surface: the Device
+// methods, Instrumented's ops-and-link pair and LinkedDevice's link pair — a
+// discarded scatter/gather error skips failure marking exactly as a
+// discarded ReadAt error would.
 var deviceMethodNames = map[string]bool{
-	"ReadAt": true, "WriteAt": true, "ReadAtN": true, "WriteAtN": true,
-	"ReadVecAt": true, "WriteVecAt": true, "ReadVecAtN": true, "WriteVecAtN": true,
+	"ReadAt": true, "WriteAt": true, "ReadVecAt": true, "WriteVecAt": true,
+	"ReadVecAtNLink": true, "WriteVecAtNLink": true,
+	"ReadVecAtLink": true, "WriteVecAtLink": true,
 }
 
-// deviceCall classifies a call as device-surface I/O: a
-// ReadAt/WriteAt/ReadAtN/WriteAtN method whose receiver is a blockdev type
-// (Device implementations and the Instrumented wrapper) or a module type
-// exposing the same surface (the raid array and its facade). It returns the
-// method object and whether the call writes.
+// deviceCall classifies a call as device-surface I/O: a deviceMethodNames
+// method whose receiver is a blockdev type (Device implementations and the
+// Instrumented wrapper) or a module type exposing the same surface (the raid
+// array and its facade). It returns the method object and whether the call
+// writes.
 func deviceCall(m *Module, info *types.Info, call *ast.CallExpr) (fn *types.Func, isWrite bool, ok bool) {
 	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !selOK || !deviceMethodNames[sel.Sel.Name] {

@@ -9,12 +9,19 @@ import (
 
 	"dcode/internal/blockdev"
 	"dcode/internal/blockserve"
+	"dcode/internal/trace"
 )
 
 func discards(dev blockdev.Device, buf []byte) {
 	dev.WriteAt(buf, 0)        // want `device I/O error from .*WriteAt is discarded`
 	n, _ := dev.ReadAt(buf, 0) // want `device I/O error from .*ReadAt is assigned to the blank identifier`
 	_ = n
+}
+
+// linkDiscards drops the error of the vectored accounting call the raid
+// layer issues every device run through.
+func linkDiscards(dev *blockdev.Instrumented, bufs [][]byte) {
+	dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}) // want `device I/O error from .*ReadVecAtNLink is discarded`
 }
 
 func consumes(dev blockdev.Device, buf []byte) error {
@@ -26,16 +33,16 @@ func consumes(dev blockdev.Device, buf []byte) error {
 }
 
 func asyncDiscards(q blockdev.AsyncQueue, bufs [][]byte) {
-	q.SubmitReadVec(0, bufs, 0, 1)      // want `async completion handle from .*SubmitReadVec is discarded`
-	_ = q.SubmitWriteVec(0, bufs, 0, 1) // want `async completion handle from .*SubmitWriteVec is assigned to the blank identifier`
-	c := q.SubmitReadVec(0, bufs, 0, 1)
+	q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})      // want `async completion handle from .*SubmitReadVec is discarded`
+	_ = q.SubmitWriteVec(0, bufs, 0, 1, trace.Link{}) // want `async completion handle from .*SubmitWriteVec is assigned to the blank identifier`
+	c := q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})
 	q.Kick()
 	c.Wait()        // want `async completion error from .*Wait is discarded`
 	_, _ = c.Wait() // want `async completion error from .*Wait is assigned to the blank identifier`
 }
 
 func asyncConsumes(q blockdev.AsyncQueue, bufs [][]byte) error {
-	c := q.SubmitReadVec(0, bufs, 0, 1)
+	c := q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})
 	q.Kick()
 	_, err := c.Wait()
 	return err

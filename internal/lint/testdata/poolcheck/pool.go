@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dcode/internal/blockdev"
+	"dcode/internal/trace"
 )
 
 type buffers struct {
@@ -78,7 +79,7 @@ func steal(a *arena) []byte {
 
 func poolsBeforeWait(q blockdev.AsyncQueue, a *arena) error {
 	b := a.getBuf()
-	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1)
+	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1, trace.Link{})
 	q.Kick()
 	a.putBuf(b) // want `pooled release while async submissions \(first at line \d+\) are unharvested`
 	_, err := c.Wait()
@@ -87,7 +88,7 @@ func poolsBeforeWait(q blockdev.AsyncQueue, a *arena) error {
 
 func poolsAfterWait(q blockdev.AsyncQueue, a *arena) error {
 	b := a.getBuf()
-	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1)
+	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1, trace.Link{})
 	q.Kick()
 	_, err := c.Wait()
 	a.putBuf(b)

@@ -1,10 +1,10 @@
 package raid
 
-// Asynchronous device scheduling. With WithAsyncIO enabled the array routes
-// every per-column fan-out of a stripe task — the coalesced run reads and
-// writes of the general path, full-stripe loads and stores, and the vectored
-// direct paths — through one blockdev.AsyncQueue instead of spawning a
-// goroutine per column: a stripe task stages all its device runs, kicks the
+// Asynchronous device scheduling. With WithAsyncIO enabled the run reader
+// and run writer (readRuns, writeRuns) issue a stripe task's staged runs —
+// the coalesced reads and writes of the general path, full-stripe loads and
+// stores, and the direct read — through one blockdev.AsyncQueue instead of
+// spawning a goroutine per column: the task stages all its runs, kicks the
 // queue once (one io_uring_enter on the ring engine), and harvests the
 // completion handles. Device overlap then comes from the queue's depth, not
 // from goroutine count — a ReadAt costs O(1) goroutines instead of
@@ -12,29 +12,23 @@ package raid
 //
 // Semantics are identical to the synchronous path by construction:
 //
-//   - the same coalesced runs are issued against the same Instrumented
-//     devices, so the per-disk ops/bytes tallies — the paper's I/O-load
-//     metric — are unchanged;
-//   - a run that errors falls back to the same element-at-a-time repair the
-//     synchronous path uses (readElem's bad-sector read-repair and
-//     failure-marking, writeElem's best-effort retry);
+//   - the same staged runs are issued against the same Instrumented devices
+//     with the same ops-equivalent counts and span links, so the per-disk
+//     ops/bytes tallies — the paper's I/O-load metric — are unchanged;
+//   - each run then settles exactly as issueRun does (settleRun: a failed
+//     cell's one error handled directly, a longer run retried element by
+//     element with read-repair and failure marking);
 //   - trace spans Begin at submit and End after completion (plus any
-//     fallback), so span duration now includes queue time — comparing
-//     OpDevRead spans against the device service histograms exposes
-//     queueing delay.
+//     retry), so span duration includes queue time — comparing OpDevRead
+//     spans against the device service histograms exposes queueing delay.
 //
 // Buffer lifetime: the engine owns submitted buffers until their completion
-// is waited on (see internal/blockdev's async docs). Every helper below
-// therefore harvests ALL completions of its batch — even after an early
-// error — before returning, so pooled scratch and caller buffers are never
-// recycled under an in-flight operation.
+// is waited on (see internal/blockdev's async docs). asyncRuns therefore
+// harvests ALL completions of its batch — even after an early error — before
+// any retry runs or it returns, so pooled scratch and caller buffers are
+// never recycled under an in-flight operation.
 
-import (
-	"dcode/internal/blockdev"
-	"dcode/internal/erasure"
-	"dcode/internal/stripe"
-	"dcode/internal/trace"
-)
+import "dcode/internal/blockdev"
 
 // WithAsyncIO enables the asynchronous device-submission engine with the
 // given queue depth (ops usefully in flight across the whole array; n ≤ 0
@@ -75,141 +69,49 @@ func (a *Array) Close() error {
 	return err
 }
 
-// readRunsAsync serves a batch of coalesced runs through the async engine:
-// stage every run, kick once, harvest everything. A failed column yields
-// ErrFailed for its run without touching the device (as readRunDev); a run
-// whose submitted read errors falls back to element-at-a-time readElem,
-// which repairs bad sectors in place and marks the disk failed on real
-// errors — exactly the synchronous fallback. Returns the error of the
-// lowest-indexed failed run, matching fanOut's semantics.
-func (a *Array) readRunsAsync(si int64, runs []cellRun, s *stripe.Stripe, sc *opScratch) error {
-	abufs := sc.abufs[:0]
-	for _, r := range runs {
-		abufs = append(abufs, s.ColRange(r.col, r.row, r.n))
-	}
-	sc.abufs = abufs
+// asyncRuns is issueRuns' async form: every staged run is submitted under
+// its device span (a run on a failed column submits nothing and fails with
+// ErrFailed), one Kick covers the batch, every completion is harvested, and
+// then each run settles and ends as in issueRun. It returns the error of the
+// lowest-indexed failed read run; writes return nil.
+func (a *Array) asyncRuns(write bool, si int64, vruns []vecRun, sc *opScratch) error {
 	comps := sc.comps[:0]
 	ctcs := sc.ctcs[:0]
-	parent := sc.tc.Link()
-	for i, r := range runs {
-		ctcs = append(ctcs, a.tr.Begin(trace.OpDevRead, int32(r.col), si, parent))
-		if a.isFailed(r.col) {
-			comps = append(comps, nil)
-			continue
+	for _, r := range vruns {
+		tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
+		var c *blockdev.Completion
+		if !a.isFailed(r.col) {
+			bufs, off, ops := sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n)
+			if write {
+				c = a.aio.SubmitWriteVec(r.col, bufs, off, ops, tc.Link())
+			} else {
+				c = a.aio.SubmitReadVec(r.col, bufs, off, ops, tc.Link())
+			}
 		}
-		comps = append(comps, a.aio.SubmitReadVec(r.col, abufs[i:i+1], a.deviceOffset(si, r.row), int64(r.n)))
+		comps = append(comps, c)
+		ctcs = append(ctcs, tc)
 	}
 	a.aio.Kick()
-	// Harvest every completion before any fallback touches stripe memory the
-	// engine may still be writing; the second pass consumes the recorded
-	// results with nothing left in flight.
 	aerrs := sc.aerrs[:0]
 	for _, c := range comps {
-		if c == nil {
-			aerrs = append(aerrs, blockdev.ErrFailed)
-			continue
+		err := blockdev.ErrFailed
+		if c != nil {
+			_, err = c.Wait()
 		}
-		_, err := c.Wait()
 		aerrs = append(aerrs, err)
 	}
 	var firstErr error
-	for i, r := range runs {
+	for i, r := range vruns {
 		err := aerrs[i]
-		if comps[i] != nil && err != nil {
-			err = a.readRunElems(si, r, s)
+		if comps[i] != nil {
+			err = a.settleRun(write, si, r, sc.vecbufs[r.lo:r.hi], err, ctcs[i].Link())
 		}
-		a.tr.End(ctcs[i], int64(r.n*a.elemSize), err != nil)
-		if err != nil && firstErr == nil {
+		if err = a.endRun(write, r, ctcs[i], err); firstErr == nil {
 			firstErr = err
 		}
 	}
 	sc.comps, sc.ctcs, sc.aerrs = comps, ctcs, aerrs
 	clear(comps) // drop completion (and buffer) references before pooling
-	clear(abufs)
 	clear(aerrs)
 	return firstErr
-}
-
-// readRunElems is the element-at-a-time fallback of an errored run — the
-// same loop readRunDev retries with, with readElem's transparent bad-sector
-// repair and failure marking.
-func (a *Array) readRunElems(si int64, r cellRun, s *stripe.Stripe) error {
-	for k := 0; k < r.n; k++ {
-		co := erasure.Coord{Row: r.row + k, Col: r.col}
-		if err := a.readElem(si, co, s.Elem(co.Row, co.Col)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readVecRunsAsync is the async twin of the direct read path's fan-out: each
-// coalesced vecRun scatters straight into the caller's buffer as one staged
-// vectored read, one kick covers the whole stripe. Any error abandons the
-// stripe to the general path (as readStripeDirect), but only after every
-// completion is harvested — the kernel may still be scattering into the
-// caller's buffer, which the general path is about to overwrite.
-func (a *Array) readVecRunsAsync(si int64, vruns []vecRun, sc *opScratch) bool {
-	comps := sc.comps[:0]
-	ctcs := sc.ctcs[:0]
-	parent := sc.tc.Link()
-	for _, r := range vruns {
-		ctcs = append(ctcs, a.tr.Begin(trace.OpDevRead, int32(r.col), si, parent))
-		comps = append(comps, a.aio.SubmitReadVec(r.col, sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n)))
-	}
-	a.aio.Kick()
-	ok := true
-	for i, c := range comps {
-		_, err := c.Wait()
-		a.tr.End(ctcs[i], int64(vruns[i].n*a.elemSize), err != nil)
-		if err != nil {
-			ok = false
-		}
-	}
-	sc.comps, sc.ctcs = comps, ctcs
-	clear(comps) // the completions reference the caller's buffer; drop them
-	return ok
-}
-
-// writeVecRunsAsync is writeRuns' async form: every staged run of a commit
-// goes out as one gather write in one batch. Failed columns are skipped
-// before submission (their spans still record the run, as writeVecRun); an
-// errored run retries element-at-a-time from its iovec list (writeElem marks
-// the disk failed and keeps the cells it can take) — identical best-effort
-// semantics to the synchronous commit, and nothing propagates.
-func (a *Array) writeVecRunsAsync(si int64, vruns []vecRun, sc *opScratch) {
-	comps := sc.comps[:0]
-	ctcs := sc.ctcs[:0]
-	parent := sc.tc.Link()
-	for _, r := range vruns {
-		ctcs = append(ctcs, a.tr.Begin(trace.OpDevWrite, int32(r.col), si, parent))
-		if a.isFailed(r.col) {
-			comps = append(comps, nil)
-			continue
-		}
-		comps = append(comps, a.aio.SubmitWriteVec(r.col, sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n)))
-	}
-	a.aio.Kick()
-	aerrs := sc.aerrs[:0]
-	for _, c := range comps {
-		if c == nil {
-			aerrs = append(aerrs, nil)
-			continue
-		}
-		_, err := c.Wait()
-		aerrs = append(aerrs, err)
-	}
-	for i, r := range vruns {
-		err := aerrs[i]
-		if err != nil {
-			bufs := sc.vecbufs[r.lo:r.hi]
-			for k := 0; k < r.n; k++ {
-				_ = a.writeElem(si, erasure.Coord{Row: r.row + k, Col: r.col}, a.runCell(bufs, k))
-			}
-		}
-		a.tr.End(ctcs[i], int64(r.n*a.elemSize), err != nil)
-	}
-	sc.comps, sc.ctcs, sc.aerrs = comps, ctcs, aerrs
-	clear(comps) // the completions reference the caller's buffer; drop them
-	clear(aerrs)
 }

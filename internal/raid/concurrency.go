@@ -7,8 +7,10 @@ package raid
 //     per-column device fan-out;
 //   - column coalescing: a stripe's rows are contiguous per device (see
 //     deviceOffset), so a run of same-column cells is read or written as one
-//     physical device call, tallied through Instrumented.ReadAtN/WriteAtN as
-//     the element operations it replaces;
+//     physical device call, tallied through Instrumented's
+//     ReadVecAtNLink/WriteVecAtNLink as the element operations it replaces;
+//   - the data path's one run reader and one run writer (readRuns,
+//     writeRuns): stage the runs' iovecs, issue them, settle their errors;
 //   - the sync.Pool-backed per-operation scratch (stripe buffer, mark
 //     bitmaps, coordinate lists) that makes the steady-state data path
 //     allocation-free.
@@ -102,6 +104,14 @@ type cellRun struct {
 	col, row, n int
 }
 
+// vecRun is one staged cellRun: rows [row, row+n) of column col, served by
+// the iovec list sc.vecbufs[lo:hi] — one buffer per cell, or a single
+// contiguous one when the whole run lives in stripe memory (see stageRuns).
+type vecRun struct {
+	col, row, n int
+	lo, hi      int
+}
+
 // coalesce sorts cells by (column, row) in place and splits them into
 // contiguous same-column runs, reusing sc.runs. Only strictly adjacent rows
 // join a run: spanning a gap would move bytes no caller asked for, skewing
@@ -126,18 +136,18 @@ func coalesce(cells []erasure.Coord, sc *opScratch) []cellRun {
 	return runs
 }
 
-// readCells reads the listed (distinct) cells of stripe si into s, one
-// goroutine per coalesced run, each run as a single device call. With a
-// cache attached it first serves hits from memory — those cells cost no
-// device I/O at all — then reads only the misses, inserting them on the way
-// back so the working set converges to the cache. It returns how many cells
-// were served from the cache.
-func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc *opScratch) (int, error) {
+// readCells reads the listed (distinct) cells of stripe si into sc.s, each
+// coalesced run as a single device call. With a cache attached it first
+// serves hits from memory — those cells cost no device I/O at all — then
+// reads only the misses, inserting them on the way back so the working set
+// converges to the cache. It returns how many cells were served from the
+// cache.
+func (a *Array) readCells(si int64, cells []erasure.Coord, sc *opScratch) (int, error) {
 	hits := 0
 	if a.cache != nil {
 		miss := sc.miss[:0]
 		for _, co := range cells {
-			if a.cache.Get(a.cacheKey(si, co), s.Elem(co.Row, co.Col)) {
+			if a.cache.Get(a.cacheKey(si, co), sc.s.Elem(co.Row, co.Col)) {
 				hits++
 			} else {
 				miss = append(miss, co)
@@ -146,33 +156,10 @@ func (a *Array) readCells(si int64, cells []erasure.Coord, s *stripe.Stripe, sc 
 		sc.miss = miss
 		cells = miss
 	}
-	runs := coalesce(cells, sc)
-	// With the async engine on, the whole batch of runs is staged and kicked
-	// as one submission instead of fanning out per run.
-	if a.aio != nil {
-		if err := a.readRunsAsync(si, runs, s, sc); err != nil {
-			return hits, err
-		}
-		a.cacheFill(si, cells, s, nil)
-		return hits, nil
-	}
-	// The serial case loops directly: the fanOut closure escapes into its
-	// goroutine path, so constructing it would heap-allocate on every call.
-	if a.conc <= 1 || len(runs) <= 1 {
-		for _, r := range runs {
-			if err := a.readRun(si, r, s, sc.tc.Link()); err != nil {
-				return hits, err
-			}
-		}
-		a.cacheFill(si, cells, s, nil)
-		return hits, nil
-	}
-	if err := a.fanOut(len(runs), func(i int) error {
-		return a.readRun(si, runs[i], s, sc.tc.Link())
-	}); err != nil {
+	if err := a.readRuns(si, coalesce(cells, sc), nil, sc); err != nil {
 		return hits, err
 	}
-	a.cacheFill(si, cells, s, nil)
+	a.cacheFill(si, cells, sc.s, nil)
 	return hits, nil
 }
 
@@ -189,43 +176,6 @@ func (a *Array) cacheFill(si int64, cells []erasure.Coord, s *stripe.Stripe, dat
 	}
 }
 
-// readRun reads one coalesced run into s. A single-cell run goes through
-// readElem directly, keeping its transparent bad-sector read-repair. A
-// longer run lands in stripe memory directly — the column-major layout makes
-// the run one contiguous ColRange, so one physical ReadAtN fills the cells
-// with no staging copy. If that fails — a latent sector error anywhere in
-// the run, or the device dying — it falls back to element-at-a-time
-// readElem, which repairs bad sectors in place and marks the disk failed on
-// real errors, exactly like the uncoalesced path.
-func (a *Array) readRun(si int64, run cellRun, s *stripe.Stripe, parent trace.Link) error {
-	tc := a.tr.Begin(trace.OpDevRead, int32(run.col), si, parent)
-	err := a.readRunDev(si, run, s, tc.Link())
-	a.tr.End(tc, int64(run.n*a.elemSize), err != nil)
-	return err
-}
-
-func (a *Array) readRunDev(si int64, run cellRun, s *stripe.Stripe, l trace.Link) error {
-	if run.n == 1 {
-		co := erasure.Coord{Row: run.row, Col: run.col}
-		return a.readElemL(si, co, s.Elem(run.row, run.col), l)
-	}
-	if a.isFailed(run.col) {
-		return blockdev.ErrFailed
-	}
-	dst := s.ColRange(run.col, run.row, run.n)
-	_, err := a.iodevs[run.col].ReadAtNLink(dst, a.deviceOffset(si, run.row), int64(run.n), l)
-	if err == nil {
-		return nil
-	}
-	for k := 0; k < run.n; k++ {
-		co := erasure.Coord{Row: run.row + k, Col: run.col}
-		if err := a.readElemL(si, co, s.Elem(co.Row, co.Col), l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeCellsBestEffort writes the listed (distinct) cells of stripe si, each
 // read through the data overlay — the caller's bytes for a whole written
 // element, sc.s for everything else — as one gather write per coalesced run.
@@ -234,6 +184,26 @@ func (a *Array) readRunDev(si int64, run cellRun, s *stripe.Stripe, l trace.Link
 // failedCount whether the array survived.
 func (a *Array) writeCellsBestEffort(si int64, cells []erasure.Coord, data [][]byte, sc *opScratch) {
 	a.writeRuns(si, coalesce(cells, sc), data, sc)
+}
+
+// readRuns is the data path's one run reader: it reads coalesced runs of
+// stripe si into their cells — the caller's buffer for a data cell the
+// overlay holds, sc.s otherwise — each run as one scatter read, and returns
+// the error of the lowest-indexed run it could not serve. A bad sector is
+// repaired in place on the way (settleRun), so an error means the run's
+// column is down: failed before the read, or marked failed by it.
+func (a *Array) readRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) error {
+	err := a.issueRuns(false, si, a.stageRuns(runs, data, sc), sc)
+	clear(sc.vecbufs) // drop the user-buffer references before the scratch is pooled
+	return err
+}
+
+// writeRuns is the data path's one best-effort run writer: each run goes out
+// as one gather write from its cells, read through the overlay as in
+// readRuns. A column that fails is marked and skipped.
+func (a *Array) writeRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) {
+	_ = a.issueRuns(true, si, a.stageRuns(runs, data, sc), sc)
+	clear(sc.vecbufs)
 }
 
 // stageRuns builds the iovec lists of a set of coalesced runs in sc.vecbufs
@@ -276,64 +246,131 @@ func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
 	return false
 }
 
-// runCell returns cell k of a staged run's iovec list: its own buffer, or
-// its slice of the run's one contiguous buffer.
-func (a *Array) runCell(bufs [][]byte, k int) []byte {
-	if len(bufs) == 1 {
-		return bufs[0][k*a.elemSize : (k+1)*a.elemSize]
-	}
-	return bufs[k]
-}
-
-// writeRuns is the data path's one best-effort run writer: it stages the
-// runs' iovecs (stageRuns) and commits each run as one gather write — run by
-// run, fanned out, or as one async batch.
-func (a *Array) writeRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) {
-	vruns := a.stageRuns(runs, data, sc)
-	if a.aio != nil {
-		a.writeVecRunsAsync(si, vruns, sc)
-	} else if a.conc <= 1 || len(vruns) <= 1 { // see readCells: avoid the escaping closure
-		for _, r := range vruns {
-			a.writeVecRun(si, r, sc)
-		}
-	} else {
-		_ = a.fanOut(len(vruns), func(i int) error { a.writeVecRun(si, vruns[i], sc); return nil })
-	}
-	clear(sc.vecbufs) // drop the user-buffer references before the scratch is pooled
-}
-
-// writeVecRun commits one staged run. A failed column is skipped (its span
-// still records the run). A single cell goes through writeElemL; a longer run
-// is one WriteVecAtN whose error retries element-at-a-time from the same
-// iovecs, so a partially failing device still gets the cells it can take
-// (writeElemL marks it failed).
-func (a *Array) writeVecRun(si int64, r vecRun, sc *opScratch) {
-	tc := a.tr.Begin(trace.OpDevWrite, int32(r.col), si, sc.tc.Link())
-	bufs := sc.vecbufs[r.lo:r.hi]
-	var err error
+// issueRuns is where a stripe task's staged runs decide how they reach their
+// devices: one batch through the async engine when the array has one, inline
+// when there is a single run or no fan-out bound, fanned out otherwise. It
+// returns the error of the lowest-indexed failed read run (fanOut's rule;
+// inline, the first failure stops the loop); writes are best effort, so every
+// run is attempted and the result is nil.
+func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) error {
 	switch {
-	case a.isFailed(r.col):
-	case r.n == 1:
-		err = a.writeElemL(si, erasure.Coord{Row: r.row, Col: r.col}, bufs[0], tc.Link())
-	default:
-		if _, err = a.iodevs[r.col].WriteVecAtNLink(bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link()); err != nil {
-			for k := 0; k < r.n; k++ {
-				_ = a.writeElemL(si, erasure.Coord{Row: r.row + k, Col: r.col}, a.runCell(bufs, k), tc.Link())
+	case a.aio != nil:
+		return a.asyncRuns(write, si, vruns, sc)
+	case a.conc <= 1 || len(vruns) <= 1:
+		// Loop directly: the fanOut closure escapes into its goroutine path,
+		// so constructing it would heap-allocate on every call.
+		for _, r := range vruns {
+			if err := a.issueRun(write, si, r, sc); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
+	return a.fanOut(len(vruns), func(i int) error { return a.issueRun(write, si, vruns[i], sc) })
 }
 
-// writeColumn writes one whole column of a stripe as a single coalesced
-// device call straight from stripe memory, bypassing the failure mark —
-// Rebuild uses it to fill the replaced device, which is still marked failed.
-// Unlike the best-effort data-path writes, a rebuild must land every byte,
-// so errors propagate.
-func (a *Array) writeColumn(si int64, col int, s *stripe.Stripe, parent trace.Link) error {
-	tc := a.tr.Begin(trace.OpDevWrite, int32(col), si, parent)
+// issueRun issues one staged run under its own device span: one vectored
+// call standing for the run's n element accesses, settled by settleRun. A run
+// on a failed column fails with ErrFailed without touching the device.
+func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch) error {
+	tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
+	err := blockdev.ErrFailed
+	if !a.isFailed(r.col) {
+		bufs := sc.vecbufs[r.lo:r.hi]
+		err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link())
+		err = a.settleRun(write, si, r, bufs, err, tc.Link())
+	}
+	return a.endRun(write, r, tc, err)
+}
+
+// endRun closes a run's device span — failed if the run failed — and returns
+// what the run reports to issueRuns: its error for a read, nil for a
+// best-effort write.
+func (a *Array) endRun(write bool, r vecRun, tc trace.Ctx, err error) error {
+	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
+	if write {
+		return nil
+	}
+	return err
+}
+
+// settleRun finishes a run whose vectored call returned err. A single-cell
+// run settles that one error directly (elemFault: a bad sector under a read
+// is repaired, anything else marks the column failed), so the device is
+// never asked twice. A longer run retries element by element from its own
+// iovec list through elemIO: a read stops at the first cell it cannot serve
+// and returns nil if it served them all; a write lands every cell it can and
+// returns err, the gather's own failure. A one-buffer run retries through
+// its iovec slot re-pointed at each cell in turn, so the retry does not
+// allocate; the list is spent afterwards.
+func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err error, l trace.Link) error {
+	if err == nil {
+		return nil
+	}
+	if r.n == 1 {
+		return a.elemFault(write, si, erasure.Coord{Row: r.row, Col: r.col}, bufs[0], err, l)
+	}
+	whole := bufs[0]
+	for k := 0; k < r.n; k++ {
+		iov := bufs[k : k+1]
+		if len(bufs) == 1 {
+			bufs[0] = whole[k*a.elemSize : (k+1)*a.elemSize]
+			iov = bufs
+		}
+		if eerr := a.elemIO(write, si, erasure.Coord{Row: r.row + k, Col: r.col}, iov, l); eerr != nil && !write {
+			return eerr
+		}
+	}
+	if write {
+		return err
+	}
+	return nil
+}
+
+// devOp is the span kind of a device run in one direction.
+func devOp(write bool) trace.Op {
+	if write {
+		return trace.OpDevWrite
+	}
+	return trace.OpDevRead
+}
+
+// devIO is the array's one synchronous device call: a vectored read or
+// write of column col at off, tallied as ops element accesses and carrying
+// the span link l.
+func (a *Array) devIO(write bool, col int, bufs [][]byte, off, ops int64, l trace.Link) error {
+	var err error
+	if write {
+		_, err = a.iodevs[col].WriteVecAtNLink(bufs, off, ops, l)
+	} else {
+		_, err = a.iodevs[col].ReadVecAtNLink(bufs, off, ops, l)
+	}
+	return err
+}
+
+// columnRuns lists stripe-long runs of every column not in skip, in sc.runs —
+// the shape of a whole-stripe load or store.
+func (a *Array) columnRuns(skip failSet, sc *opScratch) []cellRun {
+	runs := sc.runs[:0]
+	for c := 0; c < a.code.Cols(); c++ {
+		if !skip.has(c) {
+			runs = append(runs, cellRun{col: c, row: 0, n: a.code.Rows()})
+		}
+	}
+	sc.runs = runs
+	return runs
+}
+
+// writeColumn writes one whole column of stripe memory — its ColRange staged
+// in sc.vecbufs — as a single vectored device call, bypassing the failure
+// mark: Rebuild uses it to fill the replaced device, which is still marked
+// failed. Unlike the best-effort data-path writes, a rebuild must land every
+// byte, so errors propagate.
+func (a *Array) writeColumn(si int64, col int, sc *opScratch) error {
+	tc := a.tr.Begin(trace.OpDevWrite, int32(col), si, sc.tc.Link())
 	rows := a.code.Rows()
-	_, err := a.iodevs[col].WriteAtNLink(s.ColRange(col, 0, rows), a.deviceOffset(si, 0), int64(rows), tc.Link())
+	sc.vecbufs = append(sc.vecbufs[:0], sc.s.ColRange(col, 0, rows))
+	err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, 0), int64(rows), tc.Link())
 	a.tr.End(tc, int64(rows*a.elemSize), err != nil)
 	return err
 }
@@ -354,18 +391,16 @@ type opScratch struct {
 	miss    []erasure.Coord // readCells' cache-miss list
 	srcs    [][]byte
 	runs    []cellRun
-	vruns   []vecRun     // vectored device runs (stageRuns, direct reads)
+	vruns   []vecRun     // staged device runs (stageRuns)
 	vecbufs [][]byte     // their iovec assembly (cleared after use)
 	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
 	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
 	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
 
 	// Async-scheduler staging (see async.go): completion handles, device
-	// spans and harvested errors of the current batch, plus per-run
-	// single-buffer iovec storage.
+	// spans and harvested errors of the current batch.
 	comps []*blockdev.Completion
 	ctcs  []trace.Ctx
-	abufs [][]byte
 	aerrs []error
 }
 
@@ -380,6 +415,10 @@ func (a *Array) getScratch() *opScratch {
 		part:  make([]bool, cells),
 		gseen: make([]bool, len(a.code.Groups())),
 		data:  make([][]byte, a.code.DataElems()),
+		// A stripe task stages at most one run and one iovec per cell, so the
+		// staging lists never grow after the scratch is made.
+		vruns:   make([]vecRun, 0, cells),
+		vecbufs: make([][]byte, 0, cells),
 	}
 }
 

@@ -6,11 +6,11 @@ package raid
 // column, the array skips the stripe arena for every wanted element: the
 // cells to read — the wanted ones, or the memoized degraded plan's Fetch
 // when a wanted cell is on the failed column — are coalesced into the runs
-// the general path would issue, and each run is one ReadVecAtN whose iovecs
-// point into the caller's buffer for wanted cells and into stripe memory only
-// for recovery-only cells. Each plan step then folds its lost target straight
-// into the target's slice of the caller's buffer (FoldGroup through the
-// overlay).
+// the general path would issue and read by the one run reader (readRuns),
+// each run one scatter read whose iovecs point into the caller's buffer for
+// wanted cells and into stripe memory only for recovery-only cells. Each plan
+// step then folds its lost target straight into the target's slice of the
+// caller's buffer (FoldGroup through the overlay).
 //
 // Writes of every shape commit through the same overlay (overlay, then
 // writeRuns in concurrency.go): whole written elements leave from the
@@ -19,9 +19,9 @@ package raid
 // The read path preserves the general path's accounting exactly: the same
 // coalesced runs, the same ops-equivalent tallies (one physical call stands
 // for run-length element accesses), the same OpDevRead trace spans, and the
-// same XOR counts. Any device error abandons the direct read and lets the
-// general path re-serve the stripe with its full read-repair and
-// failure-marking semantics. Buffer ownership: the caller's bytes are
+// same XOR counts. A bad sector is repaired in place, as on the general path;
+// a device error that marks a disk abandons the direct read and lets the
+// general path re-plan the stripe. Buffer ownership: the caller's bytes are
 // referenced only until the stripe task returns — the overlay and every iovec
 // list are cleared before the scratch goes back to its pool.
 
@@ -29,17 +29,7 @@ import (
 	"math/bits"
 
 	"dcode/internal/erasure"
-	"dcode/internal/trace"
 )
-
-// vecRun is one coalesced device run of a vectored operation: rows
-// [row, row+n) of column col, served by the iovec list bufs[lo:hi] — one
-// buffer per cell, or a single contiguous one when the whole run lives in
-// stripe memory (see stageRuns and runCell).
-type vecRun struct {
-	col, row, n int
-	lo, hi      int
-}
 
 // directRangesEligible reports whether every range covers a whole element —
 // the alignment the direct read requires.
@@ -53,10 +43,11 @@ func (a *Array) directRangesEligible(ers []elemRange) bool {
 }
 
 // readStripeDirect serves one stripe's element ranges straight into the
-// caller's buffer. It returns true only when the stripe was fully served; on
-// any device error it returns false with the buffer contents unspecified, and
-// the caller falls back to the general path, which re-reads everything with
-// read-repair and failure marking. Eligible with no cache attached (a cache
+// caller's buffer. It returns true only when the stripe was fully served. A
+// bad sector under any run is repaired in place by the run reader; a read
+// that marks a disk failed returns false with the buffer contents
+// unspecified, and the caller falls back to the general path, which re-plans
+// around the newly failed column. Eligible with no cache attached (a cache
 // wants elements in stripe memory to fill from), fully aligned ranges, and at
 // most one failed column. A task that wants a cell on the failed column reads
 // the degraded plan's Fetch instead of the wanted cells and opens the task's
@@ -96,11 +87,11 @@ func (a *Array) readStripeDirect(si int64, ers []elemRange, p []byte, sc *opScra
 		cells = append(sc.fetch[:0], plan.Fetch...)
 		sc.fetch = cells
 	}
-	vruns := a.stageRuns(coalesce(cells, sc), data, sc)
-	ok := a.readVecRuns(si, vruns, sc)
-	clear(sc.vecbufs)
-	if !ok || plan == nil {
-		return ok
+	if a.readRuns(si, coalesce(cells, sc), data, sc) != nil {
+		return false
+	}
+	if plan == nil {
+		return true
 	}
 	for _, step := range plan.Steps {
 		dst := data[a.code.DataIndex(step.Target.Row, step.Target.Col)]
@@ -127,34 +118,4 @@ func (a *Array) overlay(ers []elemRange, p []byte, sc *opScratch) [][]byte {
 		}
 	}
 	return data
-}
-
-// readVecRuns issues a staged set of scatter reads (iovecs in sc.vecbufs),
-// reporting whether every run succeeded. A failed run abandons the whole
-// stripe to the general path, so there is no need to finish the remaining
-// runs — fanOut's stop-on-error is exactly right, and the serial loop
-// mirrors it. The async engine instead stages the whole stripe as one batch
-// (it must harvest every completion anyway before the buffer can be reused).
-func (a *Array) readVecRuns(si int64, vruns []vecRun, sc *opScratch) bool {
-	if a.aio != nil {
-		return a.readVecRunsAsync(si, vruns, sc)
-	}
-	if a.conc <= 1 || len(vruns) <= 1 { // see readCells: avoid the escaping closure
-		for _, r := range vruns {
-			if a.readVecRun(si, r, sc) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	return a.fanOut(len(vruns), func(i int) error { return a.readVecRun(si, vruns[i], sc) }) == nil
-}
-
-// readVecRun issues one coalesced scatter read of the direct read path; the
-// iovec list lives in sc.vecbufs at the run's [lo, hi).
-func (a *Array) readVecRun(si int64, r vecRun, sc *opScratch) error {
-	tc := a.tr.Begin(trace.OpDevRead, int32(r.col), si, sc.tc.Link())
-	_, err := a.iodevs[r.col].ReadVecAtNLink(sc.vecbufs[r.lo:r.hi], a.deviceOffset(si, r.row), int64(r.n), tc.Link())
-	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
-	return err
 }

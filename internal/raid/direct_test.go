@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,8 +21,9 @@ import (
 // layer. An iovec spanning several elements (a run living wholly in stripe
 // memory) is recorded as its element-sized slices. readOffs holds the device
 // offset of each recorded read element, writeIovs the iovec count of each
-// gather write. With failVec set, every gather write fails (and writes
-// nothing) while element writes still succeed.
+// gather write. With failVec set, every gather write of more than one element
+// fails (and writes nothing) while element writes — the one-element iovecs
+// of the retry — still succeed.
 type vecRecorder struct {
 	blockdev.Device
 	mu        sync.Mutex
@@ -55,7 +57,7 @@ func (v *vecRecorder) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	}
 	v.writeIovs = append(v.writeIovs, len(bufs))
 	v.mu.Unlock()
-	if v.failVec {
+	if v.failVec && blockdev.VecLen(bufs) > elemSize {
 		return 0, errors.New("injected gather-write error")
 	}
 	return v.Device.WriteVecAt(bufs, off)
@@ -323,7 +325,63 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 	})
 }
 
-// TestDirectWriteFallsBackOnError exercises writeVecRun's element-at-a-
+// TestDirectReadRepairsBadSectorInPlace pins the direct read's repair: a bad
+// sector under a multi-cell aligned read of a healthy array is repaired in
+// place by the run reader's element-at-a-time retry — correct bytes, one
+// sector repaired, no disk marked — with per-disk tallies equal to a cached
+// twin, whose read takes the general path through the same retry.
+func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
+	a, amems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
+	b, bmems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1), WithCache(1<<20))
+	want := pattern(int(a.Size()), 17)
+	for _, arr := range []*Array{a, b} {
+		if _, err := arr.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A data cell with a data cell below it on its column: the stripe-wide
+	// read coalesces the two into one multi-cell run.
+	var bad erasure.Coord
+	for e := 0; e < a.code.DataElems(); e++ {
+		co := a.code.DataCoord(e)
+		if a.code.DataIndex(co.Row+1, co.Col) >= 0 {
+			bad = co
+			break
+		}
+	}
+	for _, m := range []*blockdev.MemDevice{amems[bad.Col], bmems[bad.Col]} {
+		m.InjectBadSector(a.deviceOffset(0, bad.Row) + 3)
+	}
+	for c := 0; c < b.code.Cols(); c++ {
+		b.cacheInvalidateColumn(c) // the twin must ask its devices too
+	}
+
+	n := a.code.DataElems() * elemSize
+	for _, arr := range []*Array{a, b} {
+		got := make([]byte, n)
+		if _, err := arr.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[:n]) {
+			t.Fatal("read over a bad sector returned wrong data")
+		}
+		if st := arr.Stats(); st.SectorsRepaired != 1 {
+			t.Fatalf("SectorsRepaired = %d, want 1", st.SectorsRepaired)
+		}
+		if fd := arr.FailedDisks(); len(fd) != 0 {
+			t.Fatalf("a bad sector marked disks %v failed", fd)
+		}
+	}
+	for c := range a.iodevs {
+		sa, sb := a.iodevs[c].Metrics().Snapshot(), b.iodevs[c].Metrics().Snapshot()
+		if sa.Reads != sb.Reads || sa.Writes != sb.Writes || sa.ReadErrors != sb.ReadErrors {
+			t.Fatalf("disk %d tallies: direct %d reads / %d writes / %d read errors, general %d / %d / %d",
+				c, sa.Reads, sa.Writes, sa.ReadErrors, sb.Reads, sb.Writes, sb.ReadErrors)
+		}
+	}
+}
+
+// TestDirectWriteFallsBackOnError exercises settleRun's element-at-a-
 // time retry: the failing column is marked, the others commit, and a
 // degraded read reconstructs the stripe the write produced.
 func TestDirectWriteFallsBackOnError(t *testing.T) {
@@ -350,9 +408,10 @@ func TestDirectWriteFallsBackOnError(t *testing.T) {
 // the retry that slices it. RDP's parity-only columns hold no overlay cell,
 // so a full-stripe write hands each of them its column as one buffer — a
 // device without native scatter/gather moves it in one call — while a data
-// column gets one iovec per cell. When every gather write fails but element
-// writes succeed, the element-at-a-time retry must land every cell from both
-// kinds of iovec list, leaving no disk marked and the parity consistent.
+// column gets one iovec per cell. When every multi-element gather write fails
+// but element writes succeed, the element-at-a-time retry must land every
+// cell from both kinds of iovec list — one single-iovec write per cell —
+// leaving no disk marked and the parity consistent.
 func TestDirectWriteStripeOnlyRunIsOneBuffer(t *testing.T) {
 	for _, failVec := range []bool{false, true} {
 		t.Run(fmt.Sprintf("failVec=%v", failVec), func(t *testing.T) {
@@ -370,13 +429,18 @@ func TestDirectWriteStripeOnlyRunIsOneBuffer(t *testing.T) {
 			}
 			parityOnly := 0
 			for col, r := range recs {
-				wantIovs := a.code.Rows()
+				want := []int{a.code.Rows()}
 				if !holdsData[col] {
-					wantIovs = 1
+					want[0] = 1
 					parityOnly++
 				}
-				if len(r.writeIovs) != 1 || r.writeIovs[0] != wantIovs {
-					t.Fatalf("col %d: gather writes with %v iovecs, want one with %d", col, r.writeIovs, wantIovs)
+				if failVec {
+					for k := 0; k < a.code.Rows(); k++ {
+						want = append(want, 1)
+					}
+				}
+				if !slices.Equal(r.writeIovs, want) {
+					t.Fatalf("col %d: writes with %v iovecs, want %v", col, r.writeIovs, want)
 				}
 			}
 			if parityOnly == 0 {

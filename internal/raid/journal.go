@@ -7,6 +7,7 @@ import (
 
 	"dcode/internal/blockdev"
 	"dcode/internal/erasure"
+	"dcode/internal/trace"
 )
 
 // The write-intent journal closes the RAID write hole: a crash between a
@@ -165,13 +166,13 @@ func (a *Array) scrubStripe(si int64) error {
 	s := a.code.NewStripe(a.elemSize)
 	for i := 0; i < a.code.DataElems(); i++ {
 		co := a.code.DataCoord(i)
-		if err := a.readElem(si, co, s.Elem(co.Row, co.Col)); err != nil {
+		if err := a.elemIO(false, si, co, [][]byte{s.Elem(co.Row, co.Col)}, trace.Link{}); err != nil {
 			return err
 		}
 	}
 	a.code.Encode(s)
 	for _, g := range a.code.Groups() {
-		if err := a.writeElem(si, g.Parity, s.Elem(g.Parity.Row, g.Parity.Col)); err != nil {
+		if err := a.elemIO(true, si, g.Parity, [][]byte{s.Elem(g.Parity.Row, g.Parity.Col)}, trace.Link{}); err != nil {
 			return err
 		}
 	}

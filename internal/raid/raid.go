@@ -288,29 +288,32 @@ func (a *Array) deviceOffset(stripeIdx int64, row int) int64 {
 	return (stripeIdx*int64(a.code.Rows()) + int64(row)) * int64(a.elemSize)
 }
 
-// readElem reads one element. A latent sector error (blockdev.ErrBadSector)
-// triggers transparent read-repair: the element is reconstructed from its
-// parity group and rewritten in place, without failing the disk — whole-disk
-// failure is reserved for other errors, which mark the column failed.
-func (a *Array) readElem(stripeIdx int64, co erasure.Coord, dst []byte) error {
-	return a.readElemL(stripeIdx, co, dst, trace.Link{})
-}
-
-// readElemL is readElem carrying the caller's span link, so a remote
-// column's serve span joins the operation's trace and a failure event
-// records which operation discovered it.
-func (a *Array) readElemL(stripeIdx int64, co erasure.Coord, dst []byte, l trace.Link) error {
+// elemIO reads or writes one element through iov, its one-buffer iovec —
+// the element-at-a-time access a failed run retries with (settleRun) and
+// journal replay uses. A failed column fails with ErrFailed without touching
+// the device; a device error settles through elemFault. l is the caller's
+// span link, so a remote column's serve span joins the operation's trace and
+// a failure event records which operation discovered it.
+func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, l trace.Link) error {
 	if a.isFailed(co.Col) {
 		return blockdev.ErrFailed
 	}
-	_, err := a.iodevs[co.Col].ReadAtLink(dst, a.deviceOffset(stripeIdx, co.Row), l)
+	err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, l)
+	return a.elemFault(write, si, co, iov[0], err, l)
+}
+
+// elemFault settles one element access that returned err. A latent sector
+// error under a read (blockdev.ErrBadSector) triggers transparent
+// read-repair: the element is reconstructed from its parity group into buf
+// and rewritten in place, without failing the disk. Whole-disk failure is
+// reserved for other errors — and a repair that fails — which mark the
+// column failed.
+func (a *Array) elemFault(write bool, si int64, co erasure.Coord, buf []byte, err error, l trace.Link) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, blockdev.ErrBadSector) {
-		if rerr := a.repairElem(stripeIdx, co, dst); rerr == nil {
-			return nil
-		}
+	if !write && errors.Is(err, blockdev.ErrBadSector) && a.repairElem(si, co, buf) == nil {
+		return nil
 	}
 	a.failDisk(co.Col, l.Trace)
 	return err
@@ -350,55 +353,18 @@ func (a *Array) repairElem(stripeIdx int64, co erasure.Coord, dst []byte) error 
 	return nil
 }
 
-func (a *Array) writeElem(stripeIdx int64, co erasure.Coord, src []byte) error {
-	return a.writeElemL(stripeIdx, co, src, trace.Link{})
-}
-
-// writeElemL is writeElem carrying the caller's span link; see readElemL.
-func (a *Array) writeElemL(stripeIdx int64, co erasure.Coord, src []byte, l trace.Link) error {
-	if a.isFailed(co.Col) {
-		return blockdev.ErrFailed
-	}
-	_, err := a.iodevs[co.Col].WriteAtLink(src, a.deviceOffset(stripeIdx, co.Row), l)
-	if err != nil {
-		a.failDisk(co.Col, l.Trace)
-	}
-	return err
-}
-
 // loadStripe reads a full stripe from the surviving disks into sc.s and
-// reconstructs any failed columns — each surviving column as one coalesced
-// device read, fanned out per column or batch-submitted through the async
-// engine. A device that fails silently is discovered here (the read errors
-// and marks it), in which case the load restarts without it, up to the
-// code's two-failure tolerance.
+// reconstructs any failed columns — each surviving column as one run of the
+// run reader. A device that fails silently is discovered here (the read
+// errors and marks it), in which case the load restarts without it, up to
+// the code's two-failure tolerance.
 func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
-	rows := a.code.Rows()
-	s := sc.s
 	for {
 		failed := a.failedSet()
 		if failed.count() > 2 {
 			return ErrTooManyFailures
 		}
-		var err error
-		if a.aio != nil {
-			runs := sc.runs[:0]
-			for c := 0; c < a.code.Cols(); c++ {
-				if !failed.has(c) {
-					runs = append(runs, cellRun{col: c, row: 0, n: rows})
-				}
-			}
-			sc.runs = runs
-			err = a.readRunsAsync(stripeIdx, runs, s, sc)
-		} else {
-			err = a.fanOut(a.code.Cols(), func(c int) error {
-				if failed.has(c) {
-					return nil
-				}
-				return a.readRun(stripeIdx, cellRun{col: c, row: 0, n: rows}, s, sc.tc.Link())
-			})
-		}
-		if err != nil {
+		if a.readRuns(stripeIdx, a.columnRuns(failed, sc), nil, sc) != nil {
 			// The failing read marked its disk; restart the load degraded
 			// (or give up via the failure-count check — the failed set only
 			// grows, so this terminates).
@@ -406,7 +372,7 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 		}
 		if failed != 0 {
 			ps := time.Now()
-			err := a.code.Reconstruct(s, failed.cols()...)
+			err := a.code.Reconstruct(sc.s, failed.cols()...)
 			a.m.parityLatency.Observe(time.Since(ps))
 			if err != nil {
 				return err
@@ -422,13 +388,7 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 // the store is skipped — its content is moot and the stripe stays
 // reconstructable — unless that pushes the array past two failures.
 func (a *Array) storeStripe(stripeIdx int64, data [][]byte, sc *opScratch) error {
-	rows := a.code.Rows()
-	runs := sc.runs[:0]
-	for c := 0; c < a.code.Cols(); c++ {
-		runs = append(runs, cellRun{col: c, row: 0, n: rows})
-	}
-	sc.runs = runs
-	a.writeRuns(stripeIdx, runs, data, sc)
+	a.writeRuns(stripeIdx, a.columnRuns(0, sc), data, sc)
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
@@ -641,7 +601,7 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 
 	if !needLost {
 		// All wanted elements live on healthy disks.
-		if _, err := a.readCells(si, wanted, sc.s, sc); err != nil {
+		if _, err := a.readCells(si, wanted, sc); err != nil {
 			return errRetryDegraded
 		}
 		return nil
@@ -706,7 +666,7 @@ func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opS
 	}
 	fetch := append(sc.fetch[:0], plan.Fetch...)
 	sc.fetch = fetch
-	if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
+	if _, err := a.readCells(si, fetch, sc); err != nil {
 		return errRetryDegraded
 	}
 	for _, step := range plan.Steps {
@@ -943,7 +903,7 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 		fetch = append(fetch, co)
 	}
 	sc.fetch = fetch
-	if _, err := a.readCells(si, fetch, sc.s, sc); err != nil {
+	if _, err := a.readCells(si, fetch, sc); err != nil {
 		return err
 	}
 	data := a.overlay(ers, p, sc)
@@ -1002,7 +962,7 @@ func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) er
 		}
 	}
 	sc.fetch = cells
-	hits, err := a.readCells(si, cells, sc.s, sc)
+	hits, err := a.readCells(si, cells, sc)
 	if err != nil {
 		return err
 	}
@@ -1124,7 +1084,7 @@ func (a *Array) rebuildStripe(si int64, col int, plan *recovery.Plan, parent tra
 	if err := a.loadStripe(si, sc); err != nil {
 		return err
 	}
-	if err := a.writeColumn(si, col, sc.s, sc.tc.Link()); err != nil {
+	if err := a.writeColumn(si, col, sc); err != nil {
 		return fmt.Errorf("raid: rebuilding disk %d stripe %d: %w", col, si, err)
 	}
 	return nil
@@ -1163,7 +1123,7 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 		}
 	}
 	sc.fetch = need
-	if _, err := a.readCells(si, need, sc.s, sc); err != nil {
+	if _, err := a.readCells(si, need, sc); err != nil {
 		return err
 	}
 	// Recover data rows through their chosen groups, then parity rows by
@@ -1190,7 +1150,7 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, nil, gi, target))
 		}
 	}
-	if err := a.writeColumn(si, col, sc.s, sc.tc.Link()); err != nil {
+	if err := a.writeColumn(si, col, sc); err != nil {
 		return fmt.Errorf("raid: rebuilding disk %d stripe %d: %w", col, si, err)
 	}
 	return nil
