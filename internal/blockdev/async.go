@@ -34,7 +34,6 @@ package blockdev
 
 import (
 	"sync"
-	"time"
 
 	"dcode/internal/obs"
 	"dcode/internal/trace"
@@ -73,7 +72,7 @@ type Completion struct {
 	off   int64
 	ops   int64
 	link  trace.Link
-	start time.Time // submit time; OpLatency spans submit→completion
+	start int64 // submit time, an obs.Mono reading; OpLatency spans submit→completion
 
 	n    int
 	err  error
@@ -164,7 +163,7 @@ func (q *poolQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64, l
 func (q *poolQueue) submit(write bool, t int, bufs [][]byte, off int64, ops int64, l trace.Link) *Completion {
 	c := &Completion{
 		write: write, t: t, bufs: bufs, off: off, ops: ops, link: l,
-		start: time.Now(), done: make(chan struct{}),
+		start: obs.Mono(), done: make(chan struct{}),
 	}
 	q.m.Submitted.Inc()
 	q.mu.Lock()
@@ -205,20 +204,23 @@ func (q *poolQueue) worker() {
 	defer q.wg.Done()
 	for c := range q.ch {
 		var n int
+		var end int64
 		var err error
 		if dev := q.devs[c.t]; c.write {
-			n, err = dev.WriteVecAtNLink(c.bufs, c.off, c.ops, c.link)
+			n, end, err = dev.WriteVecAtNLink(c.bufs, c.off, c.ops, c.link, obs.Mono())
 		} else {
-			n, err = dev.ReadVecAtNLink(c.bufs, c.off, c.ops, c.link)
+			n, end, err = dev.ReadVecAtNLink(c.bufs, c.off, c.ops, c.link, obs.Mono())
 		}
-		q.finish(c, n, err)
+		finish(&q.m, c, n, err, end)
 	}
 }
 
-func (q *poolQueue) finish(c *Completion, n int, err error) {
+// finish completes c at end, the obs.Mono reading its device call ended at;
+// both engines settle their completions here.
+func finish(m *obs.AsyncMetrics, c *Completion, n int, err error, end int64) {
 	c.n, c.err = n, err
-	q.m.Completed.Inc()
-	q.m.OpLatency.Observe(time.Since(c.start))
+	m.Completed.Inc()
+	m.OpLatency.ObserveNanos(end - c.start)
 	close(c.done)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
 
@@ -102,9 +103,9 @@ func TestAsyncPoolParity(t *testing.T) {
 				syncBufs[i] = bufs
 				var err error
 				if op.write {
-					_, err = sins[op.t].WriteVecAtNLink(bufs, op.offs, op.ops, trace.Link{})
+					_, _, err = sins[op.t].WriteVecAtNLink(bufs, op.offs, op.ops, trace.Link{}, obs.Mono())
 				} else {
-					_, err = sins[op.t].ReadVecAtNLink(bufs, op.offs, op.ops, trace.Link{})
+					_, _, err = sins[op.t].ReadVecAtNLink(bufs, op.offs, op.ops, trace.Link{}, obs.Mono())
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -479,9 +480,9 @@ func FuzzAsyncPoolParity(f *testing.F) {
 			}
 			var serr, aerr error
 			if write {
-				_, serr = sdev.WriteVecAtNLink([][]byte{sb}, off, 1, trace.Link{})
+				_, _, serr = sdev.WriteVecAtNLink([][]byte{sb}, off, 1, trace.Link{}, obs.Mono())
 			} else {
-				_, serr = sdev.ReadVecAtNLink([][]byte{sb}, off, 1, trace.Link{})
+				_, _, serr = sdev.ReadVecAtNLink([][]byte{sb}, off, 1, trace.Link{}, obs.Mono())
 			}
 			var c *Completion
 			if write {

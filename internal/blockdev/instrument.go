@@ -1,8 +1,6 @@
 package blockdev
 
 import (
-	"time"
-
 	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
@@ -23,7 +21,9 @@ type LinkedDevice interface {
 //
 // Its I/O surface is the four Device methods, each tallied as one operation,
 // plus one vectored pair that carries what the raid layer needs: the
-// ops-equivalent count of a coalesced run and the caller's span link.
+// ops-equivalent count of a coalesced run, the caller's span link, and the
+// obs.Mono timestamp chain — the caller hands in the call's start and gets
+// its end back, so back-to-back calls share one clock read between them.
 type Instrumented struct {
 	dev    Device
 	linked LinkedDevice // dev's link-threading view, nil if unsupported
@@ -34,13 +34,17 @@ type Instrumented struct {
 // OpHook observes every completed device operation: write selects the write
 // path, ops is the element-access count the call stands for (coalesced calls
 // carry the ops they replaced), bytes is what actually moved, and end is the
-// completion time the latency was measured at — handed on so observers need
-// no clock read of their own. The raid layer uses it to feed the windowed
-// per-disk load tracker without blockdev knowing which column it is.
-type OpHook func(write bool, ops, bytes int64, end time.Time)
+// completion time (an obs.Mono reading) the latency was measured at — handed
+// on so observers need no clock read of their own. The raid layer uses it to
+// feed the windowed per-disk load tracker without blockdev knowing which
+// column it is.
+type OpHook func(write bool, ops, bytes int64, end int64)
 
-// Instrument wraps dev. The wrapper adds a few atomic ops and two clock reads
-// per call — negligible next to any real device access.
+// Instrument wraps dev. The wrapper adds a few atomic ops and one monotonic
+// clock read per call: the vectored pair reads the clock only after the device
+// returns, taking its start from the caller; the four Device methods read it
+// on both sides. BenchmarkInstrumentedReadVec prices the wrapper against an
+// in-memory device, where the clock read is most of it.
 func Instrument(dev Device) *Instrumented {
 	lb, _ := dev.(LinkedDevice)
 	return &Instrumented{dev: dev, linked: lb}
@@ -58,7 +62,7 @@ func (d *Instrumented) Underlying() Device { return d.dev }
 
 // ReadAt implements Device, tallied as one operation.
 func (d *Instrumented) ReadAt(p []byte, off int64) (int, error) {
-	start := time.Now()
+	start := obs.Mono()
 	n, err := d.dev.ReadAt(p, off)
 	d.accountRead(start, n, err, 1)
 	return n, err
@@ -66,7 +70,7 @@ func (d *Instrumented) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements Device, tallied as one operation.
 func (d *Instrumented) WriteAt(p []byte, off int64) (int, error) {
-	start := time.Now()
+	start := obs.Mono()
 	n, err := d.dev.WriteAt(p, off)
 	d.accountWrite(start, n, err, 1)
 	return n, err
@@ -74,12 +78,14 @@ func (d *Instrumented) WriteAt(p []byte, off int64) (int, error) {
 
 // ReadVecAt implements Device, tallied as one operation like ReadAt.
 func (d *Instrumented) ReadVecAt(bufs [][]byte, off int64) (int, error) {
-	return d.ReadVecAtNLink(bufs, off, 1, trace.Link{})
+	n, _, err := d.ReadVecAtNLink(bufs, off, 1, trace.Link{}, obs.Mono())
+	return n, err
 }
 
 // WriteVecAt implements Device; see ReadVecAt.
 func (d *Instrumented) WriteVecAt(bufs [][]byte, off int64) (int, error) {
-	return d.WriteVecAtNLink(bufs, off, 1, trace.Link{})
+	n, _, err := d.WriteVecAtNLink(bufs, off, 1, trace.Link{}, obs.Mono())
+	return n, err
 }
 
 // ReadVecAtNLink performs one physical scatter read that stands in for ops
@@ -94,41 +100,38 @@ func (d *Instrumented) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 // When the wrapped device is a LinkedDevice (a Remote) and l is live, the
 // caller's span link travels with the operation; otherwise this is the plain
 // ReadVecAt, so the untraced path pays nothing for it.
-func (d *Instrumented) ReadVecAtNLink(bufs [][]byte, off int64, ops int64, l trace.Link) (int, error) {
-	start := time.Now()
-	var n int
-	var err error
+//
+// start is the obs.Mono reading the call's latency runs from; the one clock
+// read is taken after the device returns and handed back as end, which a
+// caller issuing runs back to back passes on as the next call's start.
+func (d *Instrumented) ReadVecAtNLink(bufs [][]byte, off int64, ops int64, l trace.Link, start int64) (n int, end int64, err error) {
 	if d.linked != nil && l.Trace != 0 {
 		n, err = d.linked.ReadVecAtLink(bufs, off, l)
 	} else {
 		n, err = d.dev.ReadVecAt(bufs, off)
 	}
-	d.accountRead(start, n, err, ops)
-	return n, err
+	return n, d.accountRead(start, n, err, ops), err
 }
 
 // WriteVecAtNLink is ReadVecAtNLink for a gather write.
-func (d *Instrumented) WriteVecAtNLink(bufs [][]byte, off int64, ops int64, l trace.Link) (int, error) {
-	start := time.Now()
-	var n int
-	var err error
+func (d *Instrumented) WriteVecAtNLink(bufs [][]byte, off int64, ops int64, l trace.Link, start int64) (n int, end int64, err error) {
 	if d.linked != nil && l.Trace != 0 {
 		n, err = d.linked.WriteVecAtLink(bufs, off, l)
 	} else {
 		n, err = d.dev.WriteVecAt(bufs, off)
 	}
-	d.accountWrite(start, n, err, ops)
-	return n, err
+	return n, d.accountWrite(start, n, err, ops), err
 }
 
 // accountRead applies ReadVecAtNLink's accounting to one completed read. The
 // ring engine drives the raw file descriptor directly and reports each
 // completion here, so per-disk tallies stay identical whichever path served
 // the bytes; start is when the operation was handed to the device, so the
-// observed latency includes any time it queued there.
-func (d *Instrumented) accountRead(start time.Time, n int, err error, ops int64) {
-	end := time.Now()
-	d.m.ReadLatency.Observe(end.Sub(start))
+// observed latency includes any time it queued there. It returns the
+// completion time, the call's one clock read.
+func (d *Instrumented) accountRead(start int64, n int, err error, ops int64) int64 {
+	end := obs.Mono()
+	d.m.ReadLatency.ObserveNanos(end - start)
 	if err != nil {
 		d.m.Reads.Inc()
 		d.m.ReadErrors.Inc()
@@ -140,12 +143,13 @@ func (d *Instrumented) accountRead(start time.Time, n int, err error, ops int64)
 	if d.hook != nil {
 		d.hook(false, ops, int64(n), end)
 	}
+	return end
 }
 
 // accountWrite is accountRead for the write path.
-func (d *Instrumented) accountWrite(start time.Time, n int, err error, ops int64) {
-	end := time.Now()
-	d.m.WriteLatency.Observe(end.Sub(start))
+func (d *Instrumented) accountWrite(start int64, n int, err error, ops int64) int64 {
+	end := obs.Mono()
+	d.m.WriteLatency.ObserveNanos(end - start)
 	if err != nil {
 		d.m.Writes.Inc()
 		d.m.WriteErrors.Inc()
@@ -157,6 +161,7 @@ func (d *Instrumented) accountWrite(start time.Time, n int, err error, ops int64
 	if d.hook != nil {
 		d.hook(true, ops, int64(n), end)
 	}
+	return end
 }
 
 // Size implements Device.

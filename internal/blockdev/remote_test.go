@@ -125,7 +125,7 @@ func TestInstrumentedRemoteHookFiresOncePerOp(t *testing.T) {
 	inst := Instrument(r)
 
 	var hookCalls, hookOps atomic.Int64
-	inst.SetOpHook(func(write bool, ops, bytes int64, _ time.Time) {
+	inst.SetOpHook(func(write bool, ops, bytes int64, _ int64) {
 		hookCalls.Add(1)
 		hookOps.Add(ops)
 	})

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 	"unsafe"
 
 	"dcode/internal/obs"
@@ -134,7 +133,7 @@ type uringOp struct {
 	c      *Completion
 	iovs   []syscall.Iovec
 	total  int
-	kstart time.Time // when the SQE was handed to the kernel (flush time)
+	kstart int64 // when the SQE was handed to the kernel (flush time), an obs.Mono reading
 }
 
 // uringQueue is the io_uring AsyncQueue engine.
@@ -333,7 +332,7 @@ func (q *uringQueue) SubmitWriteVec(t int, bufs [][]byte, off int64, ops int64, 
 func (q *uringQueue) submit(write bool, t int, bufs [][]byte, off int64, ops int64) *Completion {
 	c := &Completion{
 		write: write, t: t, bufs: bufs, off: off, ops: ops,
-		start: time.Now(), done: make(chan struct{}),
+		start: obs.Mono(), done: make(chan struct{}),
 	}
 	iovs := make([]syscall.Iovec, 0, len(bufs))
 	total := 0
@@ -350,7 +349,7 @@ func (q *uringQueue) submit(write bool, t int, bufs [][]byte, off int64, ops int
 	if len(iovs) == 0 {
 		// Nothing to move: complete inline with the same zero-byte result
 		// the synchronous vectored path produces.
-		q.finish(c, 0, nil)
+		finish(&q.m, c, 0, nil, obs.Mono())
 		return c
 	}
 	// Bound in-flight ops to the CQ capacity; when the try-acquire fails,
@@ -424,7 +423,7 @@ func (q *uringQueue) flushLocked() {
 		return
 	}
 	q.stagedN = 0
-	now := time.Now()
+	now := obs.Mono()
 	for _, op := range q.staged {
 		op.kstart = now
 	}
@@ -511,24 +510,19 @@ func (q *uringQueue) complete(id uint64, res int32) {
 			err = io.ErrUnexpectedEOF
 		}
 	}
-	if d := q.devs[op.c.t]; d.ins != nil {
-		if op.c.write {
-			d.ins.accountWrite(op.kstart, n, err, op.c.ops)
-		} else {
-			d.ins.accountRead(op.kstart, n, err, op.c.ops)
-		}
+	var end int64
+	switch d := q.devs[op.c.t]; {
+	case d.ins == nil:
+		end = obs.Mono()
+	case op.c.write:
+		end = d.ins.accountWrite(op.kstart, n, err, op.c.ops)
+	default:
+		end = d.ins.accountRead(op.kstart, n, err, op.c.ops)
 	}
 	// The kernel is done with the iovecs and buffers as of this CQE.
 	runtime.KeepAlive(op.iovs)
 	<-q.sem
-	q.finish(op.c, n, err)
-}
-
-func (q *uringQueue) finish(c *Completion, n int, err error) {
-	c.n, c.err = n, err
-	q.m.Completed.Inc()
-	q.m.OpLatency.Observe(time.Since(c.start))
-	close(c.done)
+	finish(&q.m, op.c, n, err, end)
 }
 
 // Close implements AsyncQueue: flush staged work, wait for every in-flight

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
 
@@ -204,15 +205,15 @@ func TestInstrumentedVecTallies(t *testing.T) {
 	mem := NewMem(4096)
 	d := Instrument(mem)
 	var hookOps, hookBytes int64
-	d.SetOpHook(func(write bool, ops, bytes int64, _ time.Time) {
+	d.SetOpHook(func(write bool, ops, bytes int64, _ int64) {
 		hookOps += ops
 		hookBytes += bytes
 	})
 	bufs := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16)}
-	if _, err := d.WriteVecAtNLink(bufs, 0, 3, trace.Link{}); err != nil {
+	if _, _, err := d.WriteVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}); err != nil {
+	if _, _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
 	m := d.Metrics()
@@ -235,7 +236,7 @@ func TestInstrumentedVecTallies(t *testing.T) {
 	}
 	// A failed vectored call is one failed access.
 	mem.Fail()
-	if _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}); !errors.Is(err, ErrFailed) {
+	if _, _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); !errors.Is(err, ErrFailed) {
 		t.Fatalf("vec read on failed device: %v", err)
 	}
 	if m.Reads.Load() != 5 || m.ReadErrors.Load() != 1 {

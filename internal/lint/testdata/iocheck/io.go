@@ -19,9 +19,18 @@ func discards(dev blockdev.Device, buf []byte) {
 }
 
 // linkDiscards drops the error of the vectored accounting call the raid
-// layer issues every device run through.
-func linkDiscards(dev *blockdev.Instrumented, bufs [][]byte) {
-	dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}) // want `device I/O error from .*ReadVecAtNLink is discarded`
+// layer issues every device run through; the error is its last result, after
+// the byte count and the end stamp.
+func linkDiscards(dev *blockdev.Instrumented, bufs [][]byte) int64 {
+	dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}, 0)               // want `device I/O error from .*ReadVecAtNLink is discarded`
+	_, end, _ := dev.WriteVecAtNLink(bufs, 0, 2, trace.Link{}, 0) // want `device I/O error from .*WriteVecAtNLink is assigned to the blank identifier`
+	return end
+}
+
+// linkConsumes keeps the error and drops only the byte count and the stamp.
+func linkConsumes(dev *blockdev.Instrumented, bufs [][]byte) error {
+	_, _, err := dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}, 0)
+	return err
 }
 
 func consumes(dev blockdev.Device, buf []byte) error {

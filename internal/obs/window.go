@@ -27,7 +27,7 @@ type LoadWindow struct {
 	disks     int
 	slots     int
 	slotNanos int64
-	start     int64 // construction time, unix ns
+	start     int64 // construction time, a Mono reading
 
 	hotFactor atomic.Uint64 // math.Float64bits
 
@@ -55,7 +55,7 @@ func NewLoadWindow(disks, slots int, slotDur time.Duration) *LoadWindow {
 		disks:     disks,
 		slots:     slots,
 		slotNanos: int64(slotDur),
-		start:     time.Now().UnixNano(),
+		start:     Mono(),
 		reads:     make([]Counter, slots*disks),
 		writes:    make([]Counter, slots*disks),
 	}
@@ -71,7 +71,7 @@ func (w *LoadWindow) SetHotFactor(f float64) { w.hotFactor.Store(math.Float64bit
 // Disks returns the number of lanes.
 func (w *LoadWindow) Disks() int { return w.disks }
 
-// slotAt maps a timestamp to an absolute slot index.
+// slotAt maps a Mono timestamp to an absolute slot index.
 func (w *LoadWindow) slotAt(now int64) int64 {
 	s := (now - w.start) / w.slotNanos
 	if s < 0 {
@@ -102,14 +102,16 @@ func (w *LoadWindow) advance(slot int64) {
 	w.cur.Store(slot)
 }
 
-// Record tallies n accesses on disk i that completed at now; write selects
-// the write cell. The caller supplies the timestamp it already took for its
-// latency measurement, so recording costs no clock read.
-func (w *LoadWindow) Record(i int, write bool, n int64, now time.Time) {
+// Record tallies n accesses on disk i that completed at now, a Mono reading;
+// write selects the write cell. The caller supplies the timestamp it already
+// took for its latency measurement, so recording costs no clock read. Being
+// monotonic, the stamp cannot file a record into an aged slot or rotate the
+// window away when the wall clock steps.
+func (w *LoadWindow) Record(i int, write bool, n int64, now int64) {
 	if w == nil {
 		return
 	}
-	slot := w.slotAt(now.UnixNano())
+	slot := w.slotAt(now)
 	if slot > w.cur.Load() {
 		w.advance(slot)
 	}
@@ -156,8 +158,10 @@ type WindowSnapshot struct {
 
 // Snapshot captures the rolling window. It first advances rotation so slots
 // that aged out since the last Record don't linger in the view.
-func (w *LoadWindow) Snapshot() WindowSnapshot {
-	now := time.Now().UnixNano()
+func (w *LoadWindow) Snapshot() WindowSnapshot { return w.snapshotAt(Mono()) }
+
+// snapshotAt is Snapshot as of the Mono reading now.
+func (w *LoadWindow) snapshotAt(now int64) WindowSnapshot {
 	slot := w.slotAt(now)
 	if slot > w.cur.Load() {
 		w.advance(slot)

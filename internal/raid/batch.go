@@ -168,7 +168,7 @@ func (a *Array) writeAtBatched(p []byte, off int64, parent trace.Link) (int, err
 func (a *Array) enqueueWrite(p []byte, off int64, si int64, parent trace.Link) (int, error) {
 	b := a.batch
 	tc := a.tr.Begin(trace.OpWrite, -1, si, parent)
-	start := time.Now()
+	start := obs.Mono()
 	b.mu.Lock()
 	if err := b.takeErr(); err != nil {
 		b.mu.Unlock()
@@ -216,7 +216,7 @@ func (a *Array) enqueueWrite(p []byte, off int64, si int64, parent trace.Link) (
 		}
 	}
 	b.mu.Unlock()
-	a.m.writeLatency.Observe(time.Since(start))
+	a.m.writeLatency.ObserveNanos(obs.Mono() - start)
 	a.tr.End(tc, int64(len(p)), err != nil)
 	if err != nil {
 		return 0, err

@@ -23,6 +23,7 @@ import (
 
 	"dcode/internal/blockdev"
 	"dcode/internal/erasure"
+	"dcode/internal/obs"
 	"dcode/internal/stripe"
 	"dcode/internal/trace"
 )
@@ -252,6 +253,11 @@ func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
 // returns the error of the lowest-indexed failed read run (fanOut's rule;
 // inline, the first failure stops the loop); writes are best effort, so every
 // run is attempted and the result is nil.
+//
+// Inline, the runs share one obs.Mono chain: the clock is read once before
+// the first run, and each run's end — the one read its device call takes
+// after returning — is the next run's start, so a stage of k runs costs k+1
+// clock reads, not 2k. A fanned-out run reads its own start.
 func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) error {
 	switch {
 	case a.aio != nil:
@@ -259,28 +265,40 @@ func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) e
 	case a.conc <= 1 || len(vruns) <= 1:
 		// Loop directly: the fanOut closure escapes into its goroutine path,
 		// so constructing it would heap-allocate on every call.
+		t := obs.Mono()
 		for _, r := range vruns {
-			if err := a.issueRun(write, si, r, sc); err != nil {
+			var err error
+			if t, err = a.issueRun(write, si, r, sc, t); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return a.fanOut(len(vruns), func(i int) error { return a.issueRun(write, si, vruns[i], sc) })
+	return a.fanOut(len(vruns), func(i int) error {
+		_, err := a.issueRun(write, si, vruns[i], sc, obs.Mono())
+		return err
+	})
 }
 
 // issueRun issues one staged run under its own device span: one vectored
 // call standing for the run's n element accesses, settled by settleRun. A run
-// on a failed column fails with ErrFailed without touching the device.
-func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch) error {
+// on a failed column fails with ErrFailed without touching the device. start
+// is the obs.Mono reading the device call's latency runs from; the returned
+// stamp is where the run ended — the device call's own end, or a fresh
+// reading after a retry, whose element calls time themselves.
+func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start int64) (int64, error) {
 	tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
 	err := blockdev.ErrFailed
+	end := start
 	if !a.isFailed(r.col) {
 		bufs := sc.vecbufs[r.lo:r.hi]
-		err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link())
-		err = a.settleRun(write, si, r, bufs, err, tc.Link())
+		end, err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link(), start)
+		if err != nil {
+			err = a.settleRun(write, si, r, bufs, err, tc.Link())
+			end = obs.Mono()
+		}
 	}
-	return a.endRun(write, r, tc, err)
+	return end, a.endRun(write, r, tc, err)
 }
 
 // endRun closes a run's device span — failed if the run failed — and returns
@@ -336,16 +354,16 @@ func devOp(write bool) trace.Op {
 }
 
 // devIO is the array's one synchronous device call: a vectored read or
-// write of column col at off, tallied as ops element accesses and carrying
-// the span link l.
-func (a *Array) devIO(write bool, col int, bufs [][]byte, off, ops int64, l trace.Link) error {
-	var err error
+// write of column col at off, tallied as ops element accesses, carrying the
+// span link l, and timed from the obs.Mono reading start. It returns the
+// call's end stamp.
+func (a *Array) devIO(write bool, col int, bufs [][]byte, off, ops int64, l trace.Link, start int64) (end int64, err error) {
 	if write {
-		_, err = a.iodevs[col].WriteVecAtNLink(bufs, off, ops, l)
+		_, end, err = a.iodevs[col].WriteVecAtNLink(bufs, off, ops, l, start)
 	} else {
-		_, err = a.iodevs[col].ReadVecAtNLink(bufs, off, ops, l)
+		_, end, err = a.iodevs[col].ReadVecAtNLink(bufs, off, ops, l, start)
 	}
-	return err
+	return end, err
 }
 
 // columnRuns lists stripe-long runs of every column not in skip, in sc.runs —
@@ -370,7 +388,7 @@ func (a *Array) writeColumn(si int64, col int, sc *opScratch) error {
 	tc := a.tr.Begin(trace.OpDevWrite, int32(col), si, sc.tc.Link())
 	rows := a.code.Rows()
 	sc.vecbufs = append(sc.vecbufs[:0], sc.s.ColRange(col, 0, rows))
-	err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, 0), int64(rows), tc.Link())
+	_, err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, 0), int64(rows), tc.Link(), obs.Mono())
 	a.tr.End(tc, int64(rows*a.elemSize), err != nil)
 	return err
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcode/internal/blockdev"
 	"dcode/internal/codes"
@@ -365,5 +367,76 @@ func TestCoalesceRuns(t *testing.T) {
 		if runs[i] != want[i] {
 			t.Fatalf("run %d = %+v, want %+v", i, runs[i], want[i])
 		}
+	}
+}
+
+// slowOnceDev counts its vectored reads; when armed, the next one sleeps for
+// delay before serving.
+type slowOnceDev struct {
+	blockdev.Device
+	calls atomic.Int64
+	armed atomic.Bool
+	delay time.Duration
+}
+
+func (d *slowOnceDev) ReadVecAt(bufs [][]byte, off int64) (int, error) {
+	d.calls.Add(1)
+	if d.armed.CompareAndSwap(true, false) {
+		time.Sleep(d.delay)
+	}
+	return d.Device.ReadVecAt(bufs, off)
+}
+
+// TestRunChainAttributesEachRun pins the run issuer's timestamp chain: the
+// inline runs of one stage share clock reads, each run starting where the
+// previous one ended, so a slow device call is charged to its own column's
+// latency histogram and to no run after it. Column 0 is issued first, so if
+// a run's start were not advanced to the previous run's end, every later
+// column would observe the 2 ms too.
+func TestRunChainAttributesEachRun(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	code := codes.MustNew("dcode", 5)
+	devs := make([]blockdev.Device, code.Cols())
+	slow := make([]*slowOnceDev, code.Cols())
+	for i := range devs {
+		slow[i] = &slowOnceDev{Device: blockdev.NewMem(int64(code.Rows()) * elemSize), delay: delay}
+		devs[i] = slow[i]
+	}
+	a, err := New(code, devs, elemSize, 1, WithConcurrency(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, a.stripeDataBytes())
+	for _, d := range slow {
+		d.calls.Store(0)
+	}
+	slow[0].armed.Store(true)
+	if _, err := a.ReadAt(p, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	busy := 0
+	for c, d := range slow {
+		lat := a.iodevs[c].Metrics().Snapshot().ReadLatency
+		if lat.Count != d.calls.Load() {
+			t.Errorf("col %d: %d latency observations for %d device calls", c, lat.Count, d.calls.Load())
+		}
+		if lat.Count > 0 {
+			busy++
+		}
+		// Observations of at least 2^20 ns (about 1 ms): the buckets from 21 up.
+		var long int64
+		for _, n := range lat.Buckets[21:] {
+			long += n
+		}
+		switch {
+		case c == 0 && (long != 1 || lat.MaxNanos < int64(delay)):
+			t.Errorf("col 0: %d observations ≥ 1 ms, max %v; want one ≥ %v", long, time.Duration(lat.MaxNanos), delay)
+		case c != 0 && lat.MaxNanos >= int64(time.Millisecond):
+			t.Errorf("col %d: max latency %v, want < 1 ms: charged another run's time", c, time.Duration(lat.MaxNanos))
+		}
+	}
+	if slow[0].calls.Load() == 0 || busy < 2 {
+		t.Fatalf("read touched %d columns (col 0: %d calls); the test needs col 0 and a run after it", busy, slow[0].calls.Load())
 	}
 }

@@ -298,7 +298,7 @@ func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, l t
 	if a.isFailed(co.Col) {
 		return blockdev.ErrFailed
 	}
-	err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, l)
+	_, err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, l, obs.Mono())
 	return a.elemFault(write, si, co, iov[0], err, l)
 }
 
@@ -371,9 +371,9 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 			continue
 		}
 		if failed != 0 {
-			ps := time.Now()
+			ps := obs.Mono()
 			err := a.code.Reconstruct(sc.s, failed.cols()...)
-			a.m.parityLatency.Observe(time.Since(ps))
+			a.m.parityLatency.ObserveNanos(obs.Mono() - ps)
 			if err != nil {
 				return err
 			}
@@ -460,9 +460,9 @@ func (a *Array) ReadAtLink(p []byte, off int64, parent trace.Link) (n int, err e
 		}
 	}
 	tc := a.tr.Begin(trace.OpRead, -1, -1, parent)
-	start := time.Now()
+	start := obs.Mono()
 	defer func() {
-		a.m.readLatency.Observe(time.Since(start))
+		a.m.readLatency.ObserveNanos(obs.Mono() - start)
 		a.tr.End(tc, int64(n), err != nil)
 	}()
 	a.opMu.RLock()
@@ -624,11 +624,11 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 // event, counter and latency sample — begun when the task first needs a lost
 // cell and ended once the wanted bytes are fetched (or with the task, on
 // error), so a task counts once however many strategies (direct, planned,
-// whole-stripe) it tries on the way. A zero start means the task has not gone
-// degraded.
+// whole-stripe) it tries on the way. start is an obs.Mono reading; a zero
+// start means the task has not gone degraded.
 type degradedRead struct {
 	tc    trace.Ctx
-	start time.Time
+	start int64
 	bytes int64
 }
 
@@ -636,21 +636,21 @@ type degradedRead struct {
 // column down failed (-1: more than one) — unless the task already has one,
 // which it keeps.
 func (a *Array) beginDegraded(si int64, down, cells int, sc *opScratch) {
-	if !sc.deg.start.IsZero() {
+	if sc.deg.start != 0 {
 		return
 	}
 	tc := a.tr.Begin(trace.OpDegradedRead, int32(down), si, sc.tc.Link())
-	sc.deg = degradedRead{tc: tc, start: time.Now(), bytes: int64(cells) * int64(a.elemSize)}
+	sc.deg = degradedRead{tc: tc, start: obs.Mono(), bytes: int64(cells) * int64(a.elemSize)}
 	a.ev.Record(obs.EvDegradedRead, int32(down), si, tc.Link().Trace, 0)
 	a.m.degradedReads.Inc()
 }
 
 // endDegraded closes the task's degraded record, if it opened one.
 func (a *Array) endDegraded(sc *opScratch) {
-	if sc.deg.start.IsZero() {
+	if sc.deg.start == 0 {
 		return
 	}
-	a.m.degradedReadLatency.Observe(time.Since(sc.deg.start))
+	a.m.degradedReadLatency.ObserveNanos(obs.Mono() - sc.deg.start)
 	a.tr.End(sc.deg.tc, sc.deg.bytes, false)
 	sc.deg = degradedRead{}
 }
@@ -721,9 +721,9 @@ func (a *Array) WriteAtLink(p []byte, off int64, parent trace.Link) (n int, err 
 // front end writes through it for anything the window cannot hold.
 func (a *Array) writeAtDirect(p []byte, off int64, parent trace.Link) (n int, err error) {
 	tc := a.tr.Begin(trace.OpWrite, -1, -1, parent)
-	start := time.Now()
+	start := obs.Mono()
 	defer func() {
-		a.m.writeLatency.Observe(time.Since(start))
+		a.m.writeLatency.ObserveNanos(obs.Mono() - start)
 		a.tr.End(tc, int64(n), err != nil)
 	}()
 	a.opMu.RLock()
@@ -829,9 +829,9 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 	}
 	data := a.overlay(ers, p, sc)
 	defer clear(data)
-	ps := time.Now()
+	ps := obs.Mono()
 	a.code.EncodeFrom(sc.s, data)
-	a.m.parityLatency.Observe(time.Since(ps))
+	a.m.parityLatency.ObserveNanos(obs.Mono() - ps)
 	if err := a.storeStripe(si, data, sc); err != nil {
 		return err
 	}
@@ -907,9 +907,9 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 		return err
 	}
 	data := a.overlay(ers, p, sc)
-	ps := time.Now()
+	ps := obs.Mono()
 	a.code.EncodeFrom(sc.s, data)
-	a.m.parityLatency.Observe(time.Since(ps))
+	a.m.parityLatency.ObserveNanos(obs.Mono() - ps)
 	// Commit: written data elements plus every parity cell. Like storeStripe,
 	// a device failing mid-commit is skipped — aborting here would leave the
 	// surviving cells half old, half new; completing the commit keeps them
@@ -1032,11 +1032,11 @@ func (a *Array) Rebuild(col int) (err error) {
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
 	}
-	rebuildStart := time.Now()
+	rebuildStart := obs.Mono()
 	a.ev.Record(obs.EvRebuildStart, int32(col), -1, tcOp.Link().Trace, 0)
 	defer func() {
 		if err == nil {
-			a.ev.Record(obs.EvRebuildEnd, int32(col), -1, tcOp.Link().Trace, int64(time.Since(rebuildStart)))
+			a.ev.Record(obs.EvRebuildEnd, int32(col), -1, tcOp.Link().Trace, obs.Mono()-rebuildStart)
 		}
 	}()
 	var plan *recovery.Plan
@@ -1067,12 +1067,12 @@ func (a *Array) rebuildStripe(si int64, col int, plan *recovery.Plan, parent tra
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	sc.tc = a.tr.Begin(trace.OpRebuildStripe, int32(col), si, parent)
-	stripeStart := time.Now()
+	stripeStart := obs.Mono()
 	defer func() {
 		a.tr.End(sc.tc, 0, err != nil)
 		if err == nil {
 			a.m.stripesRebuilt.Inc()
-			a.m.rebuildLatency.Observe(time.Since(stripeStart))
+			a.m.rebuildLatency.ObserveNanos(obs.Mono() - stripeStart)
 		}
 	}()
 	if plan != nil && a.failedCount() == 1 {
@@ -1172,7 +1172,7 @@ func (a *Array) Scrub() (fixedN int64, err error) {
 	if n := a.failedCount(); n > 0 {
 		return 0, fmt.Errorf("raid: scrub requires a healthy array (%d disks failed)", n)
 	}
-	scrubStart := time.Now()
+	scrubStart := obs.Mono()
 	a.ev.Record(obs.EvScrubStart, -1, -1, tcOp.Link().Trace, 0)
 	var fixed atomic.Int64
 	err = a.fanOut(int(a.stripes), func(i int) error {
@@ -1183,7 +1183,7 @@ func (a *Array) Scrub() (fixedN int64, err error) {
 	if err == nil {
 		// Stripe carries the fixed-stripe tally (scrub is not bound to one
 		// stripe), Aux the duration — both fit the generic event shape.
-		a.ev.Record(obs.EvScrubEnd, -1, fixed.Load(), tcOp.Link().Trace, int64(time.Since(scrubStart)))
+		a.ev.Record(obs.EvScrubEnd, -1, fixed.Load(), tcOp.Link().Trace, obs.Mono()-scrubStart)
 	}
 	return fixed.Load(), err
 }
@@ -1195,17 +1195,17 @@ func (a *Array) scrubStripeTask(si int64, parent trace.Link) (fixed int64, err e
 	defer a.putScratch(sc)
 	sc.tc = a.tr.Begin(trace.OpScrubStripe, -1, si, parent)
 	defer func() { a.tr.End(sc.tc, 0, err != nil) }()
-	stripeStart := time.Now()
+	stripeStart := obs.Mono()
 	if err := a.loadStripe(si, sc); err != nil {
 		return 0, err
 	}
 	if a.code.Verify(sc.s) {
-		a.m.scrubLatency.Observe(time.Since(stripeStart))
+		a.m.scrubLatency.ObserveNanos(obs.Mono() - stripeStart)
 		return 0, nil
 	}
-	ps := time.Now()
+	ps := obs.Mono()
 	a.code.Encode(sc.s)
-	a.m.parityLatency.Observe(time.Since(ps))
+	a.m.parityLatency.ObserveNanos(obs.Mono() - ps)
 	if err := a.storeStripe(si, nil, sc); err != nil {
 		return 0, err
 	}
@@ -1213,6 +1213,6 @@ func (a *Array) scrubStripeTask(si int64, parent trace.Link) (fixed int64, err e
 	// what the engine believed: drop every cached cell of the stripe.
 	a.cacheInvalidateStripe(si)
 	a.m.scrubErrorsFixed.Inc()
-	a.m.scrubLatency.Observe(time.Since(stripeStart))
+	a.m.scrubLatency.ObserveNanos(obs.Mono() - stripeStart)
 	return 1, nil
 }

@@ -63,7 +63,7 @@ func (a *Array) initObservability() {
 	}
 	for i := range a.iodevs {
 		col := i
-		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64, end time.Time) {
+		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64, end int64) {
 			a.window.Record(col, write, ops, end)
 		})
 	}
