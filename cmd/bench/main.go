@@ -211,7 +211,7 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, cacheByt
 	// RMW-vs-reconstruct strategy choice, then open the measured window.
 	fill := make([]byte, a.Size())
 	for i := range fill {
-		fill[i] = byte(i*2654435761 + int(cfg.Seed))
+		fill[i] = byte(uint32(i)*2654435761 + uint32(cfg.Seed))
 	}
 	if _, err := a.WriteAt(fill, 0); err != nil {
 		return benchfmt.Result{}, err

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -251,12 +252,19 @@ func (d *MemDevice) Corrupt(off int64) {
 	d.mu.Unlock()
 }
 
-// FileDevice is a Device backed by a file. OpenFileDirect additionally arms
+// FileDevice is a Device backed by a file. On Linux the file is also mapped,
+// and a request whose pages have all been through the descriptor before is a
+// copy to or from the mapping (see mmap.go). OpenFileDirect additionally arms
 // an O_DIRECT descriptor (see direct.go): aligned requests then bypass the
-// page cache, everything else falls back to the buffered descriptor.
+// page cache, everything else takes the buffered path.
 type FileDevice struct {
 	f    *os.File
 	size int64
+
+	// Shared mapping (Linux; nil elsewhere or when the file cannot be
+	// mapped): mem is the whole file, res one residency flag per 4 KiB page.
+	mem []byte
+	res []atomic.Bool
 
 	// Direct-I/O mode (Linux only; zero-valued otherwise): direct is the
 	// O_DIRECT descriptor and align the probed offset/length/memory
@@ -267,7 +275,8 @@ type FileDevice struct {
 	bounce sync.Pool
 }
 
-// OpenFile creates (truncating to size) or opens a file-backed device.
+// OpenFile creates (truncating to size) or opens a file-backed device and,
+// on Linux, maps it.
 func OpenFile(path string, size int64) (*FileDevice, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -276,38 +285,57 @@ func OpenFile(path string, size int64) (*FileDevice, error) {
 	if err := f.Truncate(size); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	return &FileDevice{f: f, size: size}, nil
+	d := &FileDevice{f: f, size: size}
+	d.mapFile()
+	return d, nil
 }
 
 // ReadAt implements Device.
 func (d *FileDevice) ReadAt(p []byte, off int64) (int, error) {
-	if d.direct != nil && d.alignedRange(len(p), off) {
+	switch {
+	case d.direct != nil && d.alignedRange(len(p), off):
 		return d.directRead(p, off)
+	case d.resident(off, len(p)):
+		return d.mapCopy([][]byte{p}, off, false)
 	}
-	return d.f.ReadAt(p, off)
+	n, err := d.f.ReadAt(p, off)
+	d.setResident(off, n, true)
+	return n, err
 }
 
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(p []byte, off int64) (int, error) {
-	if d.direct != nil && d.alignedRange(len(p), off) {
+	switch {
+	case d.direct != nil && d.alignedRange(len(p), off):
 		return d.directWrite(p, off)
+	case d.resident(off, len(p)):
+		return d.mapCopy([][]byte{p}, off, true)
 	}
-	return d.f.WriteAt(p, off)
+	n, err := d.f.WriteAt(p, off)
+	d.setResident(off, n, true)
+	return n, err
 }
 
 // Size implements Device.
 func (d *FileDevice) Size() int64 { return d.size }
 
-// Sync flushes the backing file to stable storage; the network block server
-// maps the protocol's FLUSH op to it in column mode.
-func (d *FileDevice) Sync() error { return d.f.Sync() }
-
-// Close implements Device.
-func (d *FileDevice) Close() error {
-	if d.direct != nil {
-		return errors.Join(d.direct.Close(), d.f.Close())
+// Sync flushes the backing file to stable storage — the mapping's dirty
+// pages (msync), then the file (fsync); the network block server maps the
+// protocol's FLUSH op to it in column mode.
+func (d *FileDevice) Sync() error {
+	if err := d.msyncFile(); err != nil {
+		return err
 	}
-	return d.f.Close()
+	return d.f.Sync()
+}
+
+// Close implements Device: it unmaps the file and closes its descriptors.
+func (d *FileDevice) Close() error {
+	err := d.unmapFile()
+	if d.direct != nil {
+		err = errors.Join(err, d.direct.Close())
+	}
+	return errors.Join(err, d.f.Close())
 }
 
 // Delayed wraps a Device with a two-term service-time model per physical

@@ -11,12 +11,13 @@ package blockdev
 //     through a pooled align-allocated bounce buffer, still O_DIRECT (one
 //     copy — Go heap slices carry no alignment guarantee, so this is the
 //     common case for stripe memory);
-//   - offset or length unaligned → the buffered descriptor serves it (the
-//     kernel page cache handles sub-sector granularity; Linux keeps the two
-//     views of one file coherent).
+//   - offset or length unaligned → the buffered path serves it: the shared
+//     mapping when its pages are resident, the buffered descriptor otherwise
+//     (mmap.go; the kernel page cache handles sub-sector granularity, and
+//     Linux keeps every view of one file coherent).
 //
-// Vectored calls (ReadVecAt/WriteVecAt) of more than one buffer use the
-// buffered descriptor: every iovec would need its own alignment, which the
+// Vectored calls (ReadVecAt/WriteVecAt) of more than one buffer take the
+// buffered path: every iovec would need its own alignment, which the
 // raid layer's caller-provided buffers cannot promise. A one-buffer call —
 // the raid layer's contiguous runs — is dispatched like ReadAt/WriteAt. The async ring engine registers
 // the buffered descriptor for the same reason (see uring_linux.go and the
@@ -54,6 +55,9 @@ func (d *FileDevice) directRead(p []byte, off int64) (int, error) {
 }
 
 func (d *FileDevice) directWrite(p []byte, off int64) (int, error) {
+	// The kernel drops the cached pages a direct write covers, so their next
+	// buffered access goes through the descriptor again (mmap.go).
+	d.setResident(off, len(p), false)
 	if d.memAligned(p) {
 		return d.direct.WriteAt(p, off)
 	}

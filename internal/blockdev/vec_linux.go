@@ -14,9 +14,11 @@ import (
 // layer's vectored calls carry at most one stripe's rows, well below this.
 const iovChunk = 64
 
-// ReadVecAt implements Device as a true scatter read: one preadv(2) per call
-// (per iovChunk chunk), issued via raw Syscall6 so the repository stays
-// dependency-free. The kernel moves the contiguous file range directly into
+// ReadVecAt implements Device as a true scatter read. When every page of the
+// range is resident it is a copy out of the shared mapping (mmap.go).
+// Otherwise it is one preadv(2) per call (per iovChunk chunk), issued via raw
+// Syscall6 so the repository stays dependency-free, and the pages it moved
+// become resident. The kernel moves the contiguous file range directly into
 // the caller's buffers — no staging copy, no per-buffer syscalls. EINTR and
 // short reads advance the cursor and retry. On a device with an O_DIRECT
 // descriptor a single buffer is a plain ReadAt, so a contiguous run still
@@ -25,16 +27,26 @@ func (d *FileDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	if d.direct != nil && len(bufs) == 1 {
 		return d.ReadAt(bufs[0], off)
 	}
-	return d.vecIO(bufs, off, syscall.SYS_PREADV)
+	if d.resident(off, VecLen(bufs)) {
+		return d.mapCopy(bufs, off, false)
+	}
+	n, err := d.vecIO(bufs, off, syscall.SYS_PREADV)
+	d.setResident(off, n, true)
+	return n, err
 }
 
-// WriteVecAt implements Device as a true gather write via pwritev(2); see
-// ReadVecAt.
+// WriteVecAt implements Device as a true gather write: a copy into the
+// mapping over resident pages, pwritev(2) otherwise; see ReadVecAt.
 func (d *FileDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	if d.direct != nil && len(bufs) == 1 {
 		return d.WriteAt(bufs[0], off)
 	}
-	return d.vecIO(bufs, off, syscall.SYS_PWRITEV)
+	if d.resident(off, VecLen(bufs)) {
+		return d.mapCopy(bufs, off, true)
+	}
+	n, err := d.vecIO(bufs, off, syscall.SYS_PWRITEV)
+	d.setResident(off, n, true)
+	return n, err
 }
 
 func (d *FileDevice) vecIO(bufs [][]byte, off int64, trap uintptr) (int, error) {

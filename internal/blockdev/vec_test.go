@@ -106,57 +106,74 @@ func TestMemVecWriteLimit(t *testing.T) {
 	}
 }
 
-// TestFileVecRoundTrip exercises the FileDevice scatter/gather path — the
-// raw preadv/pwritev syscalls on linux, the loop fallback elsewhere —
-// including buffer lists longer than one syscall's iovec chunk.
+// TestFileVecRoundTrip exercises the FileDevice scatter/gather paths,
+// including buffer lists longer than one syscall's iovec chunk. Every range
+// is written and read twice: on Linux the first pass populates its pages
+// through preadv/pwritev and the second is served from the shared mapping.
+// The descriptor case drops the mapping, so the syscalls (the per-buffer loop
+// off Linux) serve every call.
 func TestFileVecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	path := filepath.Join(t.TempDir(), "vec.img")
-	d, err := OpenFile(path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	for _, tc := range []struct {
-		name  string
-		n     int
-		piece int
-		off   int64
-	}{
-		{"small", 100, 7, 0},
-		{"odd-tail", 4097, 64, 513},
-		{"many-bufs", 3000, 3, 1 << 19}, // 1000 buffers: several iovec chunks
-	} {
-		want := make([]byte, tc.n)
-		rng.Read(want)
-		var wbufs [][]byte
-		for i := 0; i < tc.n; i += tc.piece {
-			end := min(i+tc.piece, tc.n)
-			wbufs = append(wbufs, bytes.Clone(want[i:end]))
+	for _, mapped := range []bool{true, false} {
+		name := "descriptor"
+		if mapped {
+			name = "mapped"
 		}
-		if n, err := d.WriteVecAt(wbufs, tc.off); err != nil || n != tc.n {
-			t.Fatalf("%s: WriteVecAt = %d, %v", tc.name, n, err)
-		}
-		flat := make([]byte, tc.n)
-		if _, err := d.ReadAt(flat, tc.off); err != nil {
-			t.Fatalf("%s: ReadAt back: %v", tc.name, err)
-		}
-		if !bytes.Equal(flat, want) {
-			t.Fatalf("%s: gather write landed wrong bytes", tc.name)
-		}
-		got := make([]byte, tc.n)
-		var rbufs [][]byte
-		for i := 0; i < tc.n; i += tc.piece {
-			end := min(i+tc.piece, tc.n)
-			rbufs = append(rbufs, got[i:end])
-		}
-		if n, err := d.ReadVecAt(rbufs, tc.off); err != nil || n != tc.n {
-			t.Fatalf("%s: ReadVecAt = %d, %v", tc.name, n, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: scatter read returned wrong bytes", tc.name)
-		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			path := filepath.Join(t.TempDir(), "vec.img")
+			d, err := OpenFile(path, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if !mapped {
+				if err := d.unmapFile(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pass := range []string{"first pass", "second pass"} {
+				for _, tc := range []struct {
+					name  string
+					n     int
+					piece int
+					off   int64
+				}{
+					{"small", 100, 7, 0},
+					{"odd-tail", 4097, 64, 513},
+					{"many-bufs", 3000, 3, 1 << 19}, // 1000 buffers: several iovec chunks
+				} {
+					want := make([]byte, tc.n)
+					rng.Read(want)
+					var wbufs [][]byte
+					for i := 0; i < tc.n; i += tc.piece {
+						end := min(i+tc.piece, tc.n)
+						wbufs = append(wbufs, bytes.Clone(want[i:end]))
+					}
+					if n, err := d.WriteVecAt(wbufs, tc.off); err != nil || n != tc.n {
+						t.Fatalf("%s, %s: WriteVecAt = %d, %v", tc.name, pass, n, err)
+					}
+					flat := make([]byte, tc.n)
+					if _, err := d.ReadAt(flat, tc.off); err != nil {
+						t.Fatalf("%s, %s: ReadAt back: %v", tc.name, pass, err)
+					}
+					if !bytes.Equal(flat, want) {
+						t.Fatalf("%s, %s: gather write landed wrong bytes", tc.name, pass)
+					}
+					got := make([]byte, tc.n)
+					var rbufs [][]byte
+					for i := 0; i < tc.n; i += tc.piece {
+						end := min(i+tc.piece, tc.n)
+						rbufs = append(rbufs, got[i:end])
+					}
+					if n, err := d.ReadVecAt(rbufs, tc.off); err != nil || n != tc.n {
+						t.Fatalf("%s, %s: ReadVecAt = %d, %v", tc.name, pass, n, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s, %s: scatter read returned wrong bytes", tc.name, pass)
+					}
+				}
+			}
+		})
 	}
 }
 
