@@ -625,52 +625,39 @@ func BenchmarkArrayWriteAtDelayed(b *testing.B) {
 	}
 }
 
-// BenchmarkArraySmallWritesDelayed is the write-combining ablation: a burst
-// of sequential 256B writes through one stripe, with the batching window off
-// and on. Off, every write pays its own read-modify-write against the delayed
-// devices; on, the burst merges into full-stripe flushes and the positioning
-// cost amortizes across the whole run.
+// BenchmarkArraySmallWritesDelayed streams a stripe's worth of sequential
+// 256B writes through one stripe at a time on delayed devices: every write
+// pays its own read-modify-write against the modeled positioning cost.
 func BenchmarkArraySmallWritesDelayed(b *testing.B) {
 	const chunk = 256
-	for _, batched := range []bool{false, true} {
-		b.Run(fmt.Sprintf("batched=%v", batched), func(b *testing.B) {
-			code, err := dcode.New(7)
-			if err != nil {
+	code, err := dcode.New(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const stripes, elem = 16, 4096
+	devs := make([]dcode.Device, code.Cols())
+	for i := range devs {
+		mem := dcode.NewMemDevice(stripes * int64(code.Rows()) * elem)
+		devs[i] = &blockdev.Delayed{Device: mem, Delay: benchDelay, PerByte: benchPerByte()}
+	}
+	a, err := dcode.NewArray(code, devs, elem, stripes, dcode.WithConcurrency(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sdb := int64(code.DataElems()) * elem
+	buf := make([]byte, chunk)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	b.SetBytes(sdb)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := (int64(i) % stripes) * sdb
+		for off := int64(0); off < sdb; off += chunk {
+			if _, err := a.WriteAt(buf, base+off); err != nil {
 				b.Fatal(err)
 			}
-			const stripes, elem = 16, 4096
-			devs := make([]dcode.Device, code.Cols())
-			for i := range devs {
-				mem := dcode.NewMemDevice(stripes * int64(code.Rows()) * elem)
-				devs[i] = &blockdev.Delayed{Device: mem, Delay: benchDelay, PerByte: benchPerByte()}
-			}
-			opts := []dcode.ArrayOption{dcode.WithConcurrency(8)}
-			if batched {
-				opts = append(opts, dcode.WithBatching(time.Millisecond, 1<<20))
-			}
-			a, err := dcode.NewArray(code, devs, elem, stripes, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sdb := int64(code.DataElems()) * elem
-			buf := make([]byte, chunk)
-			for i := range buf {
-				buf[i] = byte(i)
-			}
-			b.SetBytes(sdb)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := (int64(i) % stripes) * sdb
-				for off := int64(0); off < sdb; off += chunk {
-					if _, err := a.WriteAt(buf, base+off); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := a.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package dcode
 
 import (
-	"time"
-
 	"dcode/internal/blaumroth"
 	"dcode/internal/blockdev"
 	"dcode/internal/core"
@@ -120,25 +118,13 @@ func WithConcurrency(n int) ArrayOption { return raid.WithConcurrency(n) }
 // Omitted or ≤ 0 leaves the cache off (the default).
 func WithCache(bytes int64) ArrayOption { return raid.WithCache(bytes) }
 
-// WithBatching enables the cross-op write-combining window: small writes
-// confined to one stripe's data region are acknowledged immediately, merged
-// with adjacent pending writes, and land on the devices when the window
-// fills, the timer expires, a read or conflicting write touches them, or a
-// barrier (Array.Flush, FailDisk, Rebuild, Scrub) runs. Like a volatile
-// write cache, acknowledged-but-unflushed writes are lost on a crash — pair
-// it with the journal when that matters. window ≤ 0 means 500µs; maxBytes
-// ≤ 0 means 1MiB. Off by default.
-func WithBatching(window time.Duration, maxBytes int) ArrayOption {
-	return raid.WithBatching(window, maxBytes)
-}
-
-// WithAsyncIO enables the asynchronous device-submission engine: each stripe
-// task batch-submits its per-column device runs through one queue (io_uring
-// on file-backed Linux arrays, a worker pool elsewhere) and harvests the
-// completions, instead of spawning a goroutine per column. depth is the
-// queue depth — the useful device overlap — with ≤ 0 selecting the default.
-// Off by default; semantics (tallies, repair, failure marking) are identical
-// to the synchronous path. Call Array.Close to release the engine.
+// WithAsyncIO enables the asynchronous device-submission queue: each stripe
+// task batch-submits its per-column device runs through one queue, served by
+// a pool of depth worker goroutines, and harvests the completions, instead of
+// spawning a goroutine per column. depth is the queue depth — the useful
+// device overlap — with ≤ 0 selecting the default. Off by default; semantics
+// (tallies, repair, failure marking) are identical to the synchronous path.
+// Call Array.Close to stop the queue's workers.
 func WithAsyncIO(depth int) ArrayOption { return raid.WithAsyncIO(depth) }
 
 // NewArray assembles a RAID-6 volume from one device per column of the code,
@@ -163,14 +149,4 @@ func NewMemDevice(size int64) *MemDevice { return blockdev.NewMem(size) }
 // size.
 func OpenFileDevice(path string, size int64) (Device, error) {
 	return blockdev.OpenFile(path, size)
-}
-
-// OpenFileDeviceDirect is OpenFileDevice with an O_DIRECT descriptor armed
-// next to the buffered one where the OS and filesystem support it: the
-// required alignment is probed at open, aligned requests bypass the page
-// cache (bouncing through pooled aligned buffers when caller memory is not
-// aligned), and unaligned or unsupported cases degrade to the buffered
-// descriptor — identical to OpenFileDevice.
-func OpenFileDeviceDirect(path string, size int64) (Device, error) {
-	return blockdev.OpenFileDirect(path, size)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 )
 
 // asyncProfile is one deterministic vectored-op workload; the parity tests
-// replay it against the synchronous vec path and the async engines and
+// replay it against the synchronous vec path and the async queue and
 // require identical buffers and identical Instrumented tallies.
 type asyncProfile struct {
 	name string
@@ -87,9 +86,9 @@ func tallyOf(d *Instrumented) string {
 }
 
 // TestAsyncPoolParity replays each workload profile through the synchronous
-// ReadVecAtNLink/WriteVecAtNLink path and through the pool engine and requires
-// bit-identical buffers and identical per-device tallies — the fallback
-// engine must be indistinguishable from the path it replaces.
+// ReadVecAtNLink/WriteVecAtNLink path and through the async queue and requires
+// bit-identical buffers and identical per-device tallies — the queue must be
+// indistinguishable from the path it replaces.
 func TestAsyncPoolParity(t *testing.T) {
 	for _, prof := range asyncProfiles(3) {
 		t.Run(prof.name, func(t *testing.T) {
@@ -112,7 +111,7 @@ func TestAsyncPoolParity(t *testing.T) {
 				}
 			}
 
-			q := NewAsyncPool(adevs, 4)
+			q := NewAsyncQueue(adevs, 4)
 			defer q.Close()
 			asyncBufs := make([][][]byte, len(prof.ops))
 			comps := make([]*Completion, 0, len(prof.ops))
@@ -153,14 +152,14 @@ func TestAsyncPoolParity(t *testing.T) {
 	}
 }
 
-// TestAsyncPoolFaultInjection pushes device errors through the async engine:
+// TestAsyncPoolFaultInjection pushes device errors through the async queue:
 // a failed device surfaces ErrFailed on the completion, a bad sector
 // surfaces ErrBadSector, and the error tallies match what the synchronous
 // path would have recorded.
 func TestAsyncPoolFaultInjection(t *testing.T) {
 	mem := NewMem(1 << 12)
 	ins := Instrument(mem)
-	q := NewAsyncPool([]Device{ins}, 2)
+	q := NewAsyncQueue([]Device{ins}, 2)
 	defer q.Close()
 
 	mem.InjectBadSector(10)
@@ -196,7 +195,7 @@ func TestAsyncPoolFaultInjection(t *testing.T) {
 // an explicit Kick, the pool analog of a filling submission queue.
 func TestAsyncAutoKick(t *testing.T) {
 	devs, _ := newInstrumentedMems(1, 1<<12)
-	q := NewAsyncPool(devs, 2)
+	q := NewAsyncQueue(devs, 2)
 	defer q.Close()
 	c1 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 0, 1, trace.Link{})
 	c2 := q.SubmitReadVec(0, [][]byte{make([]byte, 8)}, 8, 1, trace.Link{})
@@ -317,140 +316,7 @@ func TestAsyncQueueOverlapsDelayed(t *testing.T) {
 	}
 }
 
-// TestURingEngine exercises the raw ring against real files when the kernel
-// supports io_uring: data round-trips, tallies land on the Instrumented
-// wrappers, short reads surface io.ErrUnexpectedEOF.
-func TestURingEngine(t *testing.T) {
-	if !URingAvailable() {
-		t.Skip("io_uring unavailable")
-	}
-	dir := t.TempDir()
-	const size = 1 << 20
-	devs := make([]Device, 3)
-	ins := make([]*Instrumented, 3)
-	for i := range devs {
-		fd, err := OpenFileDirect(fmt.Sprintf("%s/col%d", dir, i), size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fd.Close()
-		ins[i] = Instrument(fd)
-		devs[i] = ins[i]
-	}
-	q := NewAsyncQueue(devs, 8)
-	if q.Engine() != "uring" {
-		t.Fatalf("engine = %q, want uring", q.Engine())
-	}
-	defer q.Close()
-
-	data := bytes.Repeat([]byte{0xC7}, 4096)
-	var comps []*Completion
-	for i := range devs {
-		comps = append(comps, q.SubmitWriteVec(i, [][]byte{data[:1024], data[1024:]}, 8192, 2, trace.Link{}))
-	}
-	q.Kick()
-	for _, c := range comps {
-		if n, err := c.Wait(); err != nil || n != len(data) {
-			t.Fatalf("write n=%d err=%v", n, err)
-		}
-	}
-	got := make([]byte, 4096)
-	c := q.SubmitReadVec(2, [][]byte{got[:1000], got[1000:]}, 8192, 2, trace.Link{})
-	q.Kick()
-	if n, err := c.Wait(); err != nil || n != len(got) {
-		t.Fatalf("read n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("round-trip mismatch")
-	}
-	s := ins[2].Metrics().Snapshot()
-	if s.Reads != 2 || s.Writes != 2 || s.BytesRead != 4096 || s.BytesWritten != 4096 {
-		t.Fatalf("uring tallies: %+v", s)
-	}
-
-	// A read past EOF comes back short.
-	c = q.SubmitReadVec(0, [][]byte{make([]byte, 4096)}, size-1024, 4, trace.Link{})
-	q.Kick()
-	if _, err := c.Wait(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short read: got %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-// TestOpenFileDirect verifies the O_DIRECT dispatch against a buffered twin:
-// aligned and unaligned requests land identical bytes whichever descriptor
-// serves them, and the probed alignment is sane.
-func TestOpenFileDirect(t *testing.T) {
-	dir := t.TempDir()
-	const size = 1 << 20
-	d, err := OpenFileDirect(dir+"/direct", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if a := d.DirectAlign(); a != 0 && a != 512 && a != 4096 {
-		t.Fatalf("DirectAlign = %d", a)
-	}
-	t.Logf("probed O_DIRECT alignment: %d", d.DirectAlign())
-
-	// Aligned write through the direct dispatch, readback both ways.
-	aligned := alignedSlice(8192, 4096)
-	for i := range aligned {
-		aligned[i] = byte(i * 13)
-	}
-	if _, err := d.WriteAt(aligned, 4096); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(aligned))
-	if _, err := d.ReadAt(got, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, aligned) {
-		t.Fatal("aligned round-trip mismatch")
-	}
-
-	// Unaligned memory, aligned range: the bounce path.
-	unalignedMem := make([]byte, 4096+1)[1:]
-	copy(unalignedMem, aligned)
-	if _, err := d.WriteAt(unalignedMem, 16384); err != nil {
-		t.Fatal(err)
-	}
-	got2 := make([]byte, 4096+3)[3:]
-	if _, err := d.ReadAt(got2, 16384); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, unalignedMem) {
-		t.Fatal("bounce round-trip mismatch")
-	}
-
-	// Unaligned offset and length: buffered dispatch.
-	small := []byte("odd-sized unaligned payload")
-	if _, err := d.WriteAt(small, 123); err != nil {
-		t.Fatal(err)
-	}
-	got3 := make([]byte, len(small))
-	if _, err := d.ReadAt(got3, 123); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got3, small) {
-		t.Fatal("unaligned round-trip mismatch")
-	}
-
-	// The buffered twin must observe everything the direct fd wrote.
-	twin, err := OpenFile(dir+"/direct", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	got4 := make([]byte, 8192)
-	if _, err := twin.ReadAt(got4, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got4, aligned) {
-		t.Fatal("buffered twin does not see direct writes")
-	}
-}
-
-// FuzzAsyncPoolParity fuzzes op streams through the pool engine against the
+// FuzzAsyncPoolParity fuzzes op streams through the async queue against the
 // synchronous vec path on twin devices: buffers and tallies must match.
 func FuzzAsyncPoolParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0x07})
@@ -462,7 +328,7 @@ func FuzzAsyncPoolParity(f *testing.F) {
 		const size = 1 << 12
 		sdev := Instrument(NewMem(size))
 		adev := Instrument(NewMem(size))
-		q := NewAsyncPool([]Device{adev}, 2)
+		q := NewAsyncQueue([]Device{adev}, 2)
 		defer q.Close()
 		for i := 0; i+2 < len(stream); i += 3 {
 			write := stream[i]&1 == 1

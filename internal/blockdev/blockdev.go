@@ -254,9 +254,8 @@ func (d *MemDevice) Corrupt(off int64) {
 
 // FileDevice is a Device backed by a file. On Linux the file is also mapped,
 // and a request whose pages have all been through the descriptor before is a
-// copy to or from the mapping (see mmap.go). OpenFileDirect additionally arms
-// an O_DIRECT descriptor (see direct.go): aligned requests then bypass the
-// page cache, everything else takes the buffered path.
+// copy to or from the mapping (see mmap.go); every other request goes through
+// the descriptor.
 type FileDevice struct {
 	f    *os.File
 	size int64
@@ -265,14 +264,6 @@ type FileDevice struct {
 	// mapped): mem is the whole file, res one residency flag per 4 KiB page.
 	mem []byte
 	res []atomic.Bool
-
-	// Direct-I/O mode (Linux only; zero-valued otherwise): direct is the
-	// O_DIRECT descriptor and align the probed offset/length/memory
-	// alignment it requires; bounce pools align-allocated staging buffers
-	// for callers whose memory is not.
-	direct *os.File
-	align  int
-	bounce sync.Pool
 }
 
 // OpenFile creates (truncating to size) or opens a file-backed device and,
@@ -292,27 +283,21 @@ func OpenFile(path string, size int64) (*FileDevice, error) {
 
 // ReadAt implements Device.
 func (d *FileDevice) ReadAt(p []byte, off int64) (int, error) {
-	switch {
-	case d.direct != nil && d.alignedRange(len(p), off):
-		return d.directRead(p, off)
-	case d.resident(off, len(p)):
+	if d.resident(off, len(p)) {
 		return d.mapCopy([][]byte{p}, off, false)
 	}
 	n, err := d.f.ReadAt(p, off)
-	d.setResident(off, n, true)
+	d.markResident(off, n)
 	return n, err
 }
 
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(p []byte, off int64) (int, error) {
-	switch {
-	case d.direct != nil && d.alignedRange(len(p), off):
-		return d.directWrite(p, off)
-	case d.resident(off, len(p)):
+	if d.resident(off, len(p)) {
 		return d.mapCopy([][]byte{p}, off, true)
 	}
 	n, err := d.f.WriteAt(p, off)
-	d.setResident(off, n, true)
+	d.markResident(off, n)
 	return n, err
 }
 
@@ -329,13 +314,9 @@ func (d *FileDevice) Sync() error {
 	return d.f.Sync()
 }
 
-// Close implements Device: it unmaps the file and closes its descriptors.
+// Close implements Device: it unmaps the file and closes its descriptor.
 func (d *FileDevice) Close() error {
-	err := d.unmapFile()
-	if d.direct != nil {
-		err = errors.Join(err, d.direct.Close())
-	}
-	return errors.Join(err, d.f.Close())
+	return errors.Join(d.unmapFile(), d.f.Close())
 }
 
 // Delayed wraps a Device with a two-term service-time model per physical

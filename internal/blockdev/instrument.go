@@ -123,12 +123,10 @@ func (d *Instrumented) WriteVecAtNLink(bufs [][]byte, off int64, ops int64, l tr
 	return n, d.accountWrite(start, n, err, ops), err
 }
 
-// accountRead applies ReadVecAtNLink's accounting to one completed read. The
-// ring engine drives the raw file descriptor directly and reports each
-// completion here, so per-disk tallies stay identical whichever path served
-// the bytes; start is when the operation was handed to the device, so the
-// observed latency includes any time it queued there. It returns the
-// completion time, the call's one clock read.
+// accountRead applies ReadVecAtNLink's accounting to one completed read;
+// start is when the operation was handed to the device, so the observed
+// latency includes any time it queued there. It returns the completion time,
+// the call's one clock read.
 func (d *Instrumented) accountRead(start int64, n int, err error, ops int64) int64 {
 	end := obs.Mono()
 	d.m.ReadLatency.ObserveNanos(end - start)

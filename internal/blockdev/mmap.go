@@ -2,8 +2,7 @@ package blockdev
 
 // Resident pages served from a shared mapping. On Linux, OpenFile maps the
 // whole column file once (MAP_SHARED, read/write; mmap_linux.go) and keeps
-// one atomic residency flag per page. The rule, applied to every request the
-// O_DIRECT descriptor does not take:
+// one atomic residency flag per page. The rule, applied to every request:
 //
 //   - every page the request touches is resident → copy to or from the
 //     mapping: the page is already in the page cache, so the call is a memcpy;
@@ -18,9 +17,9 @@ package blockdev
 // The flags only pick the faster path: the mapping and the descriptor share
 // one page cache, so either is correct for any page. Eviction does not clear
 // a flag; a page the kernel dropped makes the mapping take a major fault,
-// which stays correct but holds the P for the read. O_DIRECT writes clear
-// the flags of the pages they cover (the kernel drops those cached pages).
-// The async ring engine drives the buffered descriptor and marks nothing.
+// which stays correct but holds the P for the read. Nothing clears a flag:
+// the mapping and the descriptor are the device's only two paths, and both
+// go through the page cache.
 //
 // A fault on the mapping — EIO under a page, ENOSPC while filling a hole, the
 // file truncated underneath — becomes an error wrapping syscall.EIO
@@ -62,15 +61,15 @@ func (d *FileDevice) resident(off int64, n int) bool {
 	return true
 }
 
-// setResident marks (on) or unmarks the pages of [off, off+n); a range
-// reaching outside the mapping changes nothing.
-func (d *FileDevice) setResident(off int64, n int, on bool) {
+// markResident marks the pages of [off, off+n) resident; a range reaching
+// outside the mapping changes nothing.
+func (d *FileDevice) markResident(off int64, n int) {
 	first, last, ok := d.pageRange(off, n)
 	if !ok {
 		return
 	}
 	for pg := first; pg <= last; pg++ {
-		d.res[pg].Store(on)
+		d.res[pg].Store(true)
 	}
 }
 

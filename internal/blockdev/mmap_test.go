@@ -9,6 +9,8 @@ import (
 	"runtime/debug"
 	"syscall"
 	"testing"
+
+	"dcode/internal/trace"
 )
 
 // openMapped opens a file device of size bytes in a fresh directory. It skips
@@ -223,49 +225,61 @@ func TestFileDeviceMappingCoherence(t *testing.T) {
 	}
 }
 
-// TestFileDeviceDirectWriteThenMappedRead runs O_DIRECT against the mapping.
-// An aligned direct write clears the residency of the pages it covers, so the
-// next unaligned read goes through the buffered descriptor and the one after
-// through the mapping; both see the new bytes. A flag left set over a direct
-// write stays correct too: the mapping faults the page back in.
-func TestFileDeviceDirectWriteThenMappedRead(t *testing.T) {
-	const size = 1 << 20
-	d, err := OpenFileDirect(filepath.Join(t.TempDir(), "direct.img"), size)
+// TestAsyncReadMarksPagesResident pins that the async queue reaches a
+// FileDevice through the same call as a synchronous read: an async read of a
+// page no call has moved yet marks exactly that page resident, so the next
+// synchronous read of it is served by the mapping. The device's descriptor is
+// then swapped for one on a decoy file, as in TestFileDeviceResidency, so the
+// bytes show which path served the read.
+func TestAsyncReadMarksPagesResident(t *testing.T) {
+	const pg = 1 << pageShift
+	d, path := openMapped(t, 4*pg)
+	col := bytes.Repeat([]byte{0xA5}, pg)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if d.DirectAlign() == 0 || d.mem == nil {
-		t.Skip("needs O_DIRECT and a mapped file")
-	}
-	// An unaligned write takes the buffered descriptor and marks every page.
-	if _, err := d.WriteAt(make([]byte, size-1), 1); err != nil {
+	_, err = f.WriteAt(col, pg)
+	if err = errors.Join(err, f.Close()); err != nil {
 		t.Fatal(err)
 	}
-	const off, n = 16 << 10, 16 << 10
-	direct := alignedSlice(n, 4096)
-	got := make([]byte, 100)
-	for _, v := range []byte{0x3C, 0x4D} {
-		for i := range direct {
-			direct[i] = v
-		}
-		if _, err := d.WriteAt(direct, off); err != nil {
-			t.Fatal(err)
-		}
-		if d.resident(off, 1) || d.resident(off+n-1, 1) {
-			t.Fatal("a direct write left its pages resident")
-		}
-		if v == 0x4D {
-			d.setResident(off, n, true) // a stale flag
-		}
-		for _, at := range []int64{off + 7, off + 500} {
-			if _, err := d.ReadAt(got, at); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, bytes.Repeat([]byte{v}, len(got))) {
-				t.Fatalf("read at %d after a direct write of %#x returned old bytes", at, v)
-			}
-		}
+	if d.resident(pg, pg) {
+		t.Fatal("a page written behind the device's back must not be resident")
+	}
+
+	q := NewAsyncQueue([]Device{d}, 2)
+	got := make([]byte, pg)
+	c := q.SubmitReadVec(0, [][]byte{got}, pg, 1, trace.Link{})
+	q.Kick()
+	_, err = c.Wait()
+	if err = errors.Join(err, q.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, col) {
+		t.Fatal("async read returned wrong bytes")
+	}
+	if !d.resident(pg, pg) || d.resident(0, 1) || d.resident(2*pg, 1) {
+		t.Fatal("an async read must mark exactly the pages it moved")
+	}
+
+	decoyPath := filepath.Join(t.TempDir(), "decoy.img")
+	if err := os.WriteFile(decoyPath, make([]byte, 4*pg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	decoy, err := os.Open(decoyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colFile := d.f
+	d.f = decoy
+	clear(got)
+	_, err = d.ReadAt(got, pg)
+	d.f = colFile
+	if err = errors.Join(err, decoy.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, col) {
+		t.Fatal("the synchronous read after an async one was not served by the mapping")
 	}
 }
 

@@ -20,32 +20,24 @@ const iovChunk = 64
 // Syscall6 so the repository stays dependency-free, and the pages it moved
 // become resident. The kernel moves the contiguous file range directly into
 // the caller's buffers — no staging copy, no per-buffer syscalls. EINTR and
-// short reads advance the cursor and retry. On a device with an O_DIRECT
-// descriptor a single buffer is a plain ReadAt, so a contiguous run still
-// takes the direct descriptor when it is aligned (see direct.go).
+// short reads advance the cursor and retry.
 func (d *FileDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
-	if d.direct != nil && len(bufs) == 1 {
-		return d.ReadAt(bufs[0], off)
-	}
 	if d.resident(off, VecLen(bufs)) {
 		return d.mapCopy(bufs, off, false)
 	}
 	n, err := d.vecIO(bufs, off, syscall.SYS_PREADV)
-	d.setResident(off, n, true)
+	d.markResident(off, n)
 	return n, err
 }
 
 // WriteVecAt implements Device as a true gather write: a copy into the
 // mapping over resident pages, pwritev(2) otherwise; see ReadVecAt.
 func (d *FileDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
-	if d.direct != nil && len(bufs) == 1 {
-		return d.WriteAt(bufs[0], off)
-	}
 	if d.resident(off, VecLen(bufs)) {
 		return d.mapCopy(bufs, off, true)
 	}
 	n, err := d.vecIO(bufs, off, syscall.SYS_PWRITEV)
-	d.setResident(off, n, true)
+	d.markResident(off, n)
 	return n, err
 }
 

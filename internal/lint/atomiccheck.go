@@ -18,8 +18,8 @@ import (
 //  1. Collect the atomic cells: every struct field whose address is taken in
 //     an atomic.Add*/Load*/Store*/Swap*/CompareAndSwap* call (a "direct"
 //     cell), and every pointer-typed field passed by value to one (a "deref"
-//     cell — the mmap'd io_uring doorbells in internal/blockdev are these:
-//     the field holds a *uint32 into the shared ring).
+//     cell — say, a field holding a *uint32 into memory shared with
+//     another process or the kernel, whose every read must be atomic).
 //
 //  2. Flag the plain accesses: for a direct cell, any selector use outside an
 //     atomic call argument; for a deref cell, any explicit dereference

@@ -29,8 +29,8 @@ import (
 //     that receives it. The state is the set of outstanding acquisitions
 //     (union join); per-channel findings are deduplicated to the earliest
 //     acquisition site, which is where a suppression goes when the release
-//     legitimately lives in another function (the ring engine's completion
-//     side releases what its submission side acquired).
+//     legitimately lives in another function (say, a completion side that
+//     releases what a submission side acquired).
 var goCheckAnalyzer = &Analyzer{
 	Name: "gocheck",
 	Doc:  "goroutines need a join or drain path; semaphore slots must be released on every path",

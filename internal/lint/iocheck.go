@@ -19,9 +19,9 @@ import (
 //
 // The async submission surface is part of the same invariant: a discarded
 // Submit*Vec completion handle can never be waited on, so its device error
-// (and, on the pool engine, the engine's ownership of the submitted buffers)
-// is lost; a discarded Completion.Wait error is the deferred form of a
-// discarded ReadAt/WriteAt error.
+// (and the queue's ownership of the submitted buffers) is lost; a discarded
+// Completion.Wait error is the deferred form of a discarded ReadAt/WriteAt
+// error.
 var ioCheckAnalyzer = &Analyzer{
 	Name: "iocheck",
 	Doc:  "device I/O and write-side finisher errors must be consumed",

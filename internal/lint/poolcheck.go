@@ -416,11 +416,11 @@ func (w *poolWalker) handleReturn(s *ast.ReturnStmt, held poolHolds) {
 	w.reportLeaks(s.Pos(), held)
 }
 
-// asyncSubmitScan enforces the async engine's buffer-lifetime rule inside one
+// asyncSubmitScan enforces the async queue's buffer-lifetime rule inside one
 // function body: between a Submit*Vec call and the Wait that harvests it the
-// engine owns the submitted buffers (the ring engine's kernel side may still
-// be scattering into them), so releasing anything to a pool in that window
-// can hand live I/O memory to a concurrent Get. The scan is source-order and
+// queue owns the submitted buffers (a worker may still be scattering into
+// them), so releasing anything to a pool in that window can hand live I/O
+// memory to a concurrent Get. The scan is source-order and
 // deliberately coarse: any Completion.Wait counts as the harvest point (the
 // codebase convention is a wait-all loop over the whole batch before any
 // pooling), and any put-named release while submissions are pending is a

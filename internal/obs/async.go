@@ -1,12 +1,11 @@
 package obs
 
 // AsyncMetrics is the counter set of an asynchronous device-submission
-// engine (internal/blockdev's AsyncQueue implementations): how many
-// operations were submitted and completed, how they were grouped into kernel
-// (or worker-pool) submission batches, how often the submission queue was
-// full, and the submit→completion latency — which includes time parked in
-// the queue, so comparing it against the per-device service histograms makes
-// queueing delay visible.
+// queue (internal/blockdev's AsyncQueue): how many operations were submitted
+// and completed, how they were grouped into submission batches, how often
+// the worker queue was full, and the submit→completion latency — which
+// includes time parked in the queue, so comparing it against the per-device
+// service histograms makes queueing delay visible.
 //
 // Like every type in this package it is lock-free and safe for concurrent
 // use; the zero value is ready.
@@ -47,8 +46,8 @@ func (m *AsyncMetrics) RecordBatch(n int) {
 	m.BatchSizes[b].Inc()
 }
 
-// Snapshot captures the engine counters; Engine and Depth are filled by the
-// queue that owns the metrics.
+// Snapshot captures the queue counters; Depth is filled by the queue that
+// owns the metrics.
 func (m *AsyncMetrics) Snapshot() AsyncSnapshot {
 	s := AsyncSnapshot{
 		Submitted:    m.Submitted.Load(),
@@ -69,7 +68,7 @@ func (m *AsyncMetrics) Snapshot() AsyncSnapshot {
 	return s
 }
 
-// Reset zeroes the counters; exact only while the engine is idle.
+// Reset zeroes the counters; exact only while the queue is idle.
 func (m *AsyncMetrics) Reset() {
 	m.Submitted.Reset()
 	m.Completed.Reset()
@@ -81,10 +80,9 @@ func (m *AsyncMetrics) Reset() {
 	m.OpLatency.Reset()
 }
 
-// AsyncSnapshot is the JSON view of AsyncMetrics plus the queue's identity:
-// which engine backs it ("uring" or "pool") and its configured depth.
+// AsyncSnapshot is the JSON view of AsyncMetrics plus the queue's
+// configured depth.
 type AsyncSnapshot struct {
-	Engine       string            `json:"engine"`
 	Depth        int               `json:"depth"`
 	Submitted    int64             `json:"submitted"`
 	Completed    int64             `json:"completed"`
@@ -95,11 +93,10 @@ type AsyncSnapshot struct {
 	OpLatency    HistogramSnapshot `json:"op_latency"`
 }
 
-// Merge accumulates another snapshot into s. Identity fields (Engine, Depth)
-// are taken from o when s has none, matching the other snapshot merges.
+// Merge accumulates another snapshot into s. Depth is taken from o when s
+// has none, matching the other snapshot merges.
 func (s *AsyncSnapshot) Merge(o AsyncSnapshot) {
-	if s.Engine == "" {
-		s.Engine = o.Engine
+	if s.Depth == 0 {
 		s.Depth = o.Depth
 	}
 	s.Submitted += o.Submitted

@@ -42,7 +42,6 @@ const (
 	EvScrubStart
 	EvScrubEnd
 	EvRemoteRetry
-	EvBatchFlush
 	EvSemSaturated
 	EvDegradedRead
 	EvPanic
@@ -56,7 +55,6 @@ var eventNames = [...]string{
 	EvScrubStart:   "scrub_start",
 	EvScrubEnd:     "scrub_end",
 	EvRemoteRetry:  "remote_retry",
-	EvBatchFlush:   "batch_flush",
 	EvSemSaturated: "sem_saturated",
 	EvDegradedRead: "degraded_read",
 	EvPanic:        "panic",
@@ -109,8 +107,8 @@ func (k EventKind) critical() bool {
 // Event is one recorded moment. Disk is -1 when not bound to a column,
 // Stripe -1 when not bound to a stripe. Trace is the trace ID of the
 // operation that was in flight (0 when none was available). Aux is
-// kind-specific: the retry attempt for remote_retry, the flushed byte count
-// for batch_flush, the duration in nanoseconds for *_end kinds.
+// kind-specific: the retry attempt for remote_retry, the duration in
+// nanoseconds for *_end kinds.
 type Event struct {
 	Seq    uint64    `json:"seq"`
 	TimeNs int64     `json:"time_ns"`

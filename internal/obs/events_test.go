@@ -11,7 +11,7 @@ import (
 func TestRecorderRecordAndDrain(t *testing.T) {
 	r := NewRecorder(8)
 	r.Record(EvRemoteRetry, 2, -1, 0xBEEF, 3)
-	r.Record(EvBatchFlush, -1, 40, 0, 4096)
+	r.Record(EvSemSaturated, -1, 40, 0, 4096)
 	if got := r.Recorded(); got != 2 {
 		t.Fatalf("Recorded() = %d, want 2", got)
 	}
@@ -22,7 +22,7 @@ func TestRecorderRecordAndDrain(t *testing.T) {
 	if evs[0].Kind != EvRemoteRetry || evs[0].Disk != 2 || evs[0].Trace != 0xBEEF || evs[0].Aux != 3 {
 		t.Errorf("event 0 = %+v", evs[0])
 	}
-	if evs[1].Kind != EvBatchFlush || evs[1].Stripe != 40 || evs[1].Aux != 4096 {
+	if evs[1].Kind != EvSemSaturated || evs[1].Stripe != 40 || evs[1].Aux != 4096 {
 		t.Errorf("event 1 = %+v", evs[1])
 	}
 	if evs[0].Seq >= evs[1].Seq || evs[0].TimeNs > evs[1].TimeNs {
@@ -65,7 +65,7 @@ func TestRecorderCriticalRetention(t *testing.T) {
 	r := NewRecorder(16)
 	r.Record(EvDiskFailed, 5, -1, 0xF00D, 0)
 	for i := 0; i < 1000; i++ {
-		r.Record(EvBatchFlush, -1, int64(i), 0, 1)
+		r.Record(EvSemSaturated, -1, int64(i), 0, 1)
 	}
 	var failed []Event
 	for _, ev := range r.Events() {
@@ -86,7 +86,7 @@ func TestRecorderCriticalRetention(t *testing.T) {
 // the merged drain must stay Seq-ordered.
 func TestRecorderCriticalDedup(t *testing.T) {
 	r := NewRecorder(64)
-	r.Record(EvBatchFlush, -1, 1, 0, 1)
+	r.Record(EvSemSaturated, -1, 1, 0, 1)
 	r.Record(EvDiskFailed, 2, -1, 0, 0)
 	r.Record(EvRebuildStart, 2, -1, 0, 0)
 	evs := r.Events()
@@ -156,7 +156,7 @@ func TestEventKindJSONRoundTrip(t *testing.T) {
 func TestRecorderDump(t *testing.T) {
 	r := NewRecorder(8)
 	r.Record(EvDiskFailed, 3, -1, 0xABC, 0)
-	r.Record(EvBatchFlush, -1, 7, 0, 512)
+	r.Record(EvSemSaturated, -1, 7, 0, 512)
 	var buf bytes.Buffer
 	r.Dump(&buf)
 	out := buf.String()
@@ -166,7 +166,7 @@ func TestRecorderDump(t *testing.T) {
 	if !strings.Contains(out, "trace=0000000000000abc") {
 		t.Errorf("dump missing trace ID:\n%s", out)
 	}
-	if !strings.Contains(out, "batch_flush") || !strings.Contains(out, "aux=512") {
-		t.Errorf("dump missing batch_flush line:\n%s", out)
+	if !strings.Contains(out, "sem_saturated") || !strings.Contains(out, "aux=512") {
+		t.Errorf("dump missing sem_saturated line:\n%s", out)
 	}
 }

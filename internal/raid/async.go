@@ -5,8 +5,7 @@ package raid
 // the coalesced reads and writes of the general path, full-stripe loads and
 // stores, and the direct read — through one blockdev.AsyncQueue instead of
 // spawning a goroutine per column: the task stages all its runs, kicks the
-// queue once (one io_uring_enter on the ring engine), and harvests the
-// completion handles. Device overlap then comes from the queue's depth, not
+// queue once, and harvests the completion handles. Device overlap then comes from the queue's depth, not
 // from goroutine count — a ReadAt costs O(1) goroutines instead of
 // O(columns).
 //
@@ -22,7 +21,7 @@ package raid
 //     retry), so span duration includes queue time — comparing OpDevRead
 //     spans against the device service histograms exposes queueing delay.
 //
-// Buffer lifetime: the engine owns submitted buffers until their completion
+// Buffer lifetime: the queue owns submitted buffers until their completion
 // is waited on (see internal/blockdev's async docs). asyncRuns therefore
 // harvests ALL completions of its batch — even after an early error — before
 // any retry runs or it returns, so pooled scratch and caller buffers are
@@ -30,7 +29,7 @@ package raid
 
 import "dcode/internal/blockdev"
 
-// WithAsyncIO enables the asynchronous device-submission engine with the
+// WithAsyncIO enables the asynchronous device-submission queue with the
 // given queue depth (ops usefully in flight across the whole array; n ≤ 0
 // selects blockdev.DefaultAsyncDepth). Off by default; the default
 // synchronous path is untouched when the option is absent.
@@ -46,27 +45,15 @@ func WithAsyncIO(depth int) Option {
 // AsyncEnabled reports whether the array submits device I/O asynchronously.
 func (a *Array) AsyncEnabled() bool { return a.aio != nil }
 
-// AsyncEngine returns the backend name ("uring" or "pool"), or "" when
-// async I/O is off.
-func (a *Array) AsyncEngine() string {
-	if a.aio == nil {
-		return ""
-	}
-	return a.aio.Engine()
-}
-
-// Close releases array resources: parked batched writes flush and the async
-// engine drains and shuts down. It does not close the underlying devices —
-// the caller opened them and keeps their lifetime. An array without batching
-// or async I/O needs no Close (it stays a cheap no-op).
+// Close releases array resources: the async queue drains and shuts down. It
+// does not close the underlying devices — the caller opened them and keeps
+// their lifetime. An array without async I/O needs no Close (it stays a
+// cheap no-op).
 func (a *Array) Close() error {
-	err := a.Flush()
-	if a.aio != nil {
-		if cerr := a.aio.Close(); err == nil {
-			err = cerr
-		}
+	if a.aio == nil {
+		return nil
 	}
-	return err
+	return a.aio.Close()
 }
 
 // asyncRuns is issueRuns' async form: every staged run is submitted under

@@ -14,7 +14,7 @@ import (
 
 func TestAsyncOptionWiring(t *testing.T) {
 	a, _ := newArrayConc(t, "dcode", 5, 4)
-	if a.AsyncEnabled() || a.AsyncEngine() != "" {
+	if a.AsyncEnabled() {
 		t.Fatal("async should be off by default")
 	}
 	if err := a.Close(); err != nil {
@@ -25,12 +25,8 @@ func TestAsyncOptionWiring(t *testing.T) {
 	if !a.AsyncEnabled() {
 		t.Fatal("WithAsyncIO did not enable the engine")
 	}
-	// Memory devices cannot ride the kernel ring; the pool engine serves them.
-	if a.AsyncEngine() != "pool" {
-		t.Fatalf("engine = %q, want pool", a.AsyncEngine())
-	}
 	s := a.Snapshot()
-	if s.Async == nil || s.Async.Depth != 16 || s.Async.Engine != "pool" {
+	if s.Async == nil || s.Async.Depth != 16 {
 		t.Fatalf("snapshot async block: %+v", s.Async)
 	}
 	if err := a.Close(); err != nil {

@@ -248,7 +248,7 @@ func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
 }
 
 // issueRuns is where a stripe task's staged runs decide how they reach their
-// devices: one batch through the async engine when the array has one, inline
+// devices: one batch through the async queue when the array has one, inline
 // when there is a single run or no fan-out bound, fanned out otherwise. It
 // returns the error of the lowest-indexed failed read run (fanOut's rule;
 // inline, the first failure stops the loop); writes are best effort, so every

@@ -71,23 +71,20 @@ func TestTruncatedFileColumnFails(t *testing.T) {
 	}
 }
 
-// TestAsyncRingOverMappedFiles interleaves two arrays over the same
-// FileDevices — one with WithAsyncIO (the io_uring ring where the kernel has
-// it, which drives the descriptor and marks no page resident) and one
-// synchronous (served from the shared mapping once pages are resident) — and
-// requires every read, and at the end every column, to equal a MemDevice
-// twin's.
-func TestAsyncRingOverMappedFiles(t *testing.T) {
+// TestAsyncOverMappedFiles interleaves two arrays over the same FileDevices —
+// one with WithAsyncIO and one synchronous, both served from the shared
+// mapping once pages are resident — and requires every read, and at the end
+// every column, to equal a MemDevice twin's.
+func TestAsyncOverMappedFiles(t *testing.T) {
 	const stripes = 8
 	code := codes.MustNew("dcode", 7)
 	colSize := stripes * int64(code.Rows()) * fileElem
 	devs, _ := openFileColumns(t, code.Cols(), colSize)
-	ring, err := New(code, devs, fileElem, stripes, WithAsyncIO(16))
+	async, err := New(code, devs, fileElem, stripes, WithAsyncIO(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ring.Close()
-	t.Logf("async engine: %s", ring.AsyncEngine())
+	defer async.Close()
 	plain, err := New(code, devs, fileElem, stripes)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +103,7 @@ func TestAsyncRingOverMappedFiles(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := plain
 		if rng.Intn(2) == 0 {
-			a = ring
+			a = async
 		}
 		off := rng.Int63n(size)
 		n := 1 + rng.Intn(int(min(size-off, 3*fileElem)))

@@ -46,15 +46,6 @@ type arrayMetrics struct {
 	// degradedPlanHits counts degraded/repair plans served from the
 	// per-array plan memo instead of recomputed.
 	degradedPlanHits obs.Counter
-
-	// Batching-window counters (see batch.go); all zero without WithBatching.
-	// batchedWrites counts writes accepted into the window, batchMergedWrites
-	// the subset absorbed into an adjacent pending range, and batchFlushes
-	// the per-stripe write-backs — batchedWrites/batchFlushes is the write
-	// amplification the window removed.
-	batchedWrites     obs.Counter
-	batchMergedWrites obs.Counter
-	batchFlushes      obs.Counter
 }
 
 // countDecodeXOR records n element XORs executed by a raid-layer
@@ -110,9 +101,9 @@ type Snapshot struct {
 	// for a purely in-process array.
 	Server *obs.ServerSnapshot `json:"server,omitempty"`
 
-	// Async carries the asynchronous submission engine's counters (engine,
-	// depth, in-flight, batch sizes, queue-time latency); nil (omitted) when
-	// the array was built without WithAsyncIO.
+	// Async carries the asynchronous submission queue's counters (depth,
+	// in-flight, batch sizes, queue-time latency); nil (omitted) when the
+	// array was built without WithAsyncIO.
 	Async *obs.AsyncSnapshot `json:"async,omitempty"`
 
 	// Phases is the per-phase latency decomposition: where a request's time
@@ -177,9 +168,6 @@ type CounterSnapshot struct {
 	SectorsRepaired     int64 `json:"sectors_repaired"`
 	RMWPreReadsAbsorbed int64 `json:"rmw_prereads_absorbed,omitempty"`
 	DegradedPlanHits    int64 `json:"degraded_plan_hits,omitempty"`
-	BatchedWrites       int64 `json:"batched_writes,omitempty"`
-	BatchMergedWrites   int64 `json:"batch_merged_writes,omitempty"`
-	BatchFlushes        int64 `json:"batch_flushes,omitempty"`
 }
 
 // LatencySnapshot groups the array-level histograms.
@@ -209,9 +197,6 @@ func (a *Array) Snapshot() Snapshot {
 			SectorsRepaired:     a.m.sectorsRepaired.Load(),
 			RMWPreReadsAbsorbed: a.m.rmwPreReadsAbsorbed.Load(),
 			DegradedPlanHits:    a.m.degradedPlanHits.Load(),
-			BatchedWrites:       a.m.batchedWrites.Load(),
-			BatchMergedWrites:   a.m.batchMergedWrites.Load(),
-			BatchFlushes:        a.m.batchFlushes.Load(),
 		},
 		Latency: LatencySnapshot{
 			Read:         a.m.readLatency.Snapshot(),
@@ -253,7 +238,6 @@ func (a *Array) Snapshot() Snapshot {
 	}
 	if a.aio != nil {
 		as := a.aio.Metrics().Snapshot()
-		as.Engine = a.aio.Engine()
 		as.Depth = a.aio.Depth()
 		s.Async = &as
 	}
@@ -290,8 +274,7 @@ func (a *Array) Snapshot() Snapshot {
 func (a *Array) SetServerStats(fn func() obs.ServerSnapshot) { a.serverStats = fn }
 
 // WithEvents wires a flight recorder into the array: disk failures, rebuild
-// and scrub lifecycle, degraded-read entry, and batch flushes are recorded
-// with the trace ID of the operation that hit them. A nil recorder (the
+// and scrub lifecycle, and degraded-read entry are recorded with the trace ID of the operation that hit them. A nil recorder (the
 // default) disables recording at the cost of one nil check per event site.
 func WithEvents(rec *obs.Recorder) Option {
 	return func(a *Array) {
@@ -324,9 +307,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.Counters.SectorsRepaired += o.Counters.SectorsRepaired
 	s.Counters.RMWPreReadsAbsorbed += o.Counters.RMWPreReadsAbsorbed
 	s.Counters.DegradedPlanHits += o.Counters.DegradedPlanHits
-	s.Counters.BatchedWrites += o.Counters.BatchedWrites
-	s.Counters.BatchMergedWrites += o.Counters.BatchMergedWrites
-	s.Counters.BatchFlushes += o.Counters.BatchFlushes
 
 	s.Latency.Read.Merge(o.Latency.Read)
 	s.Latency.Write.Merge(o.Latency.Write)
@@ -418,9 +398,6 @@ func (a *Array) ResetMetrics() {
 	a.m.decodeXORBytes.Reset()
 	a.m.rmwPreReadsAbsorbed.Reset()
 	a.m.degradedPlanHits.Reset()
-	a.m.batchedWrites.Reset()
-	a.m.batchMergedWrites.Reset()
-	a.m.batchFlushes.Reset()
 	for _, d := range a.iodevs {
 		d.Metrics().Reset()
 	}

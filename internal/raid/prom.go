@@ -34,9 +34,6 @@ func (s *Snapshot) WriteProm(pw *obs.PromWriter) {
 		{"stripe_rebuild", s.Counters.StripesRebuilt},
 		{"scrub_fix", s.Counters.ScrubErrorsFixed},
 		{"sector_repair", s.Counters.SectorsRepaired},
-		{"batched_write", s.Counters.BatchedWrites},
-		{"batch_merged_write", s.Counters.BatchMergedWrites},
-		{"batch_flush", s.Counters.BatchFlushes},
 	} {
 		pw.SampleInt("dcode_ops_total", []obs.Label{{Name: "op", Value: kv.op}}, kv.n)
 	}
@@ -142,26 +139,25 @@ func (s *Snapshot) WriteProm(pw *obs.PromWriter) {
 	}
 
 	if as := s.Async; as != nil {
-		engine := obs.Label{Name: "engine", Value: as.Engine}
 		pw.Family("dcode_async_ops_total", "Async submission engine operations by stage.", "counter")
-		pw.SampleInt("dcode_async_ops_total", []obs.Label{engine, {Name: "stage", Value: "submitted"}}, as.Submitted)
-		pw.SampleInt("dcode_async_ops_total", []obs.Label{engine, {Name: "stage", Value: "completed"}}, as.Completed)
+		pw.SampleInt("dcode_async_ops_total", []obs.Label{{Name: "stage", Value: "submitted"}}, as.Submitted)
+		pw.SampleInt("dcode_async_ops_total", []obs.Label{{Name: "stage", Value: "completed"}}, as.Completed)
 		pw.Family("dcode_async_inflight", "Operations submitted but not yet completed.", "gauge")
-		pw.SampleInt("dcode_async_inflight", []obs.Label{engine}, as.Inflight)
+		pw.SampleInt("dcode_async_inflight", nil, as.Inflight)
 		pw.Family("dcode_async_depth", "Configured queue depth.", "gauge")
-		pw.SampleInt("dcode_async_depth", []obs.Label{engine}, int64(as.Depth))
+		pw.SampleInt("dcode_async_depth", nil, int64(as.Depth))
 		pw.Family("dcode_async_batches_total", "Submission batches flushed to the engine.", "counter")
-		pw.SampleInt("dcode_async_batches_total", []obs.Label{engine}, as.Batches)
+		pw.SampleInt("dcode_async_batches_total", nil, as.Batches)
 		pw.Family("dcode_async_batch_size", "Log2-bucketed batch sizes: le is the bucket's upper bound in ops.", "counter")
 		for i, n := range as.BatchSizes {
 			if n == 0 {
 				continue
 			}
-			pw.SampleInt("dcode_async_batch_size", []obs.Label{engine, {Name: "le", Value: strconv.FormatInt(1<<i, 10)}}, n)
+			pw.SampleInt("dcode_async_batch_size", []obs.Label{{Name: "le", Value: strconv.FormatInt(1<<i, 10)}}, n)
 		}
 		pw.Family("dcode_async_sq_full_stalls_total", "Submissions that found the queue full.", "counter")
-		pw.SampleInt("dcode_async_sq_full_stalls_total", []obs.Label{engine}, as.SQFullStalls)
-		pw.WriteHistogramSummary("dcode_async_op_latency_seconds", "Submit-to-completion latency, queueing included.", []obs.Label{engine}, as.OpLatency)
+		pw.SampleInt("dcode_async_sq_full_stalls_total", nil, as.SQFullStalls)
+		pw.WriteHistogramSummary("dcode_async_op_latency_seconds", "Submit-to-completion latency, queueing included.", nil, as.OpLatency)
 	}
 
 	if p := s.Phases; p != nil {

@@ -85,14 +85,10 @@ type Array struct {
 	scratch sync.Pool
 	opBufs  sync.Pool
 
-	// batch, when non-nil, is the cross-op write-combining window (see
-	// batch.go); WithBatching attaches it.
-	batch *batcher
-
-	// aio, when non-nil, is the asynchronous device-submission engine (see
+	// aio, when non-nil, is the asynchronous device-submission queue (see
 	// async.go); WithAsyncIO enables it and asyncDepth carries the option's
 	// queue depth to construction.
-	aio        blockdev.AsyncQueue
+	aio        *blockdev.AsyncQueue
 	asyncDepth int
 
 	// cache, when non-nil, is the sharded element cache serving read hits
@@ -254,19 +250,11 @@ func (a *Array) FailedDisks() []int {
 }
 
 // FailDisk marks a column failed (as after an I/O error or pulled drive).
-// It is a batching barrier: parked writes flush first (while the column can
-// still take its share), and a flush failure is reported alongside the
-// disk-state result — the mark is applied regardless.
 func (a *Array) FailDisk(col int) error {
-	ferr := a.Flush()
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
 	if col < 0 || col >= a.code.Cols() {
-		err := fmt.Errorf("raid: disk %d out of range", col)
-		if ferr != nil {
-			return errors.Join(ferr, err)
-		}
-		return err
+		return fmt.Errorf("raid: disk %d out of range", col)
 	}
 	a.failDisk(col, 0)
 	// The column's cached entries are still logically valid (they predate
@@ -275,12 +263,9 @@ func (a *Array) FailDisk(col int) error {
 	a.cacheInvalidateColumn(col)
 	a.invalidatePlans()
 	if a.failedCount() > 2 {
-		if ferr != nil {
-			return errors.Join(ferr, ErrTooManyFailures)
-		}
 		return ErrTooManyFailures
 	}
-	return ferr
+	return nil
 }
 
 // deviceOffset converts (stripeIdx, row) to a device byte offset.
@@ -409,7 +394,7 @@ type elemRange struct {
 // their stripe indices are non-decreasing — stripeRuns relies on that.
 func (a *Array) splitBytes(off int64, n int, out []elemRange) ([]elemRange, error) {
 	if off < 0 || off+int64(n) > a.Size() {
-		return out, outOfRangeErr(a, off, n)
+		return out, fmt.Errorf("raid: range [%d,%d) outside volume of %d bytes", off, off+int64(n), a.Size())
 	}
 	d := int64(a.code.DataElems())
 	bufOff := 0
@@ -451,14 +436,6 @@ func (a *Array) ReadAt(p []byte, off int64) (n int, err error) {
 // passes the link a stamped request carried; the zero Link behaves exactly
 // like ReadAt.
 func (a *Array) ReadAtLink(p []byte, off int64, parent trace.Link) (n int, err error) {
-	// Read-your-writes with batching on: any stripe this read touches that
-	// has parked writes is flushed first. Cheap when the window is empty.
-	if a.batch != nil && len(p) > 0 && off >= 0 && off+int64(len(p)) <= a.Size() {
-		sdb := a.stripeDataBytes()
-		if err := a.flushStripes(off/sdb, (off+int64(len(p))-1)/sdb); err != nil {
-			return 0, err
-		}
-	}
 	tc := a.tr.Begin(trace.OpRead, -1, -1, parent)
 	start := obs.Mono()
 	defer func() {
@@ -559,12 +536,6 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 // errRetryDegraded signals that a device failure was discovered mid-read and
 // the stripe should be re-planned.
 var errRetryDegraded = errors.New("raid: retry degraded")
-
-// outOfRangeErr is the shared out-of-bounds error of the data path, so the
-// batched and unbatched write fronts reject a bad range identically.
-func outOfRangeErr(a *Array, off int64, n int) error {
-	return fmt.Errorf("raid: range [%d,%d) outside volume of %d bytes", off, off+int64(n), a.Size())
-}
 
 // fetchStripeElems reads the full contents of every element the ranges touch
 // into sc.s, choosing the cheapest strategy for the current failure state.
@@ -701,25 +672,12 @@ func (a *Array) fetchReconstructed(si int64, wanted []erasure.Coord, sc *opScrat
 // written in one pass; partial updates use read-modify-write parity patching
 // (the UpdateData path); writes while disks are failed take a degraded
 // full-stripe path so parity stays consistent for the eventual rebuild.
-// With batching enabled (WithBatching), small stripe-local writes park in
-// the write-combining window instead and land on flush; see batch.go.
 func (a *Array) WriteAt(p []byte, off int64) (n int, err error) {
 	return a.WriteAtLink(p, off, trace.Link{})
 }
 
 // WriteAtLink is WriteAt under an incoming trace parent; see ReadAtLink.
-// Writes that park in the write-combining window lose the link — their device
-// I/O happens on a later flush, under the flush's own span.
 func (a *Array) WriteAtLink(p []byte, off int64, parent trace.Link) (n int, err error) {
-	if a.batch != nil {
-		return a.writeAtBatched(p, off, parent)
-	}
-	return a.writeAtDirect(p, off, parent)
-}
-
-// writeAtDirect is the regular write path, batching-agnostic; the batched
-// front end writes through it for anything the window cannot hold.
-func (a *Array) writeAtDirect(p []byte, off int64, parent trace.Link) (n int, err error) {
 	tc := a.tr.Begin(trace.OpWrite, -1, -1, parent)
 	start := obs.Mono()
 	defer func() {
@@ -759,6 +717,12 @@ func (a *Array) writeAtDirect(p []byte, off int64, parent trace.Link) (n int, er
 	}
 	return len(p), nil
 }
+
+// Flush is the array's durability barrier — the blockserve.Flusher a
+// network FLUSH reaches. Every write has reached its devices before WriteAt
+// returns, so there is nothing to push out; Flush does not yet sync anything
+// (a file column's dirty pages stay in the page cache) and returns nil.
+func (a *Array) Flush() error { return nil }
 
 // writeStripeRun applies one stripe's slice of the call's element ranges
 // under that stripe's lock, bracketed by journal intent/commit records when a
@@ -1014,11 +978,6 @@ func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) er
 // reads than rebuilding through one parity kind); a second concurrent
 // failure falls back to whole-stripe reconstruction.
 func (a *Array) Rebuild(col int) (err error) {
-	// Batching barrier: the rebuilt column must include every acknowledged
-	// write, so the window drains before the array is taken exclusively.
-	if err := a.Flush(); err != nil {
-		return err
-	}
 	tcOp := a.tr.Begin(trace.OpRebuild, int32(col), -1, trace.Link{})
 	defer func() { a.tr.End(tcOp, 0, err != nil) }()
 	a.opMu.Lock()
@@ -1160,11 +1119,6 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 // re-encoded from their data (the data is trusted, as a real scrubber does
 // absent checksums). It returns how many stripes were repaired.
 func (a *Array) Scrub() (fixedN int64, err error) {
-	// Batching barrier: parked writes must land before parity is audited,
-	// or the scrubber would see stripes the writers have already moved past.
-	if err := a.Flush(); err != nil {
-		return 0, err
-	}
 	tcOp := a.tr.Begin(trace.OpScrub, -1, -1, trace.Link{})
 	defer func() { a.tr.End(tcOp, 0, err != nil) }()
 	a.opMu.Lock()

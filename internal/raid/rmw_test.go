@@ -97,8 +97,13 @@ type rmwSeg struct {
 	data []byte
 }
 
-// splitSegs lays segs out the way the batch flush does — one buffer, element
-// ranges rebased onto each segment's position in it — so a test can hand one
+// stripeDataBytes is the size of one stripe's data region.
+func (a *Array) stripeDataBytes() int64 {
+	return int64(a.code.DataElems()) * int64(a.elemSize)
+}
+
+// splitSegs lays segs out in one buffer, with their element ranges rebased
+// onto each segment's position in it, so a test can hand one
 // stripe task several disjoint ranges, including two inside one element.
 func splitSegs(t *testing.T, a *Array, segs []rmwSeg) ([]elemRange, []byte) {
 	t.Helper()
@@ -262,7 +267,7 @@ func TestRMWMatchesReconstructWriteTwin(t *testing.T) {
 			// A range crossing the stripe boundary: two stripe tasks.
 			apply(rmwSeg{off: int64(sdb - 2*elemSize - 5), data: noise(5 * elemSize)})
 			// Two disjoint ranges inside one element, then a third in its
-			// neighbour — what a batch flush hands one stripe task.
+			// neighbour: several ranges in one stripe task.
 			base := int64(sdb + 9*elemSize)
 			apply(
 				rmwSeg{off: base + 40, data: noise(10)},
