@@ -49,7 +49,6 @@ func main() {
 	maxTimes := flag.Int("maxtimes", 0, "max repeat count T per op (default 4, quick: 2)")
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	conc := flag.Int("conc", 1, "array concurrency: goroutine fan-out bound (0 = GOMAXPROCS)")
-	cacheBytes := flag.Int64("cache", 0, "element-cache budget in bytes: adds a \"+cache\" variant of every cell (0 = off)")
 	delay := flag.Duration("delay", 0, "per-call positioning delay modeled on every device (blockdev.Delayed; 0 = raw memory)")
 	perbyte := flag.Duration("perbyte", 0, "per-byte transfer delay modeled on every device (pairs with -delay)")
 	traceOn := flag.Bool("trace", false, "run every cell with per-op tracing enabled (span counts to stderr)")
@@ -88,9 +87,6 @@ func main() {
 	if *maxTimes > 0 {
 		cfg.MaxTimes = *maxTimes
 	}
-	if *cacheBytes > 0 {
-		cfg.CacheBytes = *cacheBytes
-	}
 	if *delay > 0 {
 		cfg.DelayNs = delay.Nanoseconds()
 	}
@@ -127,26 +123,13 @@ func main() {
 	}
 	for _, e := range entries {
 		for _, prof := range workload.Profiles {
-			res, err := runCell(e, prof, cfg, 0, *traceOn)
+			res, err := runCell(e, prof, cfg, *traceOn)
 			if err != nil {
 				fatal(fmt.Errorf("%s/%s: %w", e.ID, prof.Name, err))
 			}
 			file.Results = append(file.Results, res)
 			fmt.Fprintf(os.Stderr, "bench: %-10s %-24s %8.0f ns/op %8.1f MB/s cv=%.3f\n",
 				e.ID, prof.Name, res.NsPerOp, res.MBPerSec, res.LoadCV)
-			if cfg.CacheBytes <= 0 {
-				continue
-			}
-			// Same cell again with the element cache attached: identical op
-			// stream, so the device-op delta is exactly what the cache saved.
-			cres, err := runCell(e, prof, cfg, cfg.CacheBytes, *traceOn)
-			if err != nil {
-				fatal(fmt.Errorf("%s/%s +cache: %w", e.ID, prof.Name, err))
-			}
-			file.Results = append(file.Results, cres)
-			fmt.Fprintf(os.Stderr, "bench: %-10s %-24s %8.0f ns/op %8.1f MB/s cv=%.3f hit=%.2f saved=%d\n",
-				e.ID, cres.Workload, cres.NsPerOp, cres.MBPerSec, cres.LoadCV,
-				cres.CacheHitRate, cres.DeviceOpsSaved)
 		}
 	}
 	if *notiming {
@@ -164,10 +147,9 @@ func main() {
 }
 
 // runCell benchmarks one code under one workload profile on a fresh array.
-// cacheBytes > 0 attaches the element cache and labels the cell "+cache";
 // traceOn runs the cell with an enabled tracer (the CI smoke for the traced
 // data path — timing results then include tracing overhead by design).
-func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, cacheBytes int64, traceOn bool) (benchfmt.Result, error) {
+func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, traceOn bool) (benchfmt.Result, error) {
 	code, err := e.New(cfg.P)
 	if err != nil {
 		return benchfmt.Result{}, err
@@ -186,9 +168,8 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, cacheByt
 		}
 	}
 	// Concurrency 0 falls through to the array's GOMAXPROCS default;
-	// WithConcurrency ignores non-positive values by design. WithCache
-	// ignores non-positive budgets the same way.
-	opts := []raid.Option{raid.WithConcurrency(cfg.Concurrency), raid.WithCache(cacheBytes)}
+	// WithConcurrency ignores non-positive values by design.
+	opts := []raid.Option{raid.WithConcurrency(cfg.Concurrency)}
 	if cfg.AsyncDepth > 0 {
 		opts = append(opts, raid.WithAsyncIO(cfg.AsyncDepth))
 	}
@@ -228,9 +209,6 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, cacheByt
 	}
 
 	res := benchfmt.Result{Code: e.ID, Workload: prof.Name}
-	if cacheBytes > 0 {
-		res.Workload += " +cache"
-	}
 	buf := make([]byte, (cfg.MaxLen+1)*cfg.ElemSize)
 	start := time.Now()
 	for _, op := range opsList {
@@ -263,18 +241,6 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, cacheByt
 	res.LoadLF = snap.Load.LF
 	res.EncodeXOROps = snap.XOR.EncodeOps
 	res.DecodeXOROps = snap.XOR.DecodeOps
-	if snap.Cache != nil {
-		res.CacheHits = snap.Cache.Hits
-		res.CacheMisses = snap.Cache.Misses
-		res.CacheHitRate = snap.Cache.HitRate
-		// Every hit is one element read served from memory instead of a
-		// device, so hits are exactly the read ops saved.
-		res.DeviceOpsSaved = snap.Cache.Hits
-		res.RMWAbsorbed = snap.Counters.RMWPreReadsAbsorbed
-		for _, d := range snap.Devices {
-			res.DeviceReadOps += d.Reads
-		}
-	}
 	if res.Executions > 0 {
 		res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(res.Executions)
 	}

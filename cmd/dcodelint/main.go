@@ -1,8 +1,8 @@
 // dcodelint runs the project's static analyzers (internal/lint) over the
-// module: iocheck, poolcheck, lockcheck, cachecheck, geomcheck, and the
-// dataflow-engine trio gocheck, ctxcheck and atomiccheck, plus hygiene
-// checks on the suppression directives themselves. It exits 1 when any
-// unsuppressed finding remains, so CI can gate on it.
+// module: iocheck, poolcheck, lockcheck, geomcheck, and the dataflow-engine
+// trio gocheck, ctxcheck and atomiccheck, plus hygiene checks on the
+// suppression directives themselves. It exits 1 when any unsuppressed
+// finding remains, so CI can gate on it.
 //
 // Usage:
 //

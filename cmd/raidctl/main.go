@@ -19,7 +19,7 @@
 // snapshot into stats.json in the array directory, so `raidctl stats` reports
 // counters, latency histograms and the per-disk load tally accumulated across
 // process lifetimes. With -serve the same snapshot is exposed over HTTP at
-// /stats and in Prometheus text format at /metrics (plus expvar and pprof
+// /stats and in Prometheus text format at /metrics (plus the pprof
 // endpoints), re-read per request so a watcher sees arrays being driven by
 // other raidctl invocations; with -watch the terminal summary redraws in
 // place.
@@ -419,8 +419,7 @@ func stats(dir string, reset bool, serve string, watch time.Duration) {
 				s := loadStats(dir)
 				s.WriteProm(pw)
 			})
-		obs.Publish("raid", func() any { return loadStats(dir) })
-		fmt.Fprintf(os.Stderr, "serving stats on http://%s/stats (Prometheus at /metrics, expvar at /debug/vars, pprof at /debug/pprof/)\n", serve)
+		fmt.Fprintf(os.Stderr, "serving stats on http://%s/stats (Prometheus at /metrics, pprof at /debug/pprof/)\n", serve)
 		fatal(http.ListenAndServe(serve, mux))
 	}
 	if watch > 0 {

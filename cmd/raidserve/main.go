@@ -5,7 +5,7 @@
 //
 //	raidserve -addr :9640 -dir /tmp/a -code dcode -p 5 -elem 4096 -stripes 256 \
 //	          [-remotes 3=host:9650,...] [-metrics :9641] \
-//	          [-max-clients 256] [-max-inflight 128] [-conc 0] [-cache BYTES] [-trace]
+//	          [-max-clients 256] [-max-inflight 128] [-conc 0] [-trace]
 //	raidserve -column -addr :9650 -file /tmp/col3.img -size 4194304
 //
 // Array mode creates (or reopens) a file-backed array in -dir, one disk
@@ -17,7 +17,7 @@
 // reconnect).
 //
 // With -metrics the process also serves the observability HTTP endpoints
-// (/stats JSON, /metrics Prometheus text, expvar, pprof); the block
+// (/stats JSON, /metrics Prometheus text, pprof); the block
 // service's per-client op/byte tallies are merged into Array.Snapshot(), so
 // one scrape covers the array and the clients hammering it. SIGINT/SIGTERM
 // drain gracefully: accept stops, in-flight requests finish, then
@@ -67,11 +67,10 @@ func main() {
 	elem := flag.Int("elem", 4096, "element size in bytes (when creating the array)")
 	stripes := flag.Int64("stripes", 256, "stripes per disk (when creating the array)")
 	remotes := flag.String("remotes", "", "comma-separated col=host:port pairs: serve those columns from remote blockserve endpoints")
-	metricsAddr := flag.String("metrics", "", "also serve /stats, /metrics, expvar and pprof on this HTTP address")
+	metricsAddr := flag.String("metrics", "", "also serve /stats, /metrics and pprof on this HTTP address")
 	maxClients := flag.Int("max-clients", 256, "maximum concurrently connected clients")
 	maxInflight := flag.Int("max-inflight", 128, "maximum requests being served at once (admission control)")
 	conc := flag.Int("conc", 0, "array concurrency: goroutine fan-out bound (0 = GOMAXPROCS)")
-	cacheBytes := flag.Int64("cache", 0, "element-cache budget in bytes (0 = off)")
 	traceOn := flag.Bool("trace", false, "enable per-op tracing (request spans carry client tags)")
 	traceCap := flag.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in spans")
 	eventsCap := flag.Int("events-cap", obs.DefaultEventCapacity, "flight-recorder ring capacity in events")
@@ -125,7 +124,7 @@ func main() {
 			log.Fatal(err)
 		}
 		arr, err = openArray(*dir, *codeID, *p, *elem, *stripes, remoteCols,
-			*conc, *cacheBytes, tr, rec, *remoteTimeout, *remoteRetries)
+			*conc, tr, rec, *remoteTimeout, *remoteRetries)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -263,7 +262,7 @@ func parseRemotes(s string) (map[int]string, error) {
 // openArray creates or reopens the file-backed array in dir, substituting
 // Remote devices for the columns in remoteCols.
 func openArray(dir, codeID string, p, elem int, stripes int64, remoteCols map[int]string,
-	conc int, cacheBytes int64, tr *trace.Tracer, rec *obs.Recorder, rtimeout time.Duration, rretries int) (*raid.Array, error) {
+	conc int, tr *trace.Tracer, rec *obs.Recorder, rtimeout time.Duration, rretries int) (*raid.Array, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -316,7 +315,7 @@ func openArray(dir, codeID string, p, elem int, stripes int64, remoteCols map[in
 		}
 		devs[i] = d
 	}
-	opts := []raid.Option{raid.WithConcurrency(conc), raid.WithCache(cacheBytes), raid.WithEvents(rec)}
+	opts := []raid.Option{raid.WithConcurrency(conc), raid.WithEvents(rec)}
 	if tr != nil {
 		opts = append(opts, raid.WithTracer(tr))
 	}

@@ -112,12 +112,6 @@ type ArrayOption = raid.Option
 // or ≤ 0 uses GOMAXPROCS.
 func WithConcurrency(n int) ArrayOption { return raid.WithConcurrency(n) }
 
-// WithCache attaches a sharded LRU element cache with the given byte budget:
-// read hits skip device I/O, read-modify-write pre-reads of cached old data
-// and parity are absorbed, and degraded reads memoize reconstructed elements.
-// Omitted or ≤ 0 leaves the cache off (the default).
-func WithCache(bytes int64) ArrayOption { return raid.WithCache(bytes) }
-
 // WithAsyncIO enables the asynchronous device-submission queue: each stripe
 // task batch-submits its per-column device runs through one queue, served by
 // a pool of depth worker goroutines, and harvests the completions, instead of

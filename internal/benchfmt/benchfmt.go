@@ -47,10 +47,6 @@ type Config struct {
 	// serial). It is part of the config identity: concurrent runs interleave
 	// device ops differently, so only like-for-like runs gate load metrics.
 	Concurrency int `json:"concurrency,omitempty"`
-	// CacheBytes is the element-cache budget passed to the "+cache" cells
-	// (0 = the run had no cache scenario). Part of the config identity like
-	// Concurrency: cached runs issue different device ops.
-	CacheBytes int64 `json:"cache_bytes,omitempty"`
 	// DelayNs and PerByteNs are the blockdev.Delayed service-time model
 	// applied to every device (0 = raw MemDevice). Timing under a delay model
 	// measures scheduling — coalescing, vectoring, batching — rather than
@@ -80,20 +76,6 @@ type Result struct {
 	LoadLF       float64 `json:"load_lf"`     // Lmax/Lmin (paper Eq. 8), -1 for +Inf
 	EncodeXOROps int64   `json:"encode_xor_ops"`
 	DecodeXOROps int64   `json:"decode_xor_ops"`
-
-	// Element-cache metrics, populated only for "+cache" cells (and therefore
-	// omitted from cache-off artifacts, keeping old baselines byte-identical).
-	// Deterministic for serial runs: the cache's shard count is fixed, so the
-	// hit/eviction sequence depends only on the op stream.
-	CacheHits      int64   `json:"cache_hits,omitempty"`
-	CacheMisses    int64   `json:"cache_misses,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
-	DeviceReadOps  int64   `json:"device_read_ops,omitempty"`  // element reads that reached devices
-	DeviceOpsSaved int64   `json:"device_ops_saved,omitempty"` // element reads served from cache
-	// RMWAbsorbed is the subset of DeviceOpsSaved that were read-modify-write
-	// old-data/old-parity pre-reads — the paper's 4-I/O small-write penalty
-	// the cache removes.
-	RMWAbsorbed int64 `json:"rmw_prereads_absorbed,omitempty"`
 
 	// Network load-test fields, populated only by cmd/loadgen artifacts
 	// (omitted from cmd/bench artifacts, so old baselines stay
@@ -190,11 +172,6 @@ func (r Regression) String() string {
 //   - load_cv is compared whenever both sides ran an identical config
 //     (higher is worse; an absolute slack of 0.01 avoids flagging noise
 //     around perfectly balanced codes);
-//   - the cache metrics are compared under the same identical-config rule,
-//     and only for cells where both sides carry them: a falling hit rate, a
-//     drop in device ops saved, or a rise in device reads fails the gate —
-//     a cache-efficiency regression is an I/O regression even when timing
-//     cannot be trusted;
 //   - ns/op, p99 and MB/s are compared only when BOTH files carry timing
 //     (higher ns/op and p99 are worse, lower MB/s is worse).
 func Compare(base, current File, threshold float64) []Regression {
@@ -256,11 +233,6 @@ func Compare(base, current File, threshold float64) []Regression {
 					Base: b.LoadCV, Current: c.LoadCV, Ratio: ratio,
 				})
 			}
-			// worse() skips cells where either side lacks the metric, so
-			// cache-off artifacts are unaffected.
-			worse(b, "cache_hit_rate", b.CacheHitRate, c.CacheHitRate, true)
-			worse(b, "device_ops_saved", float64(b.DeviceOpsSaved), float64(c.DeviceOpsSaved), true)
-			worse(b, "device_read_ops", float64(b.DeviceReadOps), float64(c.DeviceReadOps), false)
 		}
 		if timing {
 			worse(b, "ns_per_op", b.NsPerOp, c.NsPerOp, false)

@@ -144,58 +144,6 @@ func TestCompareSkipsCVOnDifferentWorkloads(t *testing.T) {
 	}
 }
 
-// Cache metrics gate only when both sides carry them, under the identical-
-// config rule: a falling hit rate or ops-saved count, or rising device reads,
-// is an I/O regression.
-func TestCompareFlagsCacheRegressions(t *testing.T) {
-	withCache := func() File {
-		f := sample(false)
-		f.Config.CacheBytes = 1 << 20
-		f.Results[0].Workload = "Read-Only +cache"
-		f.Results[0].CacheHits = 900
-		f.Results[0].CacheMisses = 100
-		f.Results[0].CacheHitRate = 0.9
-		f.Results[0].DeviceOpsSaved = 900
-		f.Results[0].DeviceReadOps = 100
-		return f
-	}
-	base := withCache()
-	if regs := Compare(base, withCache(), 0.10); len(regs) != 0 {
-		t.Fatalf("identical cache metrics flagged: %v", regs)
-	}
-	cur := withCache()
-	cur.Results[0].CacheHitRate = 0.6
-	cur.Results[0].DeviceOpsSaved = 600
-	cur.Results[0].DeviceReadOps = 400
-	regs := Compare(base, cur, 0.10)
-	want := map[string]bool{"cache_hit_rate": false, "device_ops_saved": false, "device_read_ops": false}
-	for _, r := range regs {
-		if _, ok := want[r.Metric]; ok {
-			want[r.Metric] = true
-		}
-	}
-	for m, seen := range want {
-		if !seen {
-			t.Fatalf("%s regression not flagged in %v", m, regs)
-		}
-	}
-	// A different config (e.g. a changed budget) suppresses the gate, like CV.
-	diff := withCache()
-	diff.Config.CacheBytes *= 2
-	diff.Results[0].CacheHitRate = 0.1
-	if regs := Compare(base, diff, 0.10); len(regs) != 0 {
-		t.Fatalf("cache metrics compared across configs: %v", regs)
-	}
-}
-
-// Cache-off artifacts (the committed baseline) must be unaffected by the
-// cache gates: all cache fields are zero on both sides.
-func TestCompareIgnoresAbsentCacheMetrics(t *testing.T) {
-	if regs := Compare(sample(false), sample(false), 0.10); len(regs) != 0 {
-		t.Fatalf("cache-off files flagged: %v", regs)
-	}
-}
-
 func TestCompareFlagsMissingCell(t *testing.T) {
 	base := sample(false)
 	cur := sample(false)

@@ -3,11 +3,11 @@ package lint
 // The analyzers are pinned by analysistest-style golden packages: each
 // testdata directory is a small package loaded against the real module
 // under a synthetic import path chosen so the analyzer's package scoping
-// matches (cachecheck and lockcheck's bracketing rule look at ".../raid",
-// geomcheck at the code-package basenames). Expected findings are `// want
-// "regex"` comments on the offending line; the test fails on any missing
-// or unexpected finding, so every analyzer carries at least one positive
-// and one negative case.
+// matches (lockcheck's bracketing rule looks at ".../raid", geomcheck at the
+// code-package basenames). Expected findings are `// want "regex"` comments
+// on the offending line; the test fails on any missing or unexpected
+// finding, so every analyzer carries at least one positive and one negative
+// case.
 
 import (
 	"fmt"
@@ -126,10 +126,6 @@ func TestLockCheckGolden(t *testing.T) {
 	runGolden(t, "lockcheck", "lockcheck", "dcode/ztest/lockcheck/raid")
 }
 
-func TestCacheCheckGolden(t *testing.T) {
-	runGolden(t, "cachecheck", "cachecheck", "dcode/ztest/cachecheck/raid")
-}
-
 func TestGeomCheckGolden(t *testing.T) {
 	runGolden(t, "geomcheck", "geomcheck", "dcode/ztest/geom/core")
 }
@@ -226,8 +222,8 @@ func TestFindingFormat(t *testing.T) {
 	if ByName("nope") != nil {
 		t.Errorf("ByName(nope) should be nil")
 	}
-	if len(Registry()) != 8 {
-		t.Errorf("registry = %d analyzers, want 8", len(Registry()))
+	if len(Registry()) != 7 {
+		t.Errorf("registry = %d analyzers, want 7", len(Registry()))
 	}
 	_ = fmt.Sprintf
 }

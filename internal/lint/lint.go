@@ -54,7 +54,6 @@ func Registry() []*Analyzer {
 		ioCheckAnalyzer,
 		poolCheckAnalyzer,
 		lockCheckAnalyzer,
-		cacheCheckAnalyzer,
 		geomCheckAnalyzer,
 		goCheckAnalyzer,
 		ctxCheckAnalyzer,

@@ -12,7 +12,7 @@ import (
 //
 // Ordering: the array's mutexes form ranked classes — opMu (0, the array
 // op gate) before the per-stripe locks (1), before ordinary leaf mutexes
-// (2: the journal ring, cache shards, plan memo, local collectors), with
+// (2: the journal ring, plan memo, local collectors), with
 // failMu (3) innermost: the failure-set accessors are tiny critical
 // sections that must never call back out into the engine. Acquiring a
 // class of lower rank than one already held — directly, or transitively

@@ -2,8 +2,8 @@
 // (go/ast + go/parser + go/types, no x/tools) loader and analyzer registry
 // that mechanically enforces the engine's cross-cutting invariants — device
 // I/O error accounting, pool get/put pairing, lock bracketing and ordering,
-// cache write-through coherence, and code-geometry hygiene. cmd/dcodelint is
-// the CLI; DESIGN.md §7 maps each analyzer to the invariant it pins.
+// and code-geometry hygiene. cmd/dcodelint is the CLI; DESIGN.md §7 maps
+// each analyzer to the invariant it pins.
 //
 // The loader type-checks the module's non-test packages from source in
 // dependency order, resolving standard-library imports through the

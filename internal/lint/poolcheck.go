@@ -540,7 +540,8 @@ func lhsVar(info *types.Info, lhs ast.Expr) *types.Var {
 // isAcquisition reports whether the call takes ownership of a pooled value:
 // sync.Pool.Get, or a module get-named method whose receiver type also has
 // the matching put-named method and which returns a single pointer-like
-// value (so cache.Get's copy-out bool does not match).
+// value (so a Get that copies into the caller's buffer and returns a found
+// bool does not match).
 func (w *poolWalker) isAcquisition(call *ast.CallExpr) bool {
 	fn := staticCallee(w.pkg.Info, call)
 	if fn == nil {

@@ -11,8 +11,8 @@ package lint
 // (a directive on its own line covers the line below it, so it can sit above
 // the statement it excuses). lint:escape is poolcheck's hand-off marker: it
 // declares that the pooled value acquired or stored on that line
-// intentionally outlives the function (for example, cache entries that live
-// in the shard map until eviction). Both kinds are listed by
+// intentionally outlives the function (for example, a buffer parked in a
+// long-lived structure that puts it back later). Both kinds are listed by
 // `dcodelint -suppressions` so CI logs every active exemption, and a
 // directive that matches no finding is reported as unused.
 

@@ -32,7 +32,6 @@ func TestMetricsTypesAreCopylocksVisible(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(Counter{}),
 		reflect.TypeOf(Histogram{}),
-		reflect.TypeOf(CacheMetrics{}),
 		reflect.TypeOf(IOMetrics{}),
 		reflect.TypeOf(LoadWindow{}),
 	} {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 )
@@ -20,20 +19,11 @@ func Handler(snapshot func() any) http.Handler {
 	})
 }
 
-// Publish registers snapshot under name in the process-wide expvar registry,
-// so it shows up on /debug/vars alongside the runtime's memstats. Publishing
-// the same name twice panics (expvar semantics), so callers publish once per
-// process.
-func Publish(name string, snapshot func() any) {
-	expvar.Publish(name, expvar.Func(snapshot))
-}
-
 // NewMux returns an http.ServeMux exposing the standard observability
 // endpoints without touching http.DefaultServeMux:
 //
 //	/stats          – JSON of snapshot()
 //	/metrics        – Prometheus text exposition of collect (omitted if nil)
-//	/debug/vars     – expvar (anything Publish-ed, plus runtime stats)
 //	/debug/pprof/…  – the usual pprof profiles
 func NewMux(snapshot func() any, collect func(*PromWriter)) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -41,7 +31,6 @@ func NewMux(snapshot func() any, collect func(*PromWriter)) *http.ServeMux {
 	if collect != nil {
 		mux.Handle("/metrics", PromHandler(collect))
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -229,7 +229,7 @@ func TestHandlerServesLiveJSON(t *testing.T) {
 
 func TestNewMuxEndpoints(t *testing.T) {
 	mux := NewMux(func() any { return struct{}{} }, nil)
-	for _, path := range []string{"/stats", "/debug/vars", "/debug/pprof/"} {
+	for _, path := range []string{"/stats", "/debug/pprof/"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {

@@ -11,10 +11,10 @@ import (
 
 // Prometheus text exposition (format version 0.0.4): a minimal, dependency-
 // free writer for the metric families the RAID engine exports, plus the
-// /metrics HTTP handler NewMux mounts next to the expvar endpoint. The
-// writer validates metric and label names and escapes label values, so a
-// malformed family is an error the handler reports instead of silently
-// emitting output a scraper rejects.
+// /metrics HTTP handler NewMux mounts next to /stats. The writer validates
+// metric and label names and escapes label values, so a malformed family is
+// an error the handler reports instead of silently emitting output a scraper
+// rejects.
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -138,43 +138,9 @@ func coalesce(cells []erasure.Coord, sc *opScratch) []cellRun {
 }
 
 // readCells reads the listed (distinct) cells of stripe si into sc.s, each
-// coalesced run as a single device call. With a cache attached it first
-// serves hits from memory — those cells cost no device I/O at all — then
-// reads only the misses, inserting them on the way back so the working set
-// converges to the cache. It returns how many cells were served from the
-// cache.
-func (a *Array) readCells(si int64, cells []erasure.Coord, sc *opScratch) (int, error) {
-	hits := 0
-	if a.cache != nil {
-		miss := sc.miss[:0]
-		for _, co := range cells {
-			if a.cache.Get(a.cacheKey(si, co), sc.s.Elem(co.Row, co.Col)) {
-				hits++
-			} else {
-				miss = append(miss, co)
-			}
-		}
-		sc.miss = miss
-		cells = miss
-	}
-	if err := a.readRuns(si, coalesce(cells, sc), nil, sc); err != nil {
-		return hits, err
-	}
-	a.cacheFill(si, cells, sc.s, nil)
-	return hits, nil
-}
-
-// cacheFill inserts the listed cells' content from s read through the data
-// overlay: populate-on-miss after a fully successful read (so a partial
-// failure, which the caller retries degraded, caches nothing stale), and
-// write-through of a commit set.
-func (a *Array) cacheFill(si int64, cells []erasure.Coord, s *stripe.Stripe, data [][]byte) {
-	if a.cache == nil {
-		return
-	}
-	for _, co := range cells {
-		a.cache.Put(a.cacheKey(si, co), a.code.CellFrom(s, data, co))
-	}
+// coalesced run as a single device call.
+func (a *Array) readCells(si int64, cells []erasure.Coord, sc *opScratch) error {
+	return a.readRuns(si, coalesce(cells, sc), nil, sc)
 }
 
 // writeCellsBestEffort writes the listed (distinct) cells of stripe si, each
@@ -406,7 +372,6 @@ type opScratch struct {
 	gseen   []bool // per-group marks
 	coords  []erasure.Coord
 	fetch   []erasure.Coord
-	miss    []erasure.Coord // readCells' cache-miss list
 	srcs    [][]byte
 	runs    []cellRun
 	vruns   []vecRun     // staged device runs (stageRuns)

@@ -2,15 +2,15 @@ package raid
 
 // This file holds the zero-copy read path of the data plane and the data
 // overlay it shares with the write commit. When a read's stripe task is fully
-// element-aligned on a cache-less array that is healthy or has one failed
-// column, the array skips the stripe arena for every wanted element: the
-// cells to read — the wanted ones, or the memoized degraded plan's Fetch
-// when a wanted cell is on the failed column — are coalesced into the runs
-// the general path would issue and read by the one run reader (readRuns),
-// each run one scatter read whose iovecs point into the caller's buffer for
-// wanted cells and into stripe memory only for recovery-only cells. Each plan
-// step then folds its lost target straight into the target's slice of the
-// caller's buffer (FoldGroup through the overlay).
+// element-aligned on an array that is healthy or has one failed column, the
+// array skips the stripe arena for every wanted element: the cells to read —
+// the wanted ones, or the memoized degraded plan's Fetch when a wanted cell
+// is on the failed column — are coalesced into the runs the general path
+// would issue and read by the one run reader (readRuns), each run one scatter
+// read whose iovecs point into the caller's buffer for wanted cells and into
+// stripe memory only for recovery-only cells. Each plan step then folds its
+// lost target straight into the target's slice of the caller's buffer
+// (FoldGroup through the overlay).
 //
 // Writes of every shape commit through the same overlay (overlay, then
 // writeRuns in concurrency.go): whole written elements leave from the
@@ -47,8 +47,7 @@ func (a *Array) directRangesEligible(ers []elemRange) bool {
 // bad sector under any run is repaired in place by the run reader; a read
 // that marks a disk failed returns false with the buffer contents
 // unspecified, and the caller falls back to the general path, which re-plans
-// around the newly failed column. Eligible with no cache attached (a cache
-// wants elements in stripe memory to fill from), fully aligned ranges, and at
+// around the newly failed column. Eligible with fully aligned ranges and at
 // most one failed column. A task that wants a cell on the failed column reads
 // the degraded plan's Fetch instead of the wanted cells and opens the task's
 // degraded record, so a fall back to the general path does not count it
@@ -56,7 +55,7 @@ func (a *Array) directRangesEligible(ers []elemRange) bool {
 // general path's (readCells, fetchPlanned); only the copy of every wanted
 // element out of sc.s is gone.
 func (a *Array) readStripeDirect(si int64, ers []elemRange, p []byte, sc *opScratch) bool {
-	if a.cache != nil || !a.directRangesEligible(ers) {
+	if a.directOff || !a.directRangesEligible(ers) {
 		return false
 	}
 	down := -1

@@ -328,11 +328,13 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 // TestDirectReadRepairsBadSectorInPlace pins the direct read's repair: a bad
 // sector under a multi-cell aligned read of a healthy array is repaired in
 // place by the run reader's element-at-a-time retry — correct bytes, one
-// sector repaired, no disk marked — with per-disk tallies equal to a cached
-// twin, whose read takes the general path through the same retry.
+// sector repaired, no disk marked — with per-disk tallies equal to a twin
+// with the direct read off, whose read takes the general path through the
+// same retry.
 func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
 	a, amems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
-	b, bmems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1), WithCache(1<<20))
+	b, bmems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
+	b.directOff = true
 	want := pattern(int(a.Size()), 17)
 	for _, arr := range []*Array{a, b} {
 		if _, err := arr.WriteAt(want, 0); err != nil {
@@ -352,10 +354,6 @@ func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
 	for _, m := range []*blockdev.MemDevice{amems[bad.Col], bmems[bad.Col]} {
 		m.InjectBadSector(a.deviceOffset(0, bad.Row) + 3)
 	}
-	for c := 0; c < b.code.Cols(); c++ {
-		b.cacheInvalidateColumn(c) // the twin must ask its devices too
-	}
-
 	n := a.code.DataElems() * elemSize
 	for _, arr := range []*Array{a, b} {
 		got := make([]byte, n)
@@ -467,14 +465,13 @@ func TestDirectWriteStripeOnlyRunIsOneBuffer(t *testing.T) {
 }
 
 // TestDirectPathsMatchGeneralTwin drives one seeded stream of aligned reads
-// and small writes through a cache-less array (the direct read path, healthy
-// and degraded, and the overlay commit) and through a twin with a cache (the
-// general path, whose reads go through stripe memory), first healthy and then
-// with each column failed in turn. The twin's cache is emptied before every
-// op so it absorbs no device I/O. Returned bytes, device contents, per-disk
-// read and write tallies, degraded-read counts and decode XOR ops must all be
-// identical: the direct path moves fewer bytes in memory, never different
-// ones, and never a different I/O.
+// and small writes through an array (the direct read path, healthy and
+// degraded, and the overlay commit) and through a twin with the direct read
+// off (the general path, whose reads go through stripe memory), first healthy
+// and then with each column failed in turn. Returned bytes, device contents,
+// per-disk read and write tallies, degraded-read counts and decode XOR ops
+// must all be identical: the direct path moves fewer bytes in memory, never
+// different ones, and never a different I/O.
 func TestDirectPathsMatchGeneralTwin(t *testing.T) {
 	for _, id := range []string{"dcode", "xcode", "rdp", "hdp"} {
 		for _, p := range []int{5, 7} {
@@ -491,7 +488,8 @@ func TestDirectPathsMatchGeneralTwin(t *testing.T) {
 func testDirectTwin(t *testing.T, id string, p, down int) {
 	const stripes = 3
 	a, amems := newArrayConc(t, id, p, stripes, WithConcurrency(1))
-	b, bmems := newArrayConc(t, id, p, stripes, WithConcurrency(1), WithCache(1<<20))
+	b, bmems := newArrayConc(t, id, p, stripes, WithConcurrency(1))
+	b.directOff = true
 	model := pattern(int(a.Size()), byte(down))
 	for _, arr := range []*Array{a, b} {
 		if _, err := arr.WriteAt(model, 0); err != nil {
@@ -509,9 +507,6 @@ func testDirectTwin(t *testing.T, id string, p, down int) {
 		}
 		off := rng.Intn(elems-n+1) * elemSize
 		n *= elemSize
-		for c := 0; c < b.code.Cols(); c++ {
-			b.cacheInvalidateColumn(c)
-		}
 		if write {
 			buf := make([]byte, n)
 			rng.Read(buf)

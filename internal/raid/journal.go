@@ -176,7 +176,5 @@ func (a *Array) scrubStripe(si int64) error {
 			return err
 		}
 	}
-	// Replay rewrote the stripe's parity; drop any cached cells for it.
-	a.cacheInvalidateStripe(si)
 	return nil
 }

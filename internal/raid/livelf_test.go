@@ -19,8 +19,7 @@ import (
 // MaxLen 8 elements are the read-modify-write regime for these codes at p=7,
 // and the engine's stripe-level RMW costs 2 accesses per written data element
 // plus 2 per distinct touched parity — exactly the simulator's Eq. 8
-// bookkeeping. The element cache stays off so every logical access reaches a
-// device.
+// bookkeeping.
 func TestLiveLFMatchesSimulator(t *testing.T) {
 	const (
 		stripes = 4

@@ -39,10 +39,6 @@ type arrayMetrics struct {
 	decodeXOROps   obs.Counter
 	decodeXORBytes obs.Counter
 
-	// rmwPreReadsAbsorbed counts old-data/old-parity pre-reads of
-	// read-modify-write updates that the element cache served — device
-	// reads the classic 4-I/O RMW no longer performs. Zero with no cache.
-	rmwPreReadsAbsorbed obs.Counter
 	// degradedPlanHits counts degraded/repair plans served from the
 	// per-array plan memo instead of recomputed.
 	degradedPlanHits obs.Counter
@@ -81,10 +77,6 @@ type Snapshot struct {
 	// against it.
 	XOR                      XORSnapshot `json:"xor"`
 	AnalyticEncodeXORPerData float64     `json:"analytic_encode_xor_per_data"`
-
-	// Cache is the element cache's counters and occupancy; nil (omitted)
-	// when the array was built without WithCache.
-	Cache *obs.CacheSnapshot `json:"cache,omitempty"`
 
 	// Window is the rolling per-disk load view (recent reads/writes per disk,
 	// live LF over the window, op rates, hot disks). Unlike Load, which
@@ -154,20 +146,18 @@ type XORSnapshot struct {
 	DecodeBytes int64 `json:"decode_bytes"`
 }
 
-// CounterSnapshot mirrors Stats with JSON tags. The cache- and memo-related
-// counters are omitted when zero so arrays without those features keep
-// their existing serialized form.
+// CounterSnapshot mirrors Stats with JSON tags. The plan-memo counter is
+// omitted when zero, as on an array that never read degraded.
 type CounterSnapshot struct {
-	Reads               int64 `json:"reads"`
-	Writes              int64 `json:"writes"`
-	DegradedReads       int64 `json:"degraded_reads"`
-	FullStripeWrites    int64 `json:"full_stripe_writes"`
-	RMWWrites           int64 `json:"rmw_writes"`
-	StripesRebuilt      int64 `json:"stripes_rebuilt"`
-	ScrubErrorsFixed    int64 `json:"scrub_errors_fixed"`
-	SectorsRepaired     int64 `json:"sectors_repaired"`
-	RMWPreReadsAbsorbed int64 `json:"rmw_prereads_absorbed,omitempty"`
-	DegradedPlanHits    int64 `json:"degraded_plan_hits,omitempty"`
+	Reads            int64 `json:"reads"`
+	Writes           int64 `json:"writes"`
+	DegradedReads    int64 `json:"degraded_reads"`
+	FullStripeWrites int64 `json:"full_stripe_writes"`
+	RMWWrites        int64 `json:"rmw_writes"`
+	StripesRebuilt   int64 `json:"stripes_rebuilt"`
+	ScrubErrorsFixed int64 `json:"scrub_errors_fixed"`
+	SectorsRepaired  int64 `json:"sectors_repaired"`
+	DegradedPlanHits int64 `json:"degraded_plan_hits,omitempty"`
 }
 
 // LatencySnapshot groups the array-level histograms.
@@ -187,16 +177,15 @@ func (a *Array) Snapshot() Snapshot {
 		Code:  a.code.Name(),
 		Disks: a.code.Cols(),
 		Counters: CounterSnapshot{
-			Reads:               a.m.reads.Load(),
-			Writes:              a.m.writes.Load(),
-			DegradedReads:       a.m.degradedReads.Load(),
-			FullStripeWrites:    a.m.fullStripeWrites.Load(),
-			RMWWrites:           a.m.rmwWrites.Load(),
-			StripesRebuilt:      a.m.stripesRebuilt.Load(),
-			ScrubErrorsFixed:    a.m.scrubErrorsFixed.Load(),
-			SectorsRepaired:     a.m.sectorsRepaired.Load(),
-			RMWPreReadsAbsorbed: a.m.rmwPreReadsAbsorbed.Load(),
-			DegradedPlanHits:    a.m.degradedPlanHits.Load(),
+			Reads:            a.m.reads.Load(),
+			Writes:           a.m.writes.Load(),
+			DegradedReads:    a.m.degradedReads.Load(),
+			FullStripeWrites: a.m.fullStripeWrites.Load(),
+			RMWWrites:        a.m.rmwWrites.Load(),
+			StripesRebuilt:   a.m.stripesRebuilt.Load(),
+			ScrubErrorsFixed: a.m.scrubErrorsFixed.Load(),
+			SectorsRepaired:  a.m.sectorsRepaired.Load(),
+			DegradedPlanHits: a.m.degradedPlanHits.Load(),
 		},
 		Latency: LatencySnapshot{
 			Read:         a.m.readLatency.Snapshot(),
@@ -221,10 +210,6 @@ func (a *Array) Snapshot() Snapshot {
 		DecodeBytes: x.DecodeBytes + a.m.decodeXORBytes.Load(),
 	}
 	s.AnalyticEncodeXORPerData = a.code.ComputeMetrics().EncodeXORPerData
-	if a.cache != nil {
-		cs := a.cache.Snapshot()
-		s.Cache = &cs
-	}
 	if a.window != nil {
 		ws := a.window.Snapshot()
 		s.Window = &ws
@@ -305,7 +290,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.Counters.StripesRebuilt += o.Counters.StripesRebuilt
 	s.Counters.ScrubErrorsFixed += o.Counters.ScrubErrorsFixed
 	s.Counters.SectorsRepaired += o.Counters.SectorsRepaired
-	s.Counters.RMWPreReadsAbsorbed += o.Counters.RMWPreReadsAbsorbed
 	s.Counters.DegradedPlanHits += o.Counters.DegradedPlanHits
 
 	s.Latency.Read.Merge(o.Latency.Read)
@@ -326,13 +310,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.XOR.EncodeBytes += o.XOR.EncodeBytes
 	s.XOR.DecodeOps += o.XOR.DecodeOps
 	s.XOR.DecodeBytes += o.XOR.DecodeBytes
-
-	if o.Cache != nil {
-		if s.Cache == nil {
-			s.Cache = &obs.CacheSnapshot{}
-		}
-		s.Cache.Merge(*o.Cache)
-	}
 
 	// The window is a point-in-time rolling view and the slow-span log is a
 	// recent-history capture: neither sums meaningfully, so the merge adopts
@@ -396,15 +373,9 @@ func (a *Array) ResetMetrics() {
 	a.m.parityLatency.Reset()
 	a.m.decodeXOROps.Reset()
 	a.m.decodeXORBytes.Reset()
-	a.m.rmwPreReadsAbsorbed.Reset()
 	a.m.degradedPlanHits.Reset()
 	for _, d := range a.iodevs {
 		d.Metrics().Reset()
-	}
-	// Cache counters reset with the other metrics; the cached CONTENTS stay
-	// — they remain coherent, and the bench harness measures a warm cache.
-	if a.cache != nil {
-		a.cache.Metrics().Reset()
 	}
 	if a.aio != nil {
 		a.aio.Metrics().Reset()

@@ -89,14 +89,6 @@ func (s *Snapshot) WriteProm(pw *obs.PromWriter) {
 	pw.SampleInt("dcode_xor_bytes_total", []obs.Label{{Name: "phase", Value: "encode"}}, s.XOR.EncodeBytes)
 	pw.SampleInt("dcode_xor_bytes_total", []obs.Label{{Name: "phase", Value: "decode"}}, s.XOR.DecodeBytes)
 
-	if c := s.Cache; c != nil {
-		pw.Family("dcode_cache_requests_total", "Element cache lookups by outcome.", "counter")
-		pw.SampleInt("dcode_cache_requests_total", []obs.Label{{Name: "outcome", Value: "hit"}}, c.Hits)
-		pw.SampleInt("dcode_cache_requests_total", []obs.Label{{Name: "outcome", Value: "miss"}}, c.Misses)
-		pw.Family("dcode_cache_bytes", "Bytes currently cached.", "gauge")
-		pw.SampleInt("dcode_cache_bytes", nil, c.Bytes)
-	}
-
 	if srv := s.Server; srv != nil {
 		pw.Family("dcode_server_connections_total", "Block-service connections by outcome.", "counter")
 		pw.SampleInt("dcode_server_connections_total", []obs.Label{{Name: "outcome", Value: "accepted"}}, srv.Accepted)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dcode/internal/blockdev"
-	"dcode/internal/cache"
 	"dcode/internal/erasure"
 	"dcode/internal/obs"
 	"dcode/internal/recovery"
@@ -91,16 +90,14 @@ type Array struct {
 	aio        *blockdev.AsyncQueue
 	asyncDepth int
 
-	// cache, when non-nil, is the sharded element cache serving read hits
-	// and absorbing RMW pre-reads without device I/O (see cache.go);
-	// cacheBytes carries the WithCache budget from option to construction.
-	cache      *cache.Cache
-	cacheBytes int64
-
 	// plans memoizes degraded-read plans per failure signature (see
 	// plancache.go); planMemoOff disables it for benchmarking the saving.
 	plans       planMemo
 	planMemoOff bool
+
+	// directOff sends every read through the general path, so tests can
+	// compare the zero-copy read (direct.go) against its twin.
+	directOff bool
 
 	// serverStats, when set (SetServerStats), contributes the network block
 	// service's per-client metrics to Snapshot.
@@ -206,9 +203,6 @@ func New(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64
 	for _, opt := range opts {
 		opt(a)
 	}
-	if a.cacheBytes > 0 {
-		a.cache = cache.New(a.cacheBytes, elemSize)
-	}
 	if a.asyncDepth > 0 {
 		// The queue targets the Instrumented wrappers (column index = target
 		// index), so async completions tally exactly like synchronous calls.
@@ -257,10 +251,6 @@ func (a *Array) FailDisk(col int) error {
 		return fmt.Errorf("raid: disk %d out of range", col)
 	}
 	a.failDisk(col, 0)
-	// The column's cached entries are still logically valid (they predate
-	// the failure), but dropping them — and the memoized plans — keeps the
-	// coherence argument local; see cache.go.
-	a.cacheInvalidateColumn(col)
 	a.invalidatePlans()
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
@@ -331,9 +321,6 @@ func (a *Array) repairElem(stripeIdx int64, co erasure.Coord, dst []byte) error 
 	if _, err := a.devs[co.Col].WriteAt(dst, a.deviceOffset(stripeIdx, co.Row)); err != nil {
 		return err
 	}
-	// The rewritten sector now holds the reconstructed value; drop any
-	// cached copy so the next read re-verifies against the device.
-	a.cacheInvalidate(stripeIdx, co)
 	a.m.sectorsRepaired.Inc()
 	return nil
 }
@@ -507,9 +494,8 @@ func rangeBytes(ers []elemRange, tc trace.Ctx) int64 {
 // progressively degraded strategies as failures are discovered. The general
 // path fetches the elements into sc.s and copies the ranges out.
 func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
-	// Aligned ranges on a cache-less array with at most one column down are
-	// read and rebuilt straight into p; any error falls through to the
-	// general path below.
+	// Aligned ranges with at most one column down are read and rebuilt
+	// straight into p; any error falls through to the general path below.
 	if a.readStripeDirect(si, ers, p, sc) {
 		return nil
 	}
@@ -539,9 +525,6 @@ var errRetryDegraded = errors.New("raid: retry degraded")
 
 // fetchStripeElems reads the full contents of every element the ranges touch
 // into sc.s, choosing the cheapest strategy for the current failure state.
-// With a cache attached, wanted cells on failed columns are served from it
-// when present — skipping reconstruction entirely — and healthy-column hits
-// are absorbed inside readCells.
 func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error {
 	failed := a.failedSet()
 	cols := a.code.Cols()
@@ -554,32 +537,24 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 			continue
 		}
 		sc.seen[idx] = true
-		lost := failed.has(er.coord.Col)
-		if lost && a.cacheGet(si, er.coord, sc.s.Elem(er.coord.Row, er.coord.Col)) {
-			// A previously reconstructed (or pre-failure write-through)
-			// element: reconstruction is paid once, then served from memory.
-			continue
-		}
 		wanted = append(wanted, er.coord)
-		if lost {
+		if failed.has(er.coord.Col) {
 			needLost = true
 		}
 	}
 	sc.coords = wanted
-	if len(wanted) == 0 {
-		return nil
-	}
 
 	if !needLost {
 		// All wanted elements live on healthy disks.
-		if _, err := a.readCells(si, wanted, sc); err != nil {
+		if err := a.readCells(si, wanted, sc); err != nil {
 			return errRetryDegraded
 		}
 		return nil
 	}
 
 	// Degraded: whichever strategy the failure count picks (column -1 marks
-	// the double-failure path) runs under the task's one degraded record.
+	// the double-failure path, whole-stripe reconstruction) runs under the
+	// task's one degraded record.
 	down := -1
 	if failed.count() == 1 {
 		down = bits.TrailingZeros64(uint64(failed))
@@ -588,7 +563,7 @@ func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error
 	if down >= 0 {
 		return a.fetchPlanned(si, down, wanted, sc)
 	}
-	return a.fetchReconstructed(si, wanted, sc)
+	return a.loadStripe(si, sc)
 }
 
 // degradedRead is a stripe task's degraded-read record — span, flight-recorder
@@ -637,7 +612,7 @@ func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opS
 	}
 	fetch := append(sc.fetch[:0], plan.Fetch...)
 	sc.fetch = fetch
-	if _, err := a.readCells(si, fetch, sc); err != nil {
+	if err := a.readCells(si, fetch, sc); err != nil {
 		return errRetryDegraded
 	}
 	for _, step := range plan.Steps {
@@ -645,25 +620,6 @@ func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opS
 		// cell folded.
 		dst := sc.s.Elem(step.Target.Row, step.Target.Col)
 		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, step.Target))
-		// Memoize the reconstruction so repeated reads of the failed
-		// column hit the cache instead of re-deriving the element.
-		a.cachePut(si, step.Target, dst)
-	}
-	return nil
-}
-
-// fetchReconstructed serves a double-failure degraded fetch by whole-stripe
-// reconstruction.
-func (a *Array) fetchReconstructed(si int64, wanted []erasure.Coord, sc *opScratch) error {
-	if err := a.loadStripe(si, sc); err != nil {
-		return err
-	}
-	// Insert the wanted cells (loadStripe bypasses the cache): the lost
-	// ones memoize reconstruction, the healthy ones the device read.
-	if a.cache != nil {
-		for _, co := range wanted {
-			a.cachePut(si, co, sc.s.Elem(co.Row, co.Col))
-		}
 	}
 	return nil
 }
@@ -799,11 +755,6 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 	if err := a.storeStripe(si, data, sc); err != nil {
 		return err
 	}
-	// Write the whole encoded stripe through: on a degraded array the cells
-	// of failed columns cannot be stored, but their logical value is exactly
-	// what sc.s and the overlay hold, so subsequent degraded reads hit
-	// without rebuilding.
-	a.cachePutStripe(si, sc.s, data)
 	a.m.fullStripeWrites.Inc()
 	return nil
 }
@@ -867,7 +818,7 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 		fetch = append(fetch, co)
 	}
 	sc.fetch = fetch
-	if _, err := a.readCells(si, fetch, sc); err != nil {
+	if err := a.readCells(si, fetch, sc); err != nil {
 		return err
 	}
 	data := a.overlay(ers, p, sc)
@@ -877,16 +828,12 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 	// Commit: written data elements plus every parity cell. Like storeStripe,
 	// a device failing mid-commit is skipped — aborting here would leave the
 	// surviving cells half old, half new; completing the commit keeps them
-	// mutually consistent and the failed column reconstructable. Write-through
-	// caches the committed cells' new logical values: a device that failed
-	// mid-commit keeps the cached value correct — the surviving parities
-	// reconstruct exactly what sc.s and the overlay hold.
+	// mutually consistent and the failed column reconstructable.
 	if len(fetch) == 0 {
 		// Every data element was written whole, so the commit is the whole
 		// stripe (every cell is data or parity): storeStripe's column runs,
 		// with no commit list to coalesce.
 		_ = a.storeStripe(si, data, sc)
-		a.cachePutStripe(si, sc.s, data)
 	} else {
 		commit := sc.fetch[:0]
 		commit = append(commit, sc.coords...)
@@ -895,7 +842,6 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 		}
 		sc.fetch = commit
 		a.writeCellsBestEffort(si, commit, data, sc)
-		a.cacheFill(si, commit, sc.s, data)
 	}
 	clear(data) // drop the user-buffer references before the scratch is pooled
 	if a.failedCount() > 2 {
@@ -926,14 +872,8 @@ func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) er
 		}
 	}
 	sc.fetch = cells
-	hits, err := a.readCells(si, cells, sc)
-	if err != nil {
+	if err := a.readCells(si, cells, sc); err != nil {
 		return err
-	}
-	// Each pre-read served from cache is one device read the classic
-	// 4-I/O read-modify-write no longer performs.
-	if hits > 0 {
-		a.m.rmwPreReadsAbsorbed.Add(int64(hits))
 	}
 
 	srcs := sc.srcs
@@ -963,7 +903,6 @@ func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) er
 	// place: whole elements stay in p, partial ranges go over sc.s.
 	data := a.overlay(ers, p, sc)
 	a.writeCellsBestEffort(si, cells, data, sc)
-	a.cacheFill(si, cells, sc.s, data)
 	clear(data) // drop the user-buffer references before the scratch is pooled
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
@@ -1011,10 +950,6 @@ func (a *Array) Rebuild(col int) (err error) {
 		return err
 	}
 	a.clearFailed(col)
-	// The rebuilt device holds freshly written content; drop the column's
-	// cached entries (and the failure-epoch plans) rather than proving them
-	// equal to it.
-	a.cacheInvalidateColumn(col)
 	a.invalidatePlans()
 	return nil
 }
@@ -1082,7 +1017,7 @@ func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc 
 		}
 	}
 	sc.fetch = need
-	if _, err := a.readCells(si, need, sc); err != nil {
+	if err := a.readCells(si, need, sc); err != nil {
 		return err
 	}
 	// Recover data rows through their chosen groups, then parity rows by
@@ -1163,9 +1098,6 @@ func (a *Array) scrubStripeTask(si int64, parent trace.Link) (fixed int64, err e
 	if err := a.storeStripe(si, nil, sc); err != nil {
 		return 0, err
 	}
-	// The stripe disagreed with its parity, so some device diverged from
-	// what the engine believed: drop every cached cell of the stripe.
-	a.cacheInvalidateStripe(si)
 	a.m.scrubErrorsFixed.Inc()
 	a.m.scrubLatency.ObserveNanos(obs.Mono() - stripeStart)
 	return 1, nil

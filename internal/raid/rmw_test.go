@@ -214,7 +214,7 @@ func checkSurvivesAnyTwo(t *testing.T, a *Array, model []byte) {
 
 // rmwRoutes are the array configurations the stripe-level RMW must behave
 // identically under: its gather and commit ride the serial, fanned-out and
-// async run schedulers, and the cache absorbs pre-reads and is written through.
+// async run schedulers.
 var rmwRoutes = []struct {
 	name string
 	opts []Option
@@ -222,7 +222,6 @@ var rmwRoutes = []struct {
 	{"serial", []Option{WithConcurrency(1)}},
 	{"fanout", []Option{WithConcurrency(4)}},
 	{"async", []Option{WithAsyncIO(8)}},
-	{"cache", []Option{WithCache(1 << 20)}},
 }
 
 // TestRMWMatchesReconstructWriteTwin drives one seeded stream of small writes
@@ -379,9 +378,6 @@ func TestRMWDeviceFailures(t *testing.T) {
 
 					if phase == "gather" {
 						flaky[col].failReads.Store(true)
-						// The fill wrote the column through to the cache; drop
-						// it so the gather has to ask the device.
-						a.cacheInvalidateColumn(col)
 					} else {
 						flaky[col].failWrites.Store(true)
 					}

@@ -10,10 +10,10 @@ import (
 
 // TestMixedOpsFailScrubStress drives reads, writes, disk failure/rebuild
 // cycles and scrubs against one array at once. It is primarily a race-
-// detector workload (the CI race job runs it with -race): the element cache,
-// the erasure kernels, the pooled scratch buffers and the maintenance paths
-// all interleave here, so a locking or cache-coherence regression in any of
-// them shows up as a data race or a failed read-back.
+// detector workload (the CI race job runs it with -race): the erasure
+// kernels, the pooled scratch buffers and the maintenance paths all
+// interleave here, so a locking or coherence regression in any of them shows
+// up as a data race or a failed read-back.
 func TestMixedOpsFailScrubStress(t *testing.T) {
 	iters := 150
 	if raceEnabled || testing.Short() {
@@ -21,7 +21,7 @@ func TestMixedOpsFailScrubStress(t *testing.T) {
 	}
 	const stripes = 6
 	a, mems := newArrayConc(t, "dcode", 5, stripes,
-		WithConcurrency(4), WithCache(1<<20))
+		WithConcurrency(4))
 	size := a.Size()
 
 	var wg sync.WaitGroup
