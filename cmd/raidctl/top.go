@@ -250,7 +250,7 @@ func renderStats(s *raid.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s array — %d disks\n\n", s.Code, s.Disks)
 	c := s.Counters
-	fmt.Fprintf(&b, "ops: %d reads (%d degraded)  %d writes (%d full-stripe, %d rmw)\n",
+	fmt.Fprintf(&b, "ops: %d reads (%d degraded)  %d writes (%d stripes re-encoded, %d elements patched)\n",
 		c.Reads, c.DegradedReads, c.Writes, c.FullStripeWrites, c.RMWWrites)
 	fmt.Fprintf(&b, "     %d stripes rebuilt  %d scrub fixes  %d sectors repaired\n\n",
 		c.StripesRebuilt, c.ScrubErrorsFixed, c.SectorsRepaired)

@@ -107,7 +107,7 @@ func TestRenderStats(t *testing.T) {
 	s.Async = &obs.AsyncSnapshot{Depth: 16, Submitted: 40, Completed: 40, Batches: 10}
 	out := renderStats(s)
 	for _, frag := range []string{
-		"ops: 10 reads (0 degraded)  4 writes (1 full-stripe, 3 rmw)",
+		"ops: 10 reads (0 degraded)  4 writes (1 stripes re-encoded, 3 elements patched)",
 		"p50", "p95", "p99", "p999",
 		"read", "1ms", "2ms", "3ms", "3.5ms", "4ms",
 		"async: qd=16  40 submitted  0 in flight  4.0 ops/batch",

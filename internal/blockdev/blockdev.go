@@ -84,6 +84,9 @@ func (d *MemDevice) checkRange(n int, off int64) error {
 
 // badInRange reports whether any injected bad sector falls in [off, off+n).
 func (d *MemDevice) badInRange(n int, off int64) bool {
+	if len(d.bad) == 0 {
+		return false
+	}
 	for b := range d.bad {
 		if b >= off && b < off+int64(n) {
 			return true
@@ -165,6 +168,9 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 
 // healRange heals bad sectors overwritten by [off, off+n).
 func (d *MemDevice) healRange(n int, off int64) {
+	if len(d.bad) == 0 {
+		return
+	}
 	for b := range d.bad {
 		if b >= off && b < off+int64(n) {
 			delete(d.bad, b)

@@ -88,8 +88,21 @@ func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, ta
 // the caller handed them over and never transit stripe memory. XOR tallies
 // are identical to Encode's: members-1 per group.
 func (c *Code) EncodeFrom(s *stripe.Stripe, data [][]byte) {
+	c.EncodeGroupsFrom(s, data, nil)
+}
+
+// EncodeGroupsFrom is EncodeFrom restricted to the groups sel marks (indexed
+// like Groups; nil marks every group). The marked parities are recomputed in
+// dependency order, so a marked group that covers another marked group's
+// parity (RDP, HDP) folds its new value; every other cell of s is left as it
+// is. The raid layer's write plan re-encodes the groups it does not patch
+// this way. XOR tallies are members-1 per group encoded.
+func (c *Code) EncodeGroupsFrom(s *stripe.Stripe, data [][]byte, sel []bool) {
 	c.checkStripe(s)
 	for _, gi := range c.encodeOrder {
+		if sel != nil && !sel[gi] {
+			continue
+		}
 		g := &c.groups[gi]
 		c.FoldGroup(s.Elem(g.Parity.Row, g.Parity.Col), s, data, gi, g.Parity)
 		ops := int64(len(g.Members) - 1)

@@ -215,7 +215,7 @@ func TestDegradedDirectReadZeroCopy(t *testing.T) {
 }
 
 // TestDirectWriteZeroCopy pins the zero-copy claim for writes: an aligned
-// full-stripe write (reconstruct-write with nothing to read) gathers the data
+// full-stripe write (the write plan with nothing to read) gathers the data
 // elements straight from the caller's buffer. Parity iovecs come from stripe memory (they have to — they are
 // computed), so exactly DataElems of each stripe's iovecs alias p.
 func TestDirectWriteZeroCopy(t *testing.T) {

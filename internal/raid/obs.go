@@ -14,8 +14,8 @@ type arrayMetrics struct {
 	reads            obs.Counter
 	writes           obs.Counter
 	degradedReads    obs.Counter
-	fullStripeWrites obs.Counter
-	rmwWrites        obs.Counter
+	fullStripeWrites obs.Counter // stripe writes that patched no parity
+	rmwWrites        obs.Counter // elements written by stripe writes that patched one
 	stripesRebuilt   obs.Counter
 	scrubErrorsFixed obs.Counter
 	sectorsRepaired  obs.Counter
@@ -146,8 +146,11 @@ type XORSnapshot struct {
 	DecodeBytes int64 `json:"decode_bytes"`
 }
 
-// CounterSnapshot mirrors Stats with JSON tags. The plan-memo counter is
-// omitted when zero, as on an array that never read degraded.
+// CounterSnapshot mirrors Stats with JSON tags. Under the write plan a
+// stripe write that patches any parity counts its written elements in
+// RMWWrites; one that patches none — re-encoded, full-stripe or degraded —
+// counts once in FullStripeWrites. The plan-memo counter is omitted when
+// zero, as on an array that never read degraded.
 type CounterSnapshot struct {
 	Reads            int64 `json:"reads"`
 	Writes           int64 `json:"writes"`

@@ -21,7 +21,7 @@ func (s *Snapshot) WriteProm(pw *obs.PromWriter) {
 	pw.Family("dcode_info", "Array identity: code name and disk count.", "gauge")
 	pw.SampleInt("dcode_info", []obs.Label{code, {Name: "disks", Value: strconv.Itoa(s.Disks)}}, 1)
 
-	pw.Family("dcode_ops_total", "Logical array operations by kind.", "counter")
+	pw.Family("dcode_ops_total", "Logical array operations by kind; full_stripe_write counts stripe writes that patched no parity, rmw_write the elements of stripe writes that patched one.", "counter")
 	for _, kv := range []struct {
 		op string
 		n  int64
