@@ -9,7 +9,7 @@
 // It doubles as the regression comparator CI runs over two artifacts:
 //
 //	bench [-quick] [-out FILE] [-rev REV] [-codes rdp,dcode,...] [-notiming]
-//	      [-async] [-qd N] [-delay D -inflight N]
+//	      [-conc N] [-delay D -inflight N]
 //	bench -compare BASE.json CURRENT.json [-threshold 0.10]
 //
 // The comparator exits 1 when any metric is more than threshold worse in
@@ -52,8 +52,6 @@ func main() {
 	delay := flag.Duration("delay", 0, "per-call positioning delay modeled on every device (blockdev.Delayed; 0 = raw memory)")
 	perbyte := flag.Duration("perbyte", 0, "per-byte transfer delay modeled on every device (pairs with -delay)")
 	traceOn := flag.Bool("trace", false, "run every cell with per-op tracing enabled (span counts to stderr)")
-	async := flag.Bool("async", false, "enable the asynchronous device-submission engine (WithAsyncIO)")
-	qd := flag.Int("qd", 0, "async queue depth (implies -async; 0 with -async = engine default)")
 	inflight := flag.Int("inflight", 0, "max concurrent ops per delayed device (pairs with -delay; 0 = unlimited)")
 	flag.Parse()
 
@@ -92,11 +90,6 @@ func main() {
 	}
 	if *perbyte > 0 {
 		cfg.PerByteNs = perbyte.Nanoseconds()
-	}
-	if *qd > 0 {
-		cfg.AsyncDepth = *qd
-	} else if *async {
-		cfg.AsyncDepth = blockdev.DefaultAsyncDepth
 	}
 	if *inflight > 0 {
 		cfg.MaxInflight = *inflight
@@ -170,9 +163,6 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, traceOn 
 	// Concurrency 0 falls through to the array's GOMAXPROCS default;
 	// WithConcurrency ignores non-positive values by design.
 	opts := []raid.Option{raid.WithConcurrency(cfg.Concurrency)}
-	if cfg.AsyncDepth > 0 {
-		opts = append(opts, raid.WithAsyncIO(cfg.AsyncDepth))
-	}
 	var tr *trace.Tracer
 	if traceOn {
 		tr = trace.New(trace.DefaultCapacity, trace.DefaultSlowCapacity)
@@ -183,7 +173,6 @@ func runCell(e codes.Entry, prof workload.Profile, cfg benchfmt.Config, traceOn 
 	if err != nil {
 		return benchfmt.Result{}, err
 	}
-	defer func() { _ = a.Close() }()
 	if tr != nil {
 		tr.Enable()
 	}

@@ -273,10 +273,6 @@ func renderStats(s *raid.Snapshot) string {
 			time.Duration(row.h.P99Nanos), time.Duration(row.h.P999Nanos),
 			time.Duration(row.h.MaxNanos))
 	}
-	if as := s.Async; as != nil {
-		fmt.Fprintf(&b, "\nasync: qd=%d  %d submitted  %d in flight  %.1f ops/batch\n",
-			as.Depth, as.Submitted, as.Inflight, as.MeanBatch())
-	}
 	b.WriteString(renderPhases(s))
 	fmt.Fprintf(&b, "\nload: LF %s  CV %.3f  per-disk %v\n", fmtLF(s.Load.LF), s.Load.CV, s.Load.PerDisk)
 	if s.Window != nil {

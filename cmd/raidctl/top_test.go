@@ -104,13 +104,11 @@ func TestRenderStats(t *testing.T) {
 		P999Nanos: int64(3500 * time.Microsecond),
 		MaxNanos:  int64(4 * time.Millisecond),
 	}
-	s.Async = &obs.AsyncSnapshot{Depth: 16, Submitted: 40, Completed: 40, Batches: 10}
 	out := renderStats(s)
 	for _, frag := range []string{
 		"ops: 10 reads (0 degraded)  4 writes (1 stripes re-encoded, 3 elements patched)",
 		"p50", "p95", "p99", "p999",
 		"read", "1ms", "2ms", "3ms", "3.5ms", "4ms",
-		"async: qd=16  40 submitted  0 in flight  4.0 ops/batch",
 		"load: LF 3.000",
 		"window: LF 3.000  3.5 reads/s  2.5 writes/s",
 	} {

@@ -112,15 +112,6 @@ type ArrayOption = raid.Option
 // or ≤ 0 uses GOMAXPROCS.
 func WithConcurrency(n int) ArrayOption { return raid.WithConcurrency(n) }
 
-// WithAsyncIO enables the asynchronous device-submission queue: each stripe
-// task batch-submits its per-column device runs through one queue, served by
-// a pool of depth worker goroutines, and harvests the completions, instead of
-// spawning a goroutine per column. depth is the queue depth — the useful
-// device overlap — with ≤ 0 selecting the default. Off by default; semantics
-// (tallies, repair, failure marking) are identical to the synchronous path.
-// Call Array.Close to stop the queue's workers.
-func WithAsyncIO(depth int) ArrayOption { return raid.WithAsyncIO(depth) }
-
 // NewArray assembles a RAID-6 volume from one device per column of the code,
 // with the given element size and stripe count.
 func NewArray(c *Code, devs []Device, elemSize int, stripes int64, opts ...ArrayOption) (*Array, error) {

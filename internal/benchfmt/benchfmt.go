@@ -53,10 +53,6 @@ type Config struct {
 	// memcpy speed, so delayed runs only compare against delayed baselines.
 	DelayNs   int64 `json:"delay_ns,omitempty"`
 	PerByteNs int64 `json:"per_byte_ns,omitempty"`
-	// AsyncDepth is the WithAsyncIO queue depth (0 = the default synchronous
-	// arrays). Part of the config identity: the async scheduler overlaps
-	// device ops, so async runs only compare against async baselines.
-	AsyncDepth int `json:"async_depth,omitempty"`
 	// MaxInflight bounds concurrent ops per Delayed device (0 = unlimited).
 	// It makes queue-depth effects visible on the in-memory service model and
 	// is config identity for the same reason as DelayNs.

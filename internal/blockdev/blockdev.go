@@ -340,9 +340,9 @@ func (d *FileDevice) Close() error {
 // Up to MaxInflight calls serve their modeled time concurrently — like the
 // overlapping command queue of an NCQ disk or NVMe namespace — and calls
 // beyond it queue until a slot frees. Zero (or negative) keeps the historic
-// unlimited-overlap behavior. The model is what makes asynchronous
-// submission measurable in memory: a serial caller can never hold more than
-// one slot busy, while a batched submitter fills the queue and pays the
+// unlimited-overlap behavior. The model is what makes the array's fan-out
+// measurable in memory: a serial caller can never hold more than one slot
+// busy, while calls fanned out across goroutines fill the queue and pay the
 // positioning cost of a whole batch once in wall-clock terms.
 type Delayed struct {
 	Device

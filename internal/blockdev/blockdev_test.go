@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -183,5 +184,41 @@ func TestDelayedDelegates(t *testing.T) {
 	}
 	if dev.Size() != 1024 {
 		t.Fatalf("Size = %d", dev.Size())
+	}
+}
+
+// TestDelayedMaxInflight pins the queue-depth service model: with k slots,
+// n overlapping requests serialize into ceil(n/k) service rounds.
+func TestDelayedMaxInflight(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	run := func(inflight, clients int) time.Duration {
+		d := &Delayed{Device: NewMem(1 << 12), Delay: delay, MaxInflight: inflight}
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				buf := make([]byte, 16)
+				if _, err := d.ReadAt(buf, int64(i*16)); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+
+	// 6 clients over 2 slots: at least 3 serial rounds.
+	if e := run(2, 6); e < 3*delay {
+		t.Fatalf("MaxInflight=2: elapsed %v, want >= %v", e, 3*delay)
+	}
+	// Unlimited (0): all 6 overlap in roughly one round.
+	if e := run(0, 6); e >= 3*delay {
+		t.Fatalf("MaxInflight=0: elapsed %v, want < %v (unbounded overlap)", e, 3*delay)
+	}
+	// MaxInflight=1 fully serializes.
+	if e := run(1, 3); e < 3*delay {
+		t.Fatalf("MaxInflight=1: elapsed %v, want >= %v", e, 3*delay)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"runtime/debug"
 	"syscall"
 	"testing"
-
-	"dcode/internal/trace"
 )
 
 // openMapped opens a file device of size bytes in a fresh directory. It skips
@@ -222,64 +220,6 @@ func TestFileDeviceMappingCoherence(t *testing.T) {
 		if _, err := re.ReadAt(got, c.off); err != nil || !bytes.Equal(got, c.want) {
 			t.Fatalf("after Sync and a reopen, %d bytes at %d are wrong (%v)", len(got), c.off, err)
 		}
-	}
-}
-
-// TestAsyncReadMarksPagesResident pins that the async queue reaches a
-// FileDevice through the same call as a synchronous read: an async read of a
-// page no call has moved yet marks exactly that page resident, so the next
-// synchronous read of it is served by the mapping. The device's descriptor is
-// then swapped for one on a decoy file, as in TestFileDeviceResidency, so the
-// bytes show which path served the read.
-func TestAsyncReadMarksPagesResident(t *testing.T) {
-	const pg = 1 << pageShift
-	d, path := openMapped(t, 4*pg)
-	col := bytes.Repeat([]byte{0xA5}, pg)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.WriteAt(col, pg)
-	if err = errors.Join(err, f.Close()); err != nil {
-		t.Fatal(err)
-	}
-	if d.resident(pg, pg) {
-		t.Fatal("a page written behind the device's back must not be resident")
-	}
-
-	q := NewAsyncQueue([]Device{d}, 2)
-	got := make([]byte, pg)
-	c := q.SubmitReadVec(0, [][]byte{got}, pg, 1, trace.Link{})
-	q.Kick()
-	_, err = c.Wait()
-	if err = errors.Join(err, q.Close()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, col) {
-		t.Fatal("async read returned wrong bytes")
-	}
-	if !d.resident(pg, pg) || d.resident(0, 1) || d.resident(2*pg, 1) {
-		t.Fatal("an async read must mark exactly the pages it moved")
-	}
-
-	decoyPath := filepath.Join(t.TempDir(), "decoy.img")
-	if err := os.WriteFile(decoyPath, make([]byte, 4*pg), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	decoy, err := os.Open(decoyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colFile := d.f
-	d.f = decoy
-	clear(got)
-	_, err = d.ReadAt(got, pg)
-	d.f = colFile
-	if err = errors.Join(err, decoy.Close()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, col) {
-		t.Fatal("the synchronous read after an async one was not served by the mapping")
 	}
 }
 

@@ -16,12 +16,6 @@ import (
 // leak in tools: discarding the error of a write-side finisher —
 // tabwriter/bufio Flush, or Close on a file opened for writing — loses
 // buffered output and write-back failures after the data path succeeded.
-//
-// The async submission surface is part of the same invariant: a discarded
-// Submit*Vec completion handle can never be waited on, so its device error
-// (and the queue's ownership of the submitted buffers) is lost; a discarded
-// Completion.Wait error is the deferred form of a discarded ReadAt/WriteAt
-// error.
 var ioCheckAnalyzer = &Analyzer{
 	Name: "iocheck",
 	Doc:  "device I/O and write-side finisher errors must be consumed",
@@ -82,13 +76,6 @@ func ioCheckFunc(m *Module, pkg *Package, fs funcScope) []Finding {
 // ioCheckTarget classifies a call the analyzer cares about, returning a
 // description of what produced the ignored error.
 func ioCheckTarget(m *Module, info *types.Info, call *ast.CallExpr, writable map[*types.Var]bool) (string, bool) {
-	// The Submit*Vec handle case first: the call returns *Completion, not an
-	// error, so it would not survive the error gate below.
-	if fn := staticCallee(info, call); fn != nil && strings.HasPrefix(fn.Name(), "Submit") {
-		if tv, ok := info.Types[call]; ok && isAsyncCompletion(tv.Type) {
-			return fmt.Sprintf("async completion handle from %s", funcDisplayName(fn)), true
-		}
-	}
 	if !callReturnsError(info, call) {
 		return "", false
 	}
@@ -120,10 +107,6 @@ func ioCheckTarget(m *Module, info *types.Info, call *ast.CallExpr, writable map
 		if typeIs(recv, "net", "Conn") {
 			return "connection write error", true
 		}
-	case "Wait":
-		if isAsyncCompletion(recv) {
-			return fmt.Sprintf("async completion error from %s", funcDisplayName(selection.Obj().(*types.Func))), true
-		}
 	case "Flush":
 		if typeIs(recv, "text/tabwriter", "Writer") || typeIs(recv, "bufio", "Writer") {
 			return fmt.Sprintf("buffered-output Flush error from %s", funcDisplayName(selection.Obj().(*types.Func))), true
@@ -139,13 +122,6 @@ func ioCheckTarget(m *Module, info *types.Info, call *ast.CallExpr, writable map
 		}
 	}
 	return "", false
-}
-
-// isAsyncCompletion reports whether t (through one pointer) is blockdev's
-// async Completion handle.
-func isAsyncCompletion(t types.Type) bool {
-	n := namedOf(t)
-	return n != nil && n.Obj().Name() == "Completion" && strings.HasSuffix(typePkgPath(t), "/blockdev")
 }
 
 // callReturnsError reports whether the call's last result is an error.

@@ -38,12 +38,6 @@ import (
 // before the caller's next statement — true for this codebase's synchronous
 // helpers, including fanOut, which blocks on its workers); only direct `go`
 // statements count as goroutine capture.
-//
-// The async submission engine adds one exception to the borrow rule, and the
-// analyzer enforces it (asyncSubmitScan): a buffer passed to Submit*Vec is
-// NOT returned when the call does — the engine owns it until its completion
-// is waited on, so any pool release between a submit and the batch's Wait
-// harvest can hand memory still under kernel DMA to the next Get.
 var poolCheckAnalyzer = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "pooled buffers must be returned to their pool on every path",
@@ -57,7 +51,6 @@ func runPoolCheck(ctx *Context) []Finding {
 			w := newPoolWalker(ctx, pkg, isGetterName(fs.decl.Name.Name))
 			w.checkBody(fs.decl.Body)
 			out = append(out, w.findings...)
-			out = append(out, asyncSubmitScan(ctx.M, pkg, ctx.Dirs, fs.decl.Body)...)
 			// Each function literal is its own analysis unit: it has its own
 			// return paths, and its acquisitions must pair inside it.
 			ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
@@ -68,7 +61,6 @@ func runPoolCheck(ctx *Context) []Finding {
 				lw := newPoolWalker(ctx, pkg, false)
 				lw.checkBody(lit.Body)
 				out = append(out, lw.findings...)
-				out = append(out, asyncSubmitScan(ctx.M, pkg, ctx.Dirs, lit.Body)...)
 				return true
 			})
 		}
@@ -414,62 +406,6 @@ func (w *poolWalker) handleReturn(s *ast.ReturnStmt, held poolHolds) {
 		held.dropHold(hold) // ownership transferred to the caller
 	}
 	w.reportLeaks(s.Pos(), held)
-}
-
-// asyncSubmitScan enforces the async queue's buffer-lifetime rule inside one
-// function body: between a Submit*Vec call and the Wait that harvests it the
-// queue owns the submitted buffers (a worker may still be scattering into
-// them), so releasing anything to a pool in that window can hand live I/O
-// memory to a concurrent Get. The scan is source-order and
-// deliberately coarse: any Completion.Wait counts as the harvest point (the
-// codebase convention is a wait-all loop over the whole batch before any
-// pooling), and any put-named release while submissions are pending is a
-// finding. Function literals are their own units, matching the path walk.
-func asyncSubmitScan(m *Module, pkg *Package, dirs *Directives, body *ast.BlockStmt) []Finding {
-	var out []Finding
-	var pending []token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := staticCallee(pkg.Info, call)
-		if fn == nil {
-			return true
-		}
-		switch {
-		case isAsyncSubmitCall(fn):
-			pending = append(pending, call.Pos())
-		case fn.Name() == "Wait" && isAsyncCompletion(recvType(fn)):
-			pending = pending[:0]
-		case len(pending) > 0 && isReleaseCall(pkg.Info, call):
-			pos := m.Position(call.Pos())
-			sub := m.Position(pending[0])
-			for _, line := range []token.Position{pos, sub} {
-				if d := dirs.escapeAt(line.Filename, line.Line); d != nil {
-					d.used = true
-					return true
-				}
-			}
-			out = append(out, Finding{Pos: pos, Analyzer: "poolcheck", Message: fmt.Sprintf(
-				"pooled release while async submissions (first at line %d) are unharvested — Wait on every completion before pooling submitted buffers",
-				sub.Line)})
-		}
-		return true
-	})
-	return out
-}
-
-// isAsyncSubmitCall matches the blockdev async submission surface.
-func isAsyncSubmitCall(fn *types.Func) bool {
-	name := fn.Name()
-	if name != "SubmitReadVec" && name != "SubmitWriteVec" {
-		return false
-	}
-	return strings.HasSuffix(typePkgPath(recvType(fn)), "/blockdev")
 }
 
 // nilCheckedVar matches a `v != nil` / `v == nil` condition, returning the

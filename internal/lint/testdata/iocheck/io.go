@@ -41,22 +41,6 @@ func consumes(dev blockdev.Device, buf []byte) error {
 	return err
 }
 
-func asyncDiscards(q blockdev.AsyncQueue, bufs [][]byte) {
-	q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})      // want `async completion handle from .*SubmitReadVec is discarded`
-	_ = q.SubmitWriteVec(0, bufs, 0, 1, trace.Link{}) // want `async completion handle from .*SubmitWriteVec is assigned to the blank identifier`
-	c := q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})
-	q.Kick()
-	c.Wait()        // want `async completion error from .*Wait is discarded`
-	_, _ = c.Wait() // want `async completion error from .*Wait is assigned to the blank identifier`
-}
-
-func asyncConsumes(q blockdev.AsyncQueue, bufs [][]byte) error {
-	c := q.SubmitReadVec(0, bufs, 0, 1, trace.Link{})
-	q.Kick()
-	_, err := c.Wait()
-	return err
-}
-
 func flushes(w *tabwriter.Writer, b *bufio.Writer) error {
 	w.Flush()     // want `buffered-output Flush error from .*Flush is discarded`
 	_ = b.Flush() // want `buffered-output Flush error from .*Flush is assigned to the blank identifier`

@@ -4,9 +4,6 @@ package pooltest
 import (
 	"errors"
 	"sync"
-
-	"dcode/internal/blockdev"
-	"dcode/internal/trace"
 )
 
 type buffers struct {
@@ -75,24 +72,6 @@ func wrapper(a *arena) {
 func steal(a *arena) []byte {
 	b := a.getBuf()
 	return b // want `pooled value b \(acquired at line \d+\) escapes by return from a non-getter function`
-}
-
-func poolsBeforeWait(q blockdev.AsyncQueue, a *arena) error {
-	b := a.getBuf()
-	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1, trace.Link{})
-	q.Kick()
-	a.putBuf(b) // want `pooled release while async submissions \(first at line \d+\) are unharvested`
-	_, err := c.Wait()
-	return err
-}
-
-func poolsAfterWait(q blockdev.AsyncQueue, a *arena) error {
-	b := a.getBuf()
-	c := q.SubmitWriteVec(0, [][]byte{b}, 0, 1, trace.Link{})
-	q.Kick()
-	_, err := c.Wait()
-	a.putBuf(b)
-	return err
 }
 
 var registry = map[int][]byte{}

@@ -85,8 +85,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // log₂: Buckets[i] counts observations in [2^(i-1), 2^i) nanoseconds.
 // P50/P95/P99/P999 are bucket-upper-bound estimates, so they overestimate by
 // at most 2× — adequate for trend tracking and regression gates. P999 is the
-// async-submission tail: a queue-depth backlog shows up there long before it
-// moves P99.
+// queueing tail: a backlog behind a device's queue depth shows up there long
+// before it moves P99.
 type HistogramSnapshot struct {
 	Count     int64   `json:"count"`
 	SumNanos  int64   `json:"sum_ns"`

@@ -204,8 +204,8 @@ func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
 }
 
 // issueRuns is where a stripe task's staged runs decide how they reach their
-// devices: one batch through the async queue when the array has one, inline
-// when there is a single run or no fan-out bound, fanned out otherwise. It
+// devices: inline when there is a single run or no fan-out bound, fanned out
+// otherwise, so a slow column's calls overlap its siblings'. It
 // returns the error of the lowest-indexed failed read run (fanOut's rule;
 // inline, the first failure stops the loop); writes are best effort, so every
 // run is attempted and the result is nil.
@@ -215,10 +215,7 @@ func (a *Array) inOverlay(r cellRun, data [][]byte) bool {
 // after returning — is the next run's start, so a stage of k runs costs k+1
 // clock reads, not 2k. A fanned-out run reads its own start.
 func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) error {
-	switch {
-	case a.aio != nil:
-		return a.asyncRuns(write, si, vruns, sc)
-	case a.conc <= 1 || len(vruns) <= 1:
+	if a.conc <= 1 || len(vruns) <= 1 {
 		// Loop directly: the fanOut closure escapes into its goroutine path,
 		// so constructing it would heap-allocate on every call.
 		t := obs.Mono()
@@ -372,12 +369,6 @@ type opScratch struct {
 	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
 	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
 	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
-
-	// Async-scheduler staging (see async.go): completion handles, device
-	// spans and harvested errors of the current batch.
-	comps []*blockdev.Completion
-	ctcs  []trace.Ctx
-	aerrs []error
 }
 
 func (a *Array) getScratch() *opScratch {

@@ -440,3 +440,67 @@ func TestRunChainAttributesEachRun(t *testing.T) {
 		t.Fatalf("read touched %d columns (col 0: %d calls); the test needs col 0 and a run after it", busy, slow[0].calls.Load())
 	}
 }
+
+// TestFanOutThroughputDelayed gates the overlap the array's fan-out buys on
+// slow columns: on devices with a 2 ms per-call delay, an array fanned out
+// across its columns overlaps the calls of one stripe task (and of
+// independent stripes), where WithConcurrency(1) pays every delay serially.
+// Both a whole-volume ReadAt and a Rebuild must run at least 1.25× faster.
+func TestFanOutThroughputDelayed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-based")
+	}
+	const (
+		stripes = 6
+		delay   = 2 * time.Millisecond
+	)
+	code := codes.MustNew("dcode", 7)
+	cols := code.Cols()
+	build := func(conc int) (*Array, []*blockdev.MemDevice) {
+		devs := make([]blockdev.Device, cols)
+		mems := make([]*blockdev.MemDevice, cols)
+		devSize := int64(stripes) * int64(code.Rows()) * elemSize
+		for i := range devs {
+			mems[i] = blockdev.NewMem(devSize)
+			devs[i] = &blockdev.Delayed{Device: mems[i], Delay: delay, MaxInflight: 32}
+		}
+		a, err := New(code, devs, elemSize, stripes, WithConcurrency(conc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.WriteAt(pattern(int(a.Size()), 5), 0); err != nil {
+			t.Fatal(err)
+		}
+		return a, mems
+	}
+	readVolume := func(a *Array) time.Duration {
+		buf := make([]byte, a.Size())
+		start := time.Now()
+		if _, err := a.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	rebuild := func(a *Array, mems []*blockdev.MemDevice) time.Duration {
+		if err := a.FailDisk(2); err != nil {
+			t.Fatal(err)
+		}
+		mems[2].Replace()
+		start := time.Now()
+		if err := a.Rebuild(2); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	check := func(what string, serial, wide time.Duration) {
+		t.Logf("%s: WithConcurrency(1) %v, WithConcurrency(%d) %v (%.2fx)", what, serial, cols, wide, float64(serial)/float64(wide))
+		if float64(wide)*1.25 > float64(serial) {
+			t.Fatalf("fanned-out %s %v not >=1.25x faster than serial %v", what, wide, serial)
+		}
+	}
+
+	serial, serialMems := build(1)
+	wide, wideMems := build(cols)
+	check("ReadAt", readVolume(serial), readVolume(wide))
+	check("Rebuild", rebuild(serial, serialMems), rebuild(wide, wideMems))
+}

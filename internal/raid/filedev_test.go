@@ -71,21 +71,20 @@ func TestTruncatedFileColumnFails(t *testing.T) {
 	}
 }
 
-// TestAsyncOverMappedFiles interleaves two arrays over the same FileDevices —
-// one with WithAsyncIO and one synchronous, both served from the shared
-// mapping once pages are resident — and requires every read, and at the end
-// every column, to equal a MemDevice twin's.
-func TestAsyncOverMappedFiles(t *testing.T) {
+// TestArraysOverMappedFiles interleaves two arrays over the same FileDevices —
+// one fanned out across its columns and one serial, both served from the
+// shared mapping once pages are resident — and requires every read, and at
+// the end every column, to equal a MemDevice twin's.
+func TestArraysOverMappedFiles(t *testing.T) {
 	const stripes = 8
 	code := codes.MustNew("dcode", 7)
 	colSize := stripes * int64(code.Rows()) * fileElem
 	devs, _ := openFileColumns(t, code.Cols(), colSize)
-	async, err := New(code, devs, fileElem, stripes, WithAsyncIO(16))
+	wide, err := New(code, devs, fileElem, stripes, WithConcurrency(code.Cols()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer async.Close()
-	plain, err := New(code, devs, fileElem, stripes)
+	serial, err := New(code, devs, fileElem, stripes, WithConcurrency(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +100,9 @@ func TestAsyncOverMappedFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	size := twin.Size()
 	for i := 0; i < 400; i++ {
-		a := plain
+		a := serial
 		if rng.Intn(2) == 0 {
-			a = async
+			a = wide
 		}
 		off := rng.Int63n(size)
 		n := 1 + rng.Intn(int(min(size-off, 3*fileElem)))

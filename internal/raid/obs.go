@@ -93,11 +93,6 @@ type Snapshot struct {
 	// for a purely in-process array.
 	Server *obs.ServerSnapshot `json:"server,omitempty"`
 
-	// Async carries the asynchronous submission queue's counters (depth,
-	// in-flight, batch sizes, queue-time latency); nil (omitted) when the
-	// array was built without WithAsyncIO.
-	Async *obs.AsyncSnapshot `json:"async,omitempty"`
-
 	// Phases is the per-phase latency decomposition: where a request's time
 	// went, split into admission-queue wait, parity compute, device I/O, and
 	// network round trips. Nil (omitted) when nothing was measured.
@@ -224,11 +219,6 @@ func (a *Array) Snapshot() Snapshot {
 		ss := a.serverStats()
 		s.Server = &ss
 	}
-	if a.aio != nil {
-		as := a.aio.Metrics().Snapshot()
-		as.Depth = a.aio.Depth()
-		s.Async = &as
-	}
 
 	// Phase decomposition, derived at snapshot time so the hot path pays
 	// nothing beyond the parity histogram it already feeds: Device merges the
@@ -327,12 +317,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 		}
 		s.Server.Merge(*o.Server)
 	}
-	if o.Async != nil {
-		if s.Async == nil {
-			s.Async = &obs.AsyncSnapshot{}
-		}
-		s.Async.Merge(*o.Async)
-	}
 	if o.Phases != nil {
 		if s.Phases == nil {
 			s.Phases = &PhaseSnapshot{}
@@ -379,9 +363,6 @@ func (a *Array) ResetMetrics() {
 	a.m.degradedPlanHits.Reset()
 	for _, d := range a.iodevs {
 		d.Metrics().Reset()
-	}
-	if a.aio != nil {
-		a.aio.Metrics().Reset()
 	}
 	a.window.Reset()
 	a.code.ResetXORStats()

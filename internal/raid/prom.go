@@ -130,28 +130,6 @@ func (s *Snapshot) WriteProm(pw *obs.PromWriter) {
 		pw.SampleInt("dcode_server_draining", nil, draining)
 	}
 
-	if as := s.Async; as != nil {
-		pw.Family("dcode_async_ops_total", "Async submission engine operations by stage.", "counter")
-		pw.SampleInt("dcode_async_ops_total", []obs.Label{{Name: "stage", Value: "submitted"}}, as.Submitted)
-		pw.SampleInt("dcode_async_ops_total", []obs.Label{{Name: "stage", Value: "completed"}}, as.Completed)
-		pw.Family("dcode_async_inflight", "Operations submitted but not yet completed.", "gauge")
-		pw.SampleInt("dcode_async_inflight", nil, as.Inflight)
-		pw.Family("dcode_async_depth", "Configured queue depth.", "gauge")
-		pw.SampleInt("dcode_async_depth", nil, int64(as.Depth))
-		pw.Family("dcode_async_batches_total", "Submission batches flushed to the engine.", "counter")
-		pw.SampleInt("dcode_async_batches_total", nil, as.Batches)
-		pw.Family("dcode_async_batch_size", "Log2-bucketed batch sizes: le is the bucket's upper bound in ops.", "counter")
-		for i, n := range as.BatchSizes {
-			if n == 0 {
-				continue
-			}
-			pw.SampleInt("dcode_async_batch_size", []obs.Label{{Name: "le", Value: strconv.FormatInt(1<<i, 10)}}, n)
-		}
-		pw.Family("dcode_async_sq_full_stalls_total", "Submissions that found the queue full.", "counter")
-		pw.SampleInt("dcode_async_sq_full_stalls_total", nil, as.SQFullStalls)
-		pw.WriteHistogramSummary("dcode_async_op_latency_seconds", "Submit-to-completion latency, queueing included.", nil, as.OpLatency)
-	}
-
 	if p := s.Phases; p != nil {
 		pw.WriteHistogramSummary("dcode_phase_queue_wait_seconds", "Admission-queue wait of the block service (phase decomposition).", nil, p.Queue)
 		pw.WriteHistogramSummary("dcode_phase_parity_seconds", "Erasure-code compute time (phase decomposition).", nil, p.Parity)

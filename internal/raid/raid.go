@@ -34,7 +34,6 @@ var ErrTooManyFailures = errors.New("raid: more than two disks failed")
 type Array struct {
 	code     *erasure.Code
 	elemSize int
-	devs     []blockdev.Device
 	stripes  int64
 
 	// opMu is held shared by data-path operations and exclusively by
@@ -54,8 +53,8 @@ type Array struct {
 	// m and iodevs are the observability layer (see obs.go): lock-free
 	// counters and latency histograms at the array level, plus a
 	// blockdev.Instrumented wrapper per column feeding the per-disk I/O
-	// load view. devs holds the wrapped devices, so every access — data
-	// path, repair, rebuild — is tallied.
+	// load view. Every access — data path, repair, rebuild — goes through
+	// these wrappers and is tallied.
 	m      arrayMetrics
 	iodevs []*blockdev.Instrumented
 
@@ -81,12 +80,6 @@ type Array struct {
 	conc    int
 	scratch sync.Pool
 	opBufs  sync.Pool
-
-	// aio, when non-nil, is the asynchronous device-submission queue (see
-	// async.go); WithAsyncIO enables it and asyncDepth carries the option's
-	// queue depth to construction.
-	aio        *blockdev.AsyncQueue
-	asyncDepth int
 
 	// plans memoizes degraded-read plans per failure signature (see
 	// plancache.go); planMemoOff disables it for benchmarking the saving.
@@ -196,20 +189,13 @@ func New(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64
 		elemSize: elemSize,
 		stripes:  stripes,
 		iodevs:   make([]*blockdev.Instrumented, len(devs)),
-		devs:     make([]blockdev.Device, len(devs)),
 		conc:     defaultConcurrency(),
 	}
 	for i, d := range devs {
 		a.iodevs[i] = blockdev.Instrument(d)
-		a.devs[i] = a.iodevs[i]
 	}
 	for _, opt := range opts {
 		opt(a)
-	}
-	if a.asyncDepth > 0 {
-		// The queue targets the Instrumented wrappers (column index = target
-		// index), so async completions tally exactly like synchronous calls.
-		a.aio = blockdev.NewAsyncQueue(a.devs, a.asyncDepth)
 	}
 	a.initObservability()
 	return a, nil
@@ -314,14 +300,14 @@ func (a *Array) repairElem(stripeIdx int64, co erasure.Coord, dst []byte) error 
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	for _, cell := range plan.Fetch {
-		if _, err := a.devs[cell.Col].ReadAt(sc.s.Elem(cell.Row, cell.Col), a.deviceOffset(stripeIdx, cell.Row)); err != nil {
+		if _, err := a.iodevs[cell.Col].ReadAt(sc.s.Elem(cell.Row, cell.Col), a.deviceOffset(stripeIdx, cell.Row)); err != nil {
 			return err
 		}
 	}
 	for _, step := range plan.Steps {
 		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, co))
 	}
-	if _, err := a.devs[co.Col].WriteAt(dst, a.deviceOffset(stripeIdx, co.Row)); err != nil {
+	if _, err := a.iodevs[co.Col].WriteAt(dst, a.deviceOffset(stripeIdx, co.Row)); err != nil {
 		return err
 	}
 	a.m.sectorsRepaired.Inc()

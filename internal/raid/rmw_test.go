@@ -297,15 +297,13 @@ func checkSurvivesAnyTwo(t *testing.T, a *Array, model []byte) {
 }
 
 // rmwRoutes are the array configurations the stripe-level RMW must behave
-// identically under: its gather and commit ride the serial, fanned-out and
-// async run schedulers.
+// identically under: its gather and commit run inline or fanned out.
 var rmwRoutes = []struct {
 	name string
 	opts []Option
 }{
 	{"serial", []Option{WithConcurrency(1)}},
 	{"fanout", []Option{WithConcurrency(4)}},
-	{"async", []Option{WithAsyncIO(8)}},
 }
 
 // TestRMWMatchesReconstructWriteTwin drives one seeded stream of small writes
@@ -319,12 +317,10 @@ func TestRMWMatchesReconstructWriteTwin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const stripes = 3
 			a, amems := newArrayConc(t, "dcode", 7, stripes, tc.opts...)
-			defer a.Close()
 			a.writePlans = planPatch
 			twin, tmems := newArrayConc(t, "dcode", 7, stripes, WithConcurrency(1))
 			twin.writePlans = planEncode
 			mixed, mmems := newArrayConc(t, "dcode", 7, stripes, tc.opts...)
-			defer mixed.Close()
 			model := pattern(int(a.Size()), 5)
 			for _, arr := range []*Array{a, twin, mixed} {
 				if _, err := arr.WriteAt(model, 0); err != nil {
@@ -450,7 +446,6 @@ func TestRMWDeviceFailures(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer a.Close()
 					model := pattern(int(a.Size()), 21)
 					if _, err := a.WriteAt(model, 0); err != nil {
 						t.Fatal(err)

@@ -1,9 +1,12 @@
 package raid
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"dcode/internal/blockdev"
+	"dcode/internal/codes"
 	"dcode/internal/trace"
 )
 
@@ -258,5 +261,87 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			}
 			b.SetBytes(a.Size())
 		})
+	}
+}
+
+// linkRecorder is a memory column with the LinkedDevice pair: it records the
+// direction and trace link of every vectored operation served through it.
+type linkRecorder struct {
+	*blockdev.MemDevice
+	mu    sync.Mutex
+	ops   []bool // write?
+	links []trace.Link
+}
+
+func (d *linkRecorder) note(write bool, l trace.Link) {
+	d.mu.Lock()
+	d.ops = append(d.ops, write)
+	d.links = append(d.links, l)
+	d.mu.Unlock()
+}
+
+func (d *linkRecorder) ReadVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error) {
+	d.note(false, l)
+	return d.ReadVecAt(bufs, off)
+}
+
+func (d *linkRecorder) WriteVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error) {
+	d.note(true, l)
+	return d.WriteVecAt(bufs, off)
+}
+
+// TestDeviceCallsCarryTraceLinks pins that every device call a link-capable
+// column serves on a traced, fanned-out array — full-stripe and
+// read-modify-write commits, direct and general-path reads — arrives through
+// its link pair with the link of the device span that issued it.
+func TestDeviceCallsCarryTraceLinks(t *testing.T) {
+	const stripes = 2
+	code := codes.MustNew("dcode", 5)
+	devs := make([]blockdev.Device, code.Cols())
+	recs := make([]*linkRecorder, code.Cols())
+	for i := range devs {
+		recs[i] = &linkRecorder{MemDevice: blockdev.NewMem(stripes * int64(code.Rows()) * elemSize)}
+		devs[i] = recs[i]
+	}
+	tr := trace.New(1<<14, 64)
+	a, err := New(code, devs, elemSize, stripes, WithConcurrency(4), WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Enable()
+
+	data := pattern(int(a.Size()), 5)
+	if _, err := a.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.WriteAt(data[:100], 10); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, a.Size())
+	if _, err := a.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ReadAt(buf[:300], 7); err != nil {
+		t.Fatal(err)
+	}
+
+	devSpans := make(map[uint64]trace.Span)
+	for _, sp := range tr.Spans() {
+		if sp.Op == trace.OpDevRead || sp.Op == trace.OpDevWrite {
+			devSpans[sp.ID] = sp
+		}
+	}
+	for col, r := range recs {
+		st := r.Stats()
+		if n := int64(len(r.links)); n == 0 || n != st.Reads+st.Writes {
+			t.Fatalf("col %d served %d reads and %d writes, %d of them through the link pair",
+				col, st.Reads, st.Writes, n)
+		}
+		for i, l := range r.links {
+			sp, ok := devSpans[l.Span]
+			if l.Trace == 0 || !ok || sp.Trace != l.Trace || sp.Disk != int32(col) || (sp.Op == trace.OpDevWrite) != r.ops[i] {
+				t.Fatalf("col %d op %d (write=%v) carried link %+v, not the link of its own device span", col, i, r.ops[i], l)
+			}
+		}
 	}
 }
