@@ -3,7 +3,7 @@
 // array codes × the paper's <S,L,T> workload profiles and emits a
 // machine-readable BENCH_<rev>.json artifact — ns/op, MB/s, read/write p99,
 // per-disk load counts and their coefficient of variation, and the executed
-// XOR volume. Unlike cmd/ioload (which simulates the paper's accounting
+// XOR volume. Unlike `paper ioload` (which simulates the paper's accounting
 // model), every number here is measured on the real engine.
 //
 // It doubles as the regression comparator CI runs over two artifacts:

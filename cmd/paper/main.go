@@ -1,190 +1,221 @@
-// Command paper runs the complete reproduction in one shot and writes a
-// Markdown report: the §III-D feature table, Figures 4-7, the §III-D
-// single-failure recovery savings and the extension experiments. It is the
-// one-command entry point for checking this repository against the paper.
+// Command paper reproduces the evaluation of the D-Code paper. With no
+// arguments it writes the whole reproduction as one Markdown report: the MDS
+// check, the §III-D feature table, Figures 4-7, the §III-D single-failure
+// recovery savings and the extension experiments. A subcommand prints one
+// section of the report, or one of the figures the report does not draw.
 //
 // Usage:
 //
-//	paper [-seed 42] [-ops 2000] [-dops 200] > report.md
+//	paper [-seed 42] [-ops 2000] [-dops 200] > REPORT.md
+//	paper verify   [-p 5,7,11,13] [-codes rdp,hcode,...]             # Theorem 2
+//	paper features [-p 13]                                           # §III-D table
+//	paper ioload   [-p 5,7,11,13] [-seed 42] [-ops 2000] [-trace FILE] # Figs. 4-5
+//	paper readperf [-p 5,7,11,13] [-seed 42] [-ops 2000] [-dops 200] [-latency] # Figs. 6-7
+//	paper recovery [-p 7,13]                                         # §III-D saving
+//	paper layout   [-code dcode] [-p 7] [-labels KIND | -write S,L | -read S,L [-degraded COL]] # Figs. 1-2
+//	paper chain    [-code dcode] [-p 7] [-fail 2,3]                  # Fig. 3
+//
+// A bad command line exits 2; a failed MDS check or a failed write exits 1.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"dcode/internal/codes"
-	"dcode/internal/erasure"
-	"dcode/internal/ioload"
-	"dcode/internal/readperf"
-	"dcode/internal/recovery"
-	"dcode/internal/workload"
 )
 
-var (
-	seed = flag.Int64("seed", 42, "experiment seed")
-	ops  = flag.Int("ops", 2000, "operations per workload / normal-mode experiment")
-	dops = flag.Int("dops", 200, "operations per degraded failure case")
-)
+// options holds every flag value. A command reads only the fields its flags
+// set; the others keep the values the report uses.
+type options struct {
+	seed      int64
+	ops, dops int
+	primes    ints
+	trace     string
+	latency   bool
+	codes     codeList
+	code      string
+	labels    string
+	write     ints
+	read      ints
+	degraded  int
+	fail      ints
+}
+
+// A command renders one section or figure. primes is its -p default and
+// flags names the flags it reads.
+type command struct {
+	run    func(*bytes.Buffer, *options) error
+	primes ints
+	flags  []string
+}
+
+var commands = map[string]command{
+	"verify":   {writeMDS, codes.PaperPrimes, []string{"p", "codes"}},
+	"features": {writeFeatures, ints{13}, []string{"p"}},
+	"ioload":   {writeIOLoad, codes.PaperPrimes, []string{"p", "seed", "ops", "trace"}},
+	"readperf": {writeReadPerf, codes.PaperPrimes, []string{"p", "seed", "ops", "dops", "latency"}},
+	"recovery": {writeRecoveryReads, ints{7, 13}, []string{"p"}},
+	"layout":   {writeLayout, ints{7}, []string{"p", "code", "labels", "write", "read", "degraded"}},
+	"chain":    {writeChain, ints{7}, []string{"p", "code", "fail"}},
+}
+
+const usage = `usage: paper [-seed 42] [-ops 2000] [-dops 200] > REPORT.md
+       paper verify|features|ioload|readperf|recovery|layout|chain [flags]
+`
+
+// reportSections are the report's sections in order, each run at the
+// defaults of the command of the same name. The report's recovery table
+// leaves out the read counts the recovery command adds.
+var reportSections = []struct {
+	name string
+	run  func(*bytes.Buffer, *options) error
+}{
+	{"verify", writeMDS},
+	{"features", writeFeatures},
+	{"ioload", writeIOLoad},
+	{"readperf", writeReadPerf},
+	{"recovery", writeRecovery},
+	{"", writeExtension},
+}
 
 func main() {
-	flag.Parse()
-	fmt.Println("# D-Code reproduction report")
-	fmt.Printf("\nseed %d, %d ops per workload, %d ops per degraded failure case.\n", *seed, *ops, *dops)
-
-	mdsSection()
-	featureSection()
-	ioLoadSection()
-	readPerfSection()
-	recoverySection()
-	extensionSection()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fail(err error) {
+// run executes one command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	name, cmd := "", command{run: writeReport, flags: []string{"seed", "ops", "dops"}}
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		c, ok := commands[args[0]]
+		if !ok {
+			fmt.Fprintf(stderr, "paper: unknown command %q\n%s", args[0], usage)
+			return 2
+		}
+		name, cmd, args = args[0], c, args[1:]
+	}
+	o := options{seed: 42, ops: 2000, dops: 200, primes: cmd.primes, codes: codes.All(), code: "dcode", degraded: -1, fail: ints{2, 3}}
+	fs := o.flagSet(name, cmd.flags)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "paper: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if o.ops < 1 || o.dops < 1 {
+		fmt.Fprintf(stderr, "paper: -ops and -dops want at least 1, got %d and %d\n", o.ops, o.dops)
+		return 2
+	}
+	// Output reaches stdout only from a run that finished, or that failed
+	// just the MDS check, so a bad command line prints nothing there.
+	var out bytes.Buffer
+	err := cmd.run(&out, &o)
+	if err == nil || errors.Is(err, errNotMDS) {
+		if _, werr := out.WriteTo(stdout); werr != nil {
+			err = werr
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paper:", err)
-		os.Exit(1)
-	}
-}
-
-func mdsSection() {
-	fmt.Printf("\n## MDS verification (Theorem 2)\n\n")
-	fmt.Println("| code | p=5 | p=7 | p=11 | p=13 |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, e := range codes.All() {
-		fmt.Printf("| %s |", e.Name)
-		for _, p := range codes.PaperPrimes {
-			c, err := e.New(p)
-			if err != nil {
-				fmt.Printf(" n/a |")
-				continue
-			}
-			if err := erasure.VerifyMDS(c, 8); err != nil {
-				fmt.Printf(" FAIL |")
-			} else {
-				fmt.Printf(" ok |")
-			}
+		fmt.Fprintln(stderr, "paper:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
 		}
-		fmt.Println()
+		return 1
 	}
+	return 0
 }
 
-func featureSection() {
-	fmt.Printf("\n## Feature table (§III-D), p = 13\n\n")
-	fmt.Println("| code | disks | storage eff | encode XOR/data | decode XOR/lost | parity upd/write |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, e := range codes.All() {
-		c, err := e.New(13)
+// flagSet defines every flag of the binary in one place and hands a command
+// only the flags it reads.
+func (o *options) flagSet(name string, names []string) *flag.FlagSet {
+	all := flag.NewFlagSet("", flag.ContinueOnError)
+	all.Int64Var(&o.seed, "seed", o.seed, "experiment seed")
+	all.IntVar(&o.ops, "ops", o.ops, "operations per workload / normal-mode experiment")
+	all.IntVar(&o.dops, "dops", o.dops, "operations per degraded failure case")
+	all.Var(&o.primes, "p", "comma-separated primes")
+	all.StringVar(&o.trace, "trace", "", "replay a kind,S,L,T trace file instead of the three workloads")
+	all.BoolVar(&o.latency, "latency", false, "add per-op latency percentiles [p50/p95/p99 ms]")
+	all.Var(&o.codes, "codes", "comma-separated codes to verify")
+	all.StringVar(&o.code, "code", o.code, "code id")
+	all.StringVar(&o.labels, "labels", "", "label the groups of one parity kind: horizontal, deployment, diagonal, anti-diagonal")
+	all.Var(&o.write, "write", "S,L: draw the parity footprint of a partial stripe write")
+	all.Var(&o.read, "read", "S,L: draw a read footprint (with -degraded, the recovery reads too)")
+	all.IntVar(&o.degraded, "degraded", o.degraded, "failed column for -read")
+	all.Var(&o.fail, "fail", "one or two columns to fail")
+
+	fs := flag.NewFlagSet(strings.TrimSpace("paper "+name), flag.ContinueOnError)
+	for _, n := range names {
+		f := all.Lookup(n)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+	if name == "" {
+		fs.Usage = func() { fmt.Fprint(fs.Output(), usage) }
+	}
+	return fs
+}
+
+// usageError marks an error in the command line rather than in the run.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error {
+	return usageError{fmt.Errorf(format, a...)}
+}
+
+// ints is a comma-separated list flag, such as -p 5,7,11,13 or -write 16,5.
+type ints []int
+
+func (v *ints) String() string {
+	s := make([]string, len(*v))
+	for i, x := range *v {
+		s[i] = strconv.Itoa(x)
+	}
+	return strings.Join(s, ",")
+}
+
+func (v *ints) Set(s string) error {
+	var out ints
+	for _, part := range strings.Split(s, ",") {
+		x, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			continue
+			return fmt.Errorf("bad integer %q", part)
 		}
-		m := c.ComputeMetrics()
-		dec, _ := c.DecodeXORPerLost()
-		fmt.Printf("| %s | %d | %.3f | %.3f | %.2f | %.2f |\n",
-			e.Name, c.Cols(), m.StorageEfficiency, m.EncodeXORPerData, dec, m.UpdateAvg)
+		out = append(out, x)
 	}
+	*v = out
+	return nil
 }
 
-func ioLoadSection() {
-	for _, prof := range workload.Profiles {
-		fmt.Printf("\n## Figures 4-5 — %s workload\n\n", prof.Name)
-		fmt.Println("| code | LF p=5 | LF p=7 | LF p=11 | LF p=13 | cost p=5 | cost p=7 | cost p=11 | cost p=13 |")
-		fmt.Println("|---|---|---|---|---|---|---|---|---|")
-		for _, e := range codes.Comparison() {
-			fmt.Printf("| %s |", e.Name)
-			var costs []int64
-			for _, p := range codes.PaperPrimes {
-				c, err := e.New(p)
-				fail(err)
-				w, err := workload.Generate(workload.Config{Ops: *ops, DataElems: c.DataElems(), Seed: *seed}, prof)
-				fail(err)
-				res := ioload.Simulate(c, w)
-				lf := res.LF()
-				if math.IsInf(lf, 1) {
-					fmt.Printf(" inf |")
-				} else {
-					fmt.Printf(" %.2f |", lf)
-				}
-				costs = append(costs, res.Cost())
-			}
-			for _, cost := range costs {
-				fmt.Printf(" %d |", cost)
-			}
-			fmt.Println()
-		}
+// codeList is the -codes flag: comma-separated code ids.
+type codeList []codes.Entry
+
+func (l *codeList) String() string {
+	ids := make([]string, len(*l))
+	for i, e := range *l {
+		ids[i] = e.ID
 	}
+	return strings.Join(ids, ",")
 }
 
-func readPerfSection() {
-	fmt.Printf("\n## Figure 6 — normal-mode read speed (MB/s, avg per disk)\n\n")
-	fmt.Println("| code | p=5 | p=7 | p=11 | p=13 |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, e := range codes.Comparison() {
-		fmt.Printf("| %s |", e.Name)
-		for _, p := range codes.PaperPrimes {
-			c, err := e.New(p)
-			fail(err)
-			r := readperf.Normal(c, readperf.Config{Ops: *ops, Seed: *seed})
-			fmt.Printf(" %.1f (%.2f) |", r.SpeedMBps, r.AvgSpeedMBps)
+func (l *codeList) Set(s string) error {
+	var out codeList
+	for _, id := range strings.Split(s, ",") {
+		e, err := codes.ByID(strings.TrimSpace(id))
+		if err != nil {
+			return err
 		}
-		fmt.Println()
+		out = append(out, e)
 	}
-	fmt.Printf("\n## Figure 7 — degraded-mode read speed (MB/s, avg per disk)\n\n")
-	fmt.Println("| code | p=5 | p=7 | p=11 | p=13 |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, e := range codes.Comparison() {
-		fmt.Printf("| %s |", e.Name)
-		for _, p := range codes.PaperPrimes {
-			c, err := e.New(p)
-			fail(err)
-			r, err := readperf.Degraded(c, readperf.Config{Ops: *dops, Seed: *seed})
-			fail(err)
-			fmt.Printf(" %.1f (%.2f) |", r.SpeedMBps, r.AvgSpeedMBps)
-		}
-		fmt.Println()
-	}
-}
-
-func recoverySection() {
-	fmt.Printf("\n## §III-D — single-failure recovery savings (hybrid vs conventional)\n\n")
-	fmt.Println("| code | p=7 | p=13 |")
-	fmt.Println("|---|---|---|")
-	for _, e := range codes.Comparison() {
-		fmt.Printf("| %s |", e.Name)
-		for _, p := range []int{7, 13} {
-			c, err := e.New(p)
-			fail(err)
-			s, _, _, err := recovery.AverageSaving(c)
-			fail(err)
-			fmt.Printf(" %.1f%% |", s*100)
-		}
-		fmt.Println()
-	}
-}
-
-func extensionSection() {
-	fmt.Printf("\n## Extension — stripe rotation vs per-stripe balance (§I argument)\n\n")
-	rdpCode := codes.MustNew("rdp", 7)
-	dcodeC := codes.MustNew("dcode", 7)
-	gen := func(elems int, hot bool) []workload.Op {
-		cfg := workload.Config{DataElems: 40 * elems, Seed: *seed, Ops: *ops}
-		if hot {
-			cfg.HotspotOpFraction = 0.95
-			cfg.HotspotAddrFraction = 0.025
-		}
-		w, err := workload.Generate(cfg, workload.Mixed)
-		fail(err)
-		return w
-	}
-	fmt.Println("| configuration | uniform LF | hotspot LF |")
-	fmt.Println("|---|---|---|")
-	fmt.Printf("| RDP, rotated stripe mapping | %.2f | %.2f |\n",
-		ioload.SimulateRotated(rdpCode, gen(rdpCode.DataElems(), false)).LF(),
-		ioload.SimulateRotated(rdpCode, gen(rdpCode.DataElems(), true)).LF())
-	fmt.Printf("| D-Code, identity mapping | %.2f | %.2f |\n",
-		ioload.Simulate(dcodeC, gen(dcodeC.DataElems(), false)).LF(),
-		ioload.Simulate(dcodeC, gen(dcodeC.DataElems(), true)).LF())
-	fmt.Println("\nRotation equalizes uniform load but cannot fix per-stripe hotspots;")
-	fmt.Println("D-Code balances within every stripe and needs no rotation.")
+	*l = out
+	return nil
 }

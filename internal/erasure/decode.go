@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"fmt"
+	"slices"
 
 	"dcode/internal/stripe"
 )
@@ -21,17 +22,14 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 	if len(failed) == 0 {
 		return nil
 	}
+	if err := c.CheckFailed(failed...); err != nil {
+		return err
+	}
 	// Collect unknowns: every cell of every failed column. unknownAt maps a
 	// cell (row*cols+col) to 1 + its index in unknowns, 0 for a surviving cell.
 	unknownAt := make([]int, c.rows*c.cols)
 	unknowns := make([]Coord, 0, len(failed)*c.rows)
 	for _, f := range failed {
-		if f < 0 || f >= c.cols {
-			return fmt.Errorf("erasure: %s: failed column %d out of range [0,%d)", c.name, f, c.cols)
-		}
-		if unknownAt[f] != 0 { // row 0 of column f is already lost
-			return fmt.Errorf("erasure: %s: failed column %d listed twice", c.name, f)
-		}
 		for r := 0; r < c.rows; r++ {
 			unknowns = append(unknowns, Coord{r, f})
 			unknownAt[r*c.cols+f] = len(unknowns)
@@ -182,17 +180,31 @@ func (c *Code) gaussian(s *stripe.Stripe, unknowns []Coord, solved []bool, remai
 	return nil
 }
 
+// CheckFailed reports an error unless every listed column exists and none is
+// listed twice. Reconstruct and SymbolicDecode reject exactly these lists.
+func (c *Code) CheckFailed(failed ...int) error {
+	for i, f := range failed {
+		if f < 0 || f >= c.cols {
+			return fmt.Errorf("erasure: %s: failed column %d out of range [0,%d)", c.name, f, c.cols)
+		}
+		if slices.Contains(failed[:i], f) {
+			return fmt.Errorf("erasure: %s: failed column %d listed twice", c.name, f)
+		}
+	}
+	return nil
+}
+
 // SymbolicDecode runs the peeling decoder without data, returning the number
 // of element XOR operations a full reconstruction of the failed columns
 // performs and the order in which elements are recovered. It errors if
 // peeling alone cannot finish (codes that need the Gaussian fallback).
 // The paper's decoding-complexity figures (§III-D) come from this count.
 func (c *Code) SymbolicDecode(failed ...int) (xors int, chain []Coord, err error) {
+	if err := c.CheckFailed(failed...); err != nil {
+		return 0, nil, err
+	}
 	unknown := make(map[Coord]bool)
 	for _, f := range failed {
-		if f < 0 || f >= c.cols {
-			return 0, nil, fmt.Errorf("erasure: %s: failed column %d out of range", c.name, f)
-		}
 		for r := 0; r < c.rows; r++ {
 			unknown[Coord{r, f}] = true
 		}

@@ -195,6 +195,9 @@ func TestSymbolicDecodeChain(t *testing.T) {
 	if _, _, err := c.SymbolicDecode(-1); err == nil {
 		t.Fatal("SymbolicDecode accepted a bad column")
 	}
+	if _, _, err := c.SymbolicDecode(2, 2); err == nil {
+		t.Fatal("SymbolicDecode accepted a column listed twice")
+	}
 }
 
 func TestUpdateData(t *testing.T) {
