@@ -75,9 +75,12 @@ func (d *MemDevice) SetWriteLimit(n int64) {
 	d.mu.Unlock()
 }
 
-func (d *MemDevice) checkRange(n int, off int64) error {
-	if off < 0 || off+int64(n) > int64(len(d.buf)) {
-		return fmt.Errorf("blockdev: range [%d,%d) outside device of %d bytes", off, off+int64(n), len(d.buf))
+// checkRange rejects a request of n bytes at off that does not lie wholly
+// inside a device of size bytes. It never forms off+n, which overflows for
+// an offset near the top of int64.
+func checkRange(n int, off, size int64) error {
+	if off < 0 || int64(n) > size || off > size-int64(n) {
+		return fmt.Errorf("blockdev: %d bytes at %d outside device of %d bytes", n, off, size)
 	}
 	return nil
 }
@@ -102,7 +105,7 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	if d.failed {
 		return 0, ErrFailed
 	}
-	if err := d.checkRange(len(p), off); err != nil {
+	if err := checkRange(len(p), off, d.Size()); err != nil {
 		return 0, err
 	}
 	if d.badInRange(len(p), off) {
@@ -124,7 +127,7 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	if d.failed {
 		return 0, ErrFailed
 	}
-	if err := d.checkRange(total, off); err != nil {
+	if err := checkRange(total, off, d.Size()); err != nil {
 		return 0, err
 	}
 	if d.badInRange(total, off) {
@@ -147,7 +150,7 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	if d.failed {
 		return 0, ErrFailed
 	}
-	if err := d.checkRange(len(p), off); err != nil {
+	if err := checkRange(len(p), off, d.Size()); err != nil {
 		return 0, err
 	}
 	if d.writeLimit == 0 {
@@ -189,7 +192,7 @@ func (d *MemDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	if d.failed {
 		return 0, ErrFailed
 	}
-	if err := d.checkRange(total, off); err != nil {
+	if err := checkRange(total, off, d.Size()); err != nil {
 		return 0, err
 	}
 	if d.writeLimit == 0 {
@@ -224,11 +227,12 @@ func (d *MemDevice) Fail() {
 }
 
 // Replace swaps in fresh zeroed media (a replacement disk) and clears the
-// failure state; contents are lost.
+// failure state and any write limit; contents are lost.
 func (d *MemDevice) Replace() {
 	d.mu.Lock()
 	d.buf = make([]byte, len(d.buf))
 	d.failed = false
+	d.writeLimit = -1
 	d.bad = make(map[int64]bool)
 	d.stats = Stats{}
 	d.mu.Unlock()
@@ -287,8 +291,12 @@ func OpenFile(path string, size int64) (*FileDevice, error) {
 	return d, nil
 }
 
-// ReadAt implements Device.
+// ReadAt implements Device. A range outside the device is refused, as on a
+// MemDevice.
 func (d *FileDevice) ReadAt(p []byte, off int64) (int, error) {
+	if err := checkRange(len(p), off, d.size); err != nil {
+		return 0, err
+	}
 	if d.resident(off, len(p)) {
 		return d.mapCopy([][]byte{p}, off, false)
 	}
@@ -297,8 +305,12 @@ func (d *FileDevice) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// WriteAt implements Device.
+// WriteAt implements Device. A range outside the device is refused, so a
+// write never grows the file.
 func (d *FileDevice) WriteAt(p []byte, off int64) (int, error) {
+	if err := checkRange(len(p), off, d.size); err != nil {
+		return 0, err
+	}
 	if d.resident(off, len(p)) {
 		return d.mapCopy([][]byte{p}, off, true)
 	}

@@ -3,6 +3,8 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -37,6 +39,53 @@ func TestMemRangeChecks(t *testing.T) {
 	}
 	if _, err := d.WriteAt(make([]byte, 8), -1); err == nil {
 		t.Fatal("negative offset accepted")
+	}
+}
+
+// TestDeviceRangeChecks: every call of both local devices refuses a range
+// outside the device — a negative offset, a range past the end, one whose
+// end overflows int64 — with an error, not a panic, and a refused write
+// neither lands nor grows a file. The last in-range bytes still serve.
+func TestDeviceRangeChecks(t *testing.T) {
+	const size = 1 << 20
+	path := filepath.Join(t.TempDir(), "col.img")
+	file, err := OpenFile(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	devs := map[string]Device{"mem": NewMem(size), "file": file}
+	calls := map[string]func(d Device, b []byte, off int64) (int, error){
+		"ReadAt":     Device.ReadAt,
+		"WriteAt":    Device.WriteAt,
+		"ReadVecAt":  func(d Device, b []byte, off int64) (int, error) { return d.ReadVecAt([][]byte{b[:1], b[1:]}, off) },
+		"WriteVecAt": func(d Device, b []byte, off int64) (int, error) { return d.WriteVecAt([][]byte{b[:1], b[1:]}, off) },
+	}
+	cases := []struct {
+		off int64
+		n   int
+	}{
+		{-1, 16},
+		{size - 8, 16},
+		{size, 1},
+		{1 << 30, 4096},
+		{math.MaxInt64 - 10, 16},
+		{math.MaxInt64, 4096},
+	}
+	for dn, d := range devs {
+		for cn, call := range calls {
+			for _, c := range cases {
+				if _, err := call(d, make([]byte, c.n), c.off); err == nil {
+					t.Errorf("%s %s of %d bytes at %d accepted", dn, cn, c.n, c.off)
+				}
+			}
+			if _, err := call(d, make([]byte, 16), size-16); err != nil {
+				t.Errorf("%s %s of the last 16 bytes: %v", dn, cn, err)
+			}
+		}
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != size {
+		t.Fatalf("column file after refused writes: %v, err %v; want %d bytes", st.Size(), err, size)
 	}
 }
 
@@ -162,6 +211,17 @@ func TestSetWriteLimit(t *testing.T) {
 	d.ReadAt(got, 0)
 	if got[1] != 3 {
 		t.Fatal("lifting the limit did not restore persistence")
+	}
+	// A replacement disk is fresh media: it persists every write, whatever
+	// limit the disk it replaces had reached.
+	d.SetWriteLimit(0)
+	d.Replace()
+	if _, err := d.WriteAt([]byte{4}, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.ReadAt(got, 0)
+	if got[0] != 4 {
+		t.Fatal("a replaced disk kept the old disk's write limit and dropped the write")
 	}
 }
 

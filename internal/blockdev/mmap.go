@@ -40,7 +40,7 @@ const pageShift = 12
 // pageRange returns the first and last page of [off, off+n), and whether the
 // range is non-empty and lies wholly inside the mapping.
 func (d *FileDevice) pageRange(off int64, n int) (first, last int64, ok bool) {
-	if d.mem == nil || n <= 0 || off < 0 || off+int64(n) > int64(len(d.mem)) {
+	if d.mem == nil || n <= 0 || off < 0 || off > int64(len(d.mem))-int64(n) {
 		return 0, 0, false
 	}
 	return off >> pageShift, (off + int64(n) - 1) >> pageShift, true

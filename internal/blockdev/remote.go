@@ -35,7 +35,6 @@ type Remote struct {
 	size int64
 	caps uint32 // server capability bits from the DialRemote STATUS probe
 
-	dial     func(ctx context.Context) (net.Conn, error)
 	timeout  time.Duration // per-request deadline
 	attempts int           // total tries per op (1 = no retry)
 	backoff  time.Duration // first retry delay, doubling per retry
@@ -47,9 +46,8 @@ type Remote struct {
 
 	seq atomic.Uint64
 
-	// Test-facing fault/latency injection; see SetInjector / SetLatency.
-	inject    atomic.Pointer[InjectFunc]
-	latencyNs atomic.Int64
+	// Test-facing fault injection; see SetInjector.
+	inject atomic.Pointer[InjectFunc]
 
 	retries atomic.Int64  // transport-level retries performed (observability)
 	rtt     obs.Histogram // per-exchange round-trip latency (the network phase)
@@ -111,26 +109,6 @@ func WithPool(n int) RemoteOption {
 	}
 }
 
-// WithDialer replaces the TCP dialer; tests use it to hand the Remote an
-// in-memory pipe. The dialer runs under the operation's context, so a
-// callers-side deadline bounds connection establishment too.
-func WithDialer(dial func() (net.Conn, error)) RemoteOption {
-	return func(r *Remote) {
-		if dial != nil {
-			r.dial = func(context.Context) (net.Conn, error) { return dial() }
-		}
-	}
-}
-
-// WithContextDialer is WithDialer for context-aware dialers.
-func WithContextDialer(dial func(ctx context.Context) (net.Conn, error)) RemoteOption {
-	return func(r *Remote) {
-		if dial != nil {
-			r.dial = dial
-		}
-	}
-}
-
 // DialRemote connects to a blockserve endpoint and returns it as a Device.
 // It performs one STATUS round trip to learn the volume size and verify the
 // endpoint speaks the protocol.
@@ -141,10 +119,6 @@ func DialRemote(addr string, opts ...RemoteOption) (*Remote, error) {
 		attempts: 3,
 		backoff:  10 * time.Millisecond,
 		poolCap:  4,
-	}
-	r.dial = func(ctx context.Context) (net.Conn, error) {
-		d := net.Dialer{Timeout: r.timeout}
-		return d.DialContext(ctx, "tcp", r.addr)
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -198,10 +172,6 @@ func (r *Remote) SetInjector(fn InjectFunc) {
 	r.inject.Store(&fn)
 }
 
-// SetLatency adds a fixed delay before every attempt, simulating network
-// distance; 0 clears it.
-func (r *Remote) SetLatency(d time.Duration) { r.latencyNs.Store(int64(d)) }
-
 // Retries returns how many transport-level retries the device has performed.
 func (r *Remote) Retries() int64 { return r.retries.Load() }
 
@@ -223,7 +193,8 @@ func (r *Remote) getConn(oc *opCtx) (*rconn, error) {
 		return rc, nil
 	}
 	r.mu.Unlock()
-	c, err := r.dial(oc.get())
+	d := net.Dialer{Timeout: r.timeout}
+	c, err := d.DialContext(oc.get(), "tcp", r.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -267,8 +238,8 @@ func (e *remoteError) Unwrap() error {
 // its first attempt never builds it — there the attempt's connection deadline
 // is the bound. The budget runs from the operation's start whenever it is
 // built: the per-attempt deadline times the attempt budget, plus every
-// backoff pause and injected latency. So a wedged remote can never hold an
-// operation (or a raid stripe write above it) forever.
+// backoff pause. So a wedged remote can never hold an operation (or a raid
+// stripe write above it) forever.
 type opCtx struct {
 	r      *Remote
 	start  time.Time
@@ -285,7 +256,6 @@ func (o *opCtx) get() context.Context {
 	for i := 1; i < r.attempts; i++ {
 		budget += r.backoff << (i - 1)
 	}
-	budget += time.Duration(r.attempts) * time.Duration(r.latencyNs.Load())
 	if budget <= 0 {
 		o.ctx, o.cancel = context.WithCancel(context.Background())
 	} else {
@@ -326,9 +296,6 @@ func (r *Remote) do(req blockserve.Frame, out, in [][]byte) (blockserve.Frame, i
 					ErrFailed, r.addr, attempt, lastErr, ctx.Err())
 			case <-time.After(r.backoff << (attempt - 1)):
 			}
-		}
-		if d := time.Duration(r.latencyNs.Load()); d > 0 {
-			time.Sleep(d)
 		}
 		if fp := r.inject.Load(); fp != nil {
 			if err := (*fp)(req.Type, attempt); err != nil {

@@ -22,6 +22,9 @@ const iovChunk = 64
 // the caller's buffers — no staging copy, no per-buffer syscalls. EINTR and
 // short reads advance the cursor and retry.
 func (d *FileDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
+	if err := checkRange(VecLen(bufs), off, d.size); err != nil {
+		return 0, err
+	}
 	if d.resident(off, VecLen(bufs)) {
 		return d.mapCopy(bufs, off, false)
 	}
@@ -33,6 +36,9 @@ func (d *FileDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 // WriteVecAt implements Device as a true gather write: a copy into the
 // mapping over resident pages, pwritev(2) otherwise; see ReadVecAt.
 func (d *FileDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
+	if err := checkRange(VecLen(bufs), off, d.size); err != nil {
+		return 0, err
+	}
 	if d.resident(off, VecLen(bufs)) {
 		return d.mapCopy(bufs, off, true)
 	}

@@ -388,8 +388,7 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
 		}
 		// Refuse a range the volume does not have before sizing anything from
 		// the client's count.
-		if size, count := s.backend.Size(), int64(f.Count); f.Off < 0 || count > size || f.Off > size-count {
-			err = fmt.Errorf("read of %d bytes at %d outside the volume's %d bytes", f.Count, f.Off, size)
+		if err = s.checkRange("read", f.Off, int64(f.Count)); err != nil {
 			break
 		}
 		buf := c.payload(int(f.Count))
@@ -406,6 +405,9 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
 			c.bytesOut.Add(bytes)
 		}
 	case f.Type == OpWrite:
+		if err = s.checkRange("write", f.Off, int64(len(f.Data))); err != nil {
+			break
+		}
 		var n int
 		if s.linked != nil && tc.Active() {
 			n, err = s.linked.WriteAtLink(f.Data, f.Off, tc.Link())
@@ -455,6 +457,16 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
 	}
 	s.cfg.Tracer.End(tc, bytes, err != nil)
 	return c.fw.WriteFrame(c.conn, resp)
+}
+
+// checkRange refuses a request of n bytes at off that the volume does not
+// hold, so the backend never sees it. It never forms off+n, which overflows
+// for an offset near the top of int64.
+func (s *Server) checkRange(kind string, off, n int64) error {
+	if size := s.backend.Size(); off < 0 || n > size || off > size-n {
+		return fmt.Errorf("%s of %d bytes at %d outside the volume's %d bytes", kind, n, off, size)
+	}
+	return nil
 }
 
 // Shutdown gracefully drains the server: it stops accepting, waits for every

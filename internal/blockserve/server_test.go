@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +16,13 @@ import (
 
 	"dcode/internal/blockdev"
 	"dcode/internal/blockserve"
+	"dcode/internal/codes"
+	"dcode/internal/raid"
 	"dcode/internal/trace"
 )
 
 // startServer runs a Server on loopback and tears it down with the test.
-func startServer(t *testing.T, backend blockserve.Backend, cfg blockserve.Config) (string, *blockserve.Server) {
+func startServer(t testing.TB, backend blockserve.Backend, cfg blockserve.Config) (string, *blockserve.Server) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -662,8 +667,8 @@ func TestPipelinedWritesDoNotShareThePayloadBuffer(t *testing.T) {
 	}
 }
 
-// sizeOnlyBackend fails the test if a READ reaches it: the server must
-// refuse out-of-range reads from Size alone.
+// sizeOnlyBackend fails the test if a READ, or a WRITE outside the device,
+// reaches it: the server must refuse out-of-range requests from Size alone.
 type sizeOnlyBackend struct {
 	*blockdev.MemDevice
 	t *testing.T
@@ -672,6 +677,14 @@ type sizeOnlyBackend struct {
 func (b sizeOnlyBackend) ReadAt(p []byte, off int64) (int, error) {
 	b.t.Errorf("out-of-range READ reached the backend: %d bytes at %d", len(p), off)
 	return 0, nil
+}
+
+func (b sizeOnlyBackend) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > b.Size()-int64(len(p)) {
+		b.t.Errorf("out-of-range WRITE reached the backend: %d bytes at %d", len(p), off)
+		return 0, nil
+	}
+	return b.MemDevice.WriteAt(p, off)
 }
 
 // TestReadOutsideVolumeIsRefusedBeforeBuffering: a READ whose range the
@@ -708,4 +721,90 @@ func TestReadOutsideVolumeIsRefusedBeforeBuffering(t *testing.T) {
 	if snap := srv.Snapshot(); snap.Totals.Errors != 5 || snap.Totals.Reads != 0 {
 		t.Fatalf("totals = %+v, want 5 errors and no reads", snap.Totals)
 	}
+}
+
+// TestWriteOutsideVolumeIsRefusedBeforeBackend: a WRITE whose range the
+// volume does not have — a negative offset, a range past the end, one whose
+// end overflows int64 — is answered with an ERR frame before the backend
+// sees it, and the connection then serves the next request. Checked on a
+// backend that fails the test if reached, on an array (which would map the
+// offset to an element index out of range) and on a file column (which
+// would grow).
+func TestWriteOutsideVolumeIsRefusedBeforeBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "col.img")
+	file, err := blockdev.OpenFile(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	backends := []struct {
+		name string
+		be   blockserve.Backend
+	}{
+		{"guard", sizeOnlyBackend{blockdev.NewMem(4096), t}},
+		{"array", newTestArray(t)},
+		{"file", file},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			addr, srv := startServer(t, b.be, blockserve.Config{})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			size := b.be.Size()
+			exchange := func(req blockserve.Frame) blockserve.Frame {
+				t.Helper()
+				if _, err := blockserve.WriteFrame(conn, nil, req); err != nil {
+					t.Fatal(err)
+				}
+				f, _, err := blockserve.ReadFrame(conn, nil)
+				if err != nil {
+					t.Fatalf("request %d: %v", req.ID, err)
+				}
+				if f.ID != req.ID {
+					t.Fatalf("request %d answered as %d", req.ID, f.ID)
+				}
+				return f
+			}
+			offs := []int64{-1, size - 8, size, math.MaxInt64 - 10, math.MaxInt64}
+			for i, off := range offs {
+				id := uint64(2*i + 1)
+				f := exchange(blockserve.Frame{Type: blockserve.OpWrite, ID: id, Off: off, Data: make([]byte, 16)})
+				if f.Type != blockserve.RespErr || !strings.Contains(string(f.Data), "outside the volume") {
+					t.Fatalf("write of 16 bytes at %d: got type 0x%02x %q, want an out-of-range ERR", off, f.Type, f.Data)
+				}
+				f = exchange(blockserve.Frame{Type: blockserve.OpWrite, ID: id + 1, Off: size - 16, Data: []byte("the last sixteen")})
+				if f.Type != blockserve.RespOK {
+					t.Fatalf("in-range write after a refused one: type 0x%02x %q", f.Type, f.Data)
+				}
+			}
+			if snap := srv.Snapshot(); snap.Totals.Errors != int64(len(offs)) || snap.Totals.Writes != int64(len(offs)) {
+				t.Fatalf("totals = %+v, want %d errors and %d writes", snap.Totals, len(offs), len(offs))
+			}
+		})
+	}
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != 4096 {
+		t.Fatalf("column file holds %d bytes after refused writes, want 4096", st.Size())
+	}
+}
+
+// newTestArray is a small D-Code array over in-memory columns: 2 stripes of
+// 512-byte elements.
+func newTestArray(t testing.TB) *raid.Array {
+	t.Helper()
+	code := codes.MustNew("dcode", 5)
+	const elem, stripes = 512, 2
+	devs := make([]blockdev.Device, code.Cols())
+	for i := range devs {
+		devs[i] = blockdev.NewMem(stripes * int64(code.Rows()) * elem)
+	}
+	arr, err := raid.New(code, devs, elem, stripes, raid.WithConcurrency(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
 }

@@ -254,11 +254,11 @@ func TestDirectWriteZeroCopy(t *testing.T) {
 	}
 }
 
-// TestDirectReadFallsBackOnError pins the safety valve: a device error on
-// the vectored fast path hands the stripe to the general path, which marks
-// the disk and reconstructs — the caller still gets correct data. On the
+// TestDirectReadFallsBackOnError pins the reader's re-plan: a device error
+// mid-read marks the disk, and the stripe reader plans the stripe again
+// around it and reconstructs — the caller still gets correct data. On the
 // degraded branch the stripe task still counts as one degraded read, however
-// many strategies it went through.
+// many times it re-planned.
 func TestDirectReadFallsBackOnError(t *testing.T) {
 	t.Run("healthy", func(t *testing.T) {
 		a, mems := newArray(t, "dcode", 5, 4)
@@ -267,8 +267,8 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 		if _, err := a.WriteAt(want, 0); err != nil {
 			t.Fatal(err)
 		}
-		// Fail a device out from under the array (no FailDisk) so the fast
-		// path's eligibility check passes and the error surfaces mid-read.
+		// Fail a device out from under the array (no FailDisk) so the reader
+		// plans a healthy read and the error surfaces mid-read.
 		mems[1].Fail()
 		got := make([]byte, len(want))
 		if _, err := a.ReadAt(got, 0); err != nil {
@@ -278,7 +278,7 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 			t.Fatal("fallback read after mid-path device failure returned wrong data")
 		}
 		if !a.isFailed(1) {
-			t.Fatal("general-path fallback did not mark the failed disk")
+			t.Fatal("the re-planned read did not mark the failed disk")
 		}
 	})
 	t.Run("degraded", func(t *testing.T) {
@@ -312,7 +312,7 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 			t.Fatal("fallback read after a plan-only cell failed returned wrong data")
 		}
 		if !a.isFailed(victim) {
-			t.Fatalf("general-path fallback did not mark disk %d failed", victim)
+			t.Fatalf("the re-planned read did not mark disk %d failed", victim)
 		}
 		if n := a.Stats().DegradedReads; n != 1 {
 			t.Fatalf("DegradedReads = %d, want 1 for the one stripe task", n)
@@ -325,21 +325,18 @@ func TestDirectReadFallsBackOnError(t *testing.T) {
 	})
 }
 
-// TestDirectReadRepairsBadSectorInPlace pins the direct read's repair: a bad
-// sector under a multi-cell aligned read of a healthy array is repaired in
+// TestDirectReadRepairsBadSectorInPlace pins the stripe reader's repair: a
+// bad sector under a multi-cell aligned read of a healthy array is repaired in
 // place by the run reader's element-at-a-time retry — correct bytes, one
-// sector repaired, no disk marked — with per-disk tallies equal to a twin
-// with the direct read off, whose read takes the general path through the
-// same retry.
+// sector repaired, no disk marked — with pinned per-disk tallies: the fill
+// writes every cell of both stripes; on the bad cell's column the read's
+// vectored call fails, the run is retried cell by cell (the second read
+// error), and the repair rewrites the cell from its recovery group.
 func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
-	a, amems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
-	b, bmems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
-	b.directOff = true
+	a, mems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
 	want := pattern(int(a.Size()), 17)
-	for _, arr := range []*Array{a, b} {
-		if _, err := arr.WriteAt(want, 0); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := a.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
 	}
 	// A data cell with a data cell below it on its column: the stripe-wide
 	// read coalesces the two into one multi-cell run.
@@ -351,30 +348,101 @@ func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
 			break
 		}
 	}
-	for _, m := range []*blockdev.MemDevice{amems[bad.Col], bmems[bad.Col]} {
-		m.InjectBadSector(a.deviceOffset(0, bad.Row) + 3)
+	if bad != (erasure.Coord{Row: 0, Col: 0}) {
+		t.Fatalf("bad cell %v; the pinned tallies assume (0,0)", bad)
 	}
+	mems[bad.Col].InjectBadSector(a.deviceOffset(0, bad.Row) + 3)
 	n := a.code.DataElems() * elemSize
-	for _, arr := range []*Array{a, b} {
-		got := make([]byte, n)
-		if _, err := arr.ReadAt(got, 0); err != nil {
+	got := make([]byte, n)
+	if _, err := a.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want[:n]) {
+		t.Fatal("read over a bad sector returned wrong data")
+	}
+	if st := a.Stats(); st.SectorsRepaired != 1 {
+		t.Fatalf("SectorsRepaired = %d, want 1", st.SectorsRepaired)
+	}
+	if fd := a.FailedDisks(); len(fd) != 0 {
+		t.Fatalf("a bad sector marked disks %v failed", fd)
+	}
+	wantReads := []int64{4, 4, 4, 4, 3}
+	wantWrites := []int64{11, 10, 10, 10, 10}
+	wantErrs := []int64{2, 0, 0, 0, 0}
+	for c := range a.iodevs {
+		s := a.iodevs[c].Metrics().Snapshot()
+		if s.Reads != wantReads[c] || s.Writes != wantWrites[c] || s.ReadErrors != wantErrs[c] {
+			t.Fatalf("disk %d tallies: %d reads / %d writes / %d read errors, want %d / %d / %d",
+				c, s.Reads, s.Writes, s.ReadErrors, wantReads[c], wantWrites[c], wantErrs[c])
+		}
+	}
+}
+
+// TestUnalignedReadZeroCopy pins that an unaligned read lands its whole
+// elements in the caller's buffer: a read of [elemSize/2, 3.5·elemSize) —
+// partial, whole, whole, partial — hands the devices one element-sized iovec
+// aliasing p for each whole element on a surviving column, and no iovec
+// aliasing p anywhere else; the partial elements and recovery-only cells go
+// through stripe memory. Checked on a healthy array and with each column down.
+func TestUnalignedReadZeroCopy(t *testing.T) {
+	a, recs := newRecordedArray(t, 2, WithConcurrency(1))
+	code := a.Code()
+	want := pattern(int(a.Size()), 29)
+	if _, err := a.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	const off = elemSize / 2
+	p := make([]byte, 3*elemSize)
+	within := make(map[*byte]int, len(p)) // every byte address of p
+	for i := range p {
+		within[&p[i]] = i
+	}
+	for down := -1; down < code.Cols(); down++ {
+		if down >= 0 {
+			if err := a.FailDisk(down); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range recs {
+			r.reads, r.readOffs = nil, nil
+		}
+		clear(p)
+		if _, err := a.ReadAt(p, off); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want[:n]) {
-			t.Fatal("read over a bad sector returned wrong data")
+		if !bytes.Equal(p, want[off:off+len(p)]) {
+			t.Fatalf("down %d: unaligned read returned wrong data", down)
 		}
-		if st := arr.Stats(); st.SectorsRepaired != 1 {
-			t.Fatalf("SectorsRepaired = %d, want 1", st.SectorsRepaired)
+		// Elements 1 and 2 are whole; p holds element e from e*elemSize-off.
+		expect := map[int]bool{}
+		for e := 1; e <= 2; e++ {
+			if code.DataCoord(e).Col != down {
+				expect[e*elemSize-off] = true
+			}
 		}
-		if fd := arr.FailedDisks(); len(fd) != 0 {
-			t.Fatalf("a bad sector marked disks %v failed", fd)
+		aliased := map[int]int{}
+		for col, r := range recs {
+			for _, buf := range r.reads {
+				at, inP := within[&buf[0]]
+				if !inP {
+					continue
+				}
+				if len(buf) != elemSize || !expect[at] {
+					t.Fatalf("down %d: col %d read a %d-byte iovec into p[%d:], want element-sized views of the whole elements %v",
+						down, col, len(buf), at, expect)
+				}
+				aliased[at]++
+			}
 		}
-	}
-	for c := range a.iodevs {
-		sa, sb := a.iodevs[c].Metrics().Snapshot(), b.iodevs[c].Metrics().Snapshot()
-		if sa.Reads != sb.Reads || sa.Writes != sb.Writes || sa.ReadErrors != sb.ReadErrors {
-			t.Fatalf("disk %d tallies: direct %d reads / %d writes / %d read errors, general %d / %d / %d",
-				c, sa.Reads, sa.Writes, sa.ReadErrors, sb.Reads, sb.Writes, sb.ReadErrors)
+		for at := range expect {
+			if aliased[at] != 1 {
+				t.Fatalf("down %d: the whole element at p[%d:] is aliased by %d iovecs, want 1", down, at, aliased[at])
+			}
+		}
+		if down >= 0 {
+			if err := a.Rebuild(down); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -464,103 +532,146 @@ func TestDirectWriteStripeOnlyRunIsOneBuffer(t *testing.T) {
 	}
 }
 
-// TestDirectPathsMatchGeneralTwin drives one seeded stream of aligned reads
-// and small writes through an array (the direct read path, healthy and
-// degraded, and the overlay commit) and through a twin with the direct read
-// off (the general path, whose reads go through stripe memory), first healthy
-// and then with each column failed in turn. Returned bytes, device contents,
-// per-disk read and write tallies, degraded-read counts and decode XOR ops
-// must all be identical: the direct path moves fewer bytes in memory, never
-// different ones, and never a different I/O.
+// TestDirectPathsMatchGeneralTwin matches the one stripe reader against two
+// twins that share no code with it: a flat byte model of the volume and a
+// per-cell I/O oracle. One seeded stream of reads and small writes, aligned
+// and unaligned, runs on a healthy array, then with column down failed, then
+// with the next column failed too. Every read must return the model's bytes,
+// and on each disk it must make exactly the element reads the oracle derives
+// from its cells: per stripe, the wanted cells; the degraded plan's Fetch when
+// a wanted cell is on the one failed column; every surviving cell of the
+// stripe when a wanted cell is lost with two columns down. A column holding
+// only parity (RDP's last two) never makes a read degraded; any other must
+// have, and decoding must have run.
 func TestDirectPathsMatchGeneralTwin(t *testing.T) {
 	for _, id := range []string{"dcode", "xcode", "rdp", "hdp"} {
 		for _, p := range []int{5, 7} {
 			cols := codes.MustNew(id, p).Cols()
 			for down := 0; down < cols; down++ {
 				t.Run(fmt.Sprintf("%s/p%d/down%d", id, p, down), func(t *testing.T) {
-					testDirectTwin(t, id, p, down)
+					testReadsMatchModel(t, id, p, down)
 				})
 			}
 		}
 	}
 }
 
-func testDirectTwin(t *testing.T, id string, p, down int) {
+func testReadsMatchModel(t *testing.T, id string, p, down int) {
 	const stripes = 3
-	a, amems := newArrayConc(t, id, p, stripes, WithConcurrency(1))
-	b, bmems := newArrayConc(t, id, p, stripes, WithConcurrency(1))
-	b.directOff = true
+	a, _ := newArrayConc(t, id, p, stripes, WithConcurrency(1))
 	model := pattern(int(a.Size()), byte(down))
-	for _, arr := range []*Array{a, b} {
-		if _, err := arr.WriteAt(model, 0); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := a.WriteAt(model, 0); err != nil {
+		t.Fatal(err)
 	}
-	d := a.code.DataElems()
-	elems := int(a.Size()) / elemSize
+	code := a.code
+	d := code.DataElems()
 	rng := rand.New(rand.NewSource(int64(p*100 + down)))
-	op := func(write bool) {
-		t.Helper()
-		n := 1 + rng.Intn(2*d) // reads up to two stripes
-		if write {
-			n = 1 + rng.Intn(d/2) // small writes: read-modify-write
+	// span draws a byte range of at most maxElems elements, element-aligned
+	// or at any byte.
+	span := func(maxElems int, aligned bool) (off, n int) {
+		if aligned {
+			k := 1 + rng.Intn(maxElems)
+			return rng.Intn(len(model)/elemSize-k+1) * elemSize, k * elemSize
 		}
-		off := rng.Intn(elems-n+1) * elemSize
-		n *= elemSize
-		if write {
-			buf := make([]byte, n)
-			rng.Read(buf)
-			for _, arr := range []*Array{a, b} {
-				if _, err := arr.WriteAt(buf, int64(off)); err != nil {
+		n = 1 + rng.Intn(maxElems*elemSize)
+		return rng.Intn(len(model) - n + 1), n
+	}
+	// oracle returns the element reads per disk that reading [off, off+n)
+	// must make in the array's current failure state.
+	oracle := func(off, n int) []int64 {
+		failed := a.FailedDisks()
+		want := make([]int64, code.Cols())
+		last := (off + n - 1) / elemSize
+		for e := off / elemSize; e <= last; {
+			si := e / d
+			var cells []erasure.Coord
+			lost := false
+			for ; e <= last && e/d == si; e++ {
+				co := code.DataCoord(e % d)
+				cells = append(cells, co)
+				lost = lost || slices.Contains(failed, co.Col)
+			}
+			switch {
+			case !lost:
+			case len(failed) == 1:
+				plan, err := code.PlanDegraded(failed[0], cells, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
+				cells = plan.Fetch
+			default:
+				cells = cells[:0]
+				for c := 0; c < code.Cols(); c++ {
+					for r := 0; r < code.Rows() && !slices.Contains(failed, c); r++ {
+						cells = append(cells, erasure.Coord{Row: r, Col: c})
+					}
+				}
+			}
+			for _, co := range cells {
+				want[co.Col]++
+			}
+		}
+		return want
+	}
+	reads := func() []int64 {
+		out := make([]int64, len(a.iodevs))
+		for c, dev := range a.iodevs {
+			out[c] = dev.Metrics().Reads.Load()
+		}
+		return out
+	}
+	op := func(write, aligned bool) {
+		t.Helper()
+		if write {
+			off, n := span(d/2, aligned) // small writes: the write plan patches
+			buf := make([]byte, n)
+			rng.Read(buf)
+			if _, err := a.WriteAt(buf, int64(off)); err != nil {
+				t.Fatal(err)
 			}
 			copy(model[off:], buf)
 			return
 		}
-		ga, gb := make([]byte, n), make([]byte, n)
-		if _, err := a.ReadAt(ga, int64(off)); err != nil {
+		off, n := span(2*d, aligned) // reads up to two stripes
+		want := oracle(off, n)
+		before := reads()
+		got := make([]byte, n)
+		if _, err := a.ReadAt(got, int64(off)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.ReadAt(gb, int64(off)); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, model[off:off+n]) {
+			t.Fatalf("failed %v, read [%d,+%d): bytes disagree with the model", a.FailedDisks(), off, n)
 		}
-		if !bytes.Equal(ga, model[off:off+n]) || !bytes.Equal(gb, ga) {
-			t.Fatalf("read [%d,+%d): direct and general paths disagree with the model", off, n)
+		for c, after := range reads() {
+			if after-before[c] != want[c] {
+				t.Fatalf("failed %v, read [%d,+%d): disk %d made %d element reads, the oracle %d",
+					a.FailedDisks(), off, n, c, after-before[c], want[c])
+			}
 		}
 	}
 	for i := 0; i < 30; i++ {
-		op(i%2 == 0)
+		op(i%2 == 0, i%4 < 2)
 	}
-	for _, arr := range []*Array{a, b} {
-		if err := arr.FailDisk(down); err != nil {
-			t.Fatal(err)
-		}
+	if err := a.FailDisk(down); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
-		op(i%3 == 0)
+		op(i%3 == 0, i%4 < 2)
 	}
-
-	devicesEqual(t, amems, bmems)
-	for c := range a.iodevs {
-		ma, mb := a.iodevs[c].Metrics(), b.iodevs[c].Metrics()
-		if ma.Reads.Load() != mb.Reads.Load() || ma.Writes.Load() != mb.Writes.Load() {
-			t.Fatalf("disk %d tallies: direct %d reads / %d writes, general %d / %d",
-				c, ma.Reads.Load(), ma.Writes.Load(), mb.Reads.Load(), mb.Writes.Load())
-		}
-	}
-	// A column holding only parity (RDP's last two) never makes a read
-	// degraded; any other must have.
 	holdsData := false
 	for i := 0; i < d; i++ {
-		holdsData = holdsData || a.code.DataCoord(i).Col == down
+		holdsData = holdsData || code.DataCoord(i).Col == down
 	}
-	sa, sb := a.Stats(), b.Stats()
-	if sa.DegradedReads != sb.DegradedReads || holdsData != (sa.DegradedReads > 0) {
-		t.Fatalf("degraded reads: direct %d, general %d (want equal, nonzero iff disk %d holds data)",
-			sa.DegradedReads, sb.DegradedReads, down)
+	if n := a.Stats().DegradedReads; holdsData != (n > 0) {
+		t.Fatalf("%d degraded reads with disk %d down, want nonzero iff it holds data (%v)", n, down, holdsData)
 	}
-	if xa, xb := a.Snapshot().XOR.DecodeOps, b.Snapshot().XOR.DecodeOps; xa == 0 || xa != xb {
-		t.Fatalf("decode XOR ops: direct %d, general %d (want equal, nonzero)", xa, xb)
+	if err := a.FailDisk((down + 1) % code.Cols()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		op(i%3 == 0, i%4 < 2)
+	}
+	if x := a.Snapshot().XOR.DecodeOps; x == 0 {
+		t.Fatal("no decode XOR ops after single- and double-failure reads")
 	}
 }

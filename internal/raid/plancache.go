@@ -8,7 +8,7 @@ package raid
 // keyed by the failure signature: the failed column plus a bitmask of the
 // wanted cells. Memoized plans are shared across goroutines and must never
 // be mutated — callers copy plan.Fetch before handing it to anything that
-// sorts (see fetchStripeElems).
+// sorts (see readStripeRanges).
 //
 // FailDisk and Rebuild clear the memo. Plans do not actually depend on the
 // array's failure state (the key pins the failed column), so this is

@@ -86,10 +86,6 @@ type Array struct {
 	plans       planMemo
 	planMemoOff bool
 
-	// directOff sends every read through the general path, so tests can
-	// compare the zero-copy read (direct.go) against its twin.
-	directOff bool
-
 	// writePlans, when not planAuto, forces the write planner's choice (see
 	// writeplan.go), so tests can pin the patch-all and re-encode-all twins
 	// of a write.
@@ -369,8 +365,9 @@ type elemRange struct {
 // to out (pooled by the caller). Ranges are emitted in volume order, so
 // their stripe indices are non-decreasing — stripeRuns relies on that.
 func (a *Array) splitBytes(off int64, n int, out []elemRange) ([]elemRange, error) {
-	if off < 0 || off+int64(n) > a.Size() {
-		return out, fmt.Errorf("raid: range [%d,%d) outside volume of %d bytes", off, off+int64(n), a.Size())
+	// The check never forms off+n, which overflows near the top of int64.
+	if size := a.Size(); off < 0 || int64(n) > size || off > size-int64(n) {
+		return out, fmt.Errorf("raid: %d bytes at %d outside volume of %d bytes", n, off, size)
 	}
 	d := int64(a.code.DataElems())
 	bufOff := 0
@@ -479,87 +476,11 @@ func rangeBytes(ers []elemRange, tc trace.Ctx) int64 {
 	return n
 }
 
-// readStripeRanges serves one stripe's element ranges, retrying with
-// progressively degraded strategies as failures are discovered. The general
-// path fetches the elements into sc.s and copies the ranges out.
-func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
-	// Aligned ranges with at most one column down are read and rebuilt
-	// straight into p; any error falls through to the general path below.
-	if a.readStripeDirect(si, ers, p, sc) {
-		return nil
-	}
-	for {
-		if a.failedCount() > 2 {
-			return ErrTooManyFailures
-		}
-		err := a.fetchStripeElems(si, ers, sc)
-		if err == errRetryDegraded {
-			continue // a disk was discovered failed; re-plan
-		}
-		if err != nil {
-			return err
-		}
-		a.endDegraded(sc) // the degraded record times the fetch, not the copy-out
-		for _, er := range ers {
-			copy(p[er.bufOff:er.bufOff+er.length],
-				sc.s.Elem(er.coord.Row, er.coord.Col)[er.start:er.start+er.length])
-		}
-		return nil
-	}
-}
-
-// errRetryDegraded signals that a device failure was discovered mid-read and
-// the stripe should be re-planned.
-var errRetryDegraded = errors.New("raid: retry degraded")
-
-// fetchStripeElems reads the full contents of every element the ranges touch
-// into sc.s, choosing the cheapest strategy for the current failure state.
-func (a *Array) fetchStripeElems(si int64, ers []elemRange, sc *opScratch) error {
-	failed := a.failedSet()
-	cols := a.code.Cols()
-	clear(sc.seen)
-	wanted := sc.coords[:0]
-	needLost := false
-	for _, er := range ers {
-		idx := er.coord.Row*cols + er.coord.Col
-		if sc.seen[idx] {
-			continue
-		}
-		sc.seen[idx] = true
-		wanted = append(wanted, er.coord)
-		if failed.has(er.coord.Col) {
-			needLost = true
-		}
-	}
-	sc.coords = wanted
-
-	if !needLost {
-		// All wanted elements live on healthy disks.
-		if err := a.readCells(si, wanted, sc); err != nil {
-			return errRetryDegraded
-		}
-		return nil
-	}
-
-	// Degraded: whichever strategy the failure count picks (column -1 marks
-	// the double-failure path, whole-stripe reconstruction) runs under the
-	// task's one degraded record.
-	down := -1
-	if failed.count() == 1 {
-		down = bits.TrailingZeros64(uint64(failed))
-	}
-	a.beginDegraded(si, down, len(wanted), sc)
-	if down >= 0 {
-		return a.fetchPlanned(si, down, wanted, sc)
-	}
-	return a.loadStripe(si, sc)
-}
-
 // degradedRead is a stripe task's degraded-read record — span, flight-recorder
 // event, counter and latency sample — begun when the task first needs a lost
 // cell and ended once the wanted bytes are fetched (or with the task, on
-// error), so a task counts once however many strategies (direct, planned,
-// whole-stripe) it tries on the way. start is an obs.Mono reading; a zero
+// error), so a task counts once however many times it re-plans (planned,
+// then whole-stripe) on the way. start is an obs.Mono reading; a zero
 // start means the task has not gone degraded.
 type degradedRead struct {
 	tc    trace.Ctx
@@ -588,29 +509,6 @@ func (a *Array) endDegraded(sc *opScratch) {
 	a.m.degradedReadLatency.ObserveNanos(obs.Mono() - sc.deg.start)
 	a.tr.End(sc.deg.tc, sc.deg.bytes, false)
 	sc.deg = degradedRead{}
-}
-
-// fetchPlanned serves a single-failure degraded fetch: it reads only the
-// recovery plan's cells and rebuilds each lost wanted cell from its group.
-// The plan is memoized and shared — its fetch list is copied before
-// readCells, which sorts in place during coalescing.
-func (a *Array) fetchPlanned(si int64, down int, wanted []erasure.Coord, sc *opScratch) error {
-	plan, err := a.planDegraded(down, wanted)
-	if err != nil {
-		return err
-	}
-	fetch := append(sc.fetch[:0], plan.Fetch...)
-	sc.fetch = fetch
-	if err := a.readCells(si, fetch, sc); err != nil {
-		return errRetryDegraded
-	}
-	for _, step := range plan.Steps {
-		// Recover target = XOR of its group's other cells, one XOR op per
-		// cell folded.
-		dst := sc.s.Elem(step.Target.Row, step.Target.Col)
-		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, step.Target))
-	}
-	return nil
 }
 
 // WriteAt writes len(p) bytes at offset off. Whole stripes are encoded and

@@ -2,6 +2,7 @@ package raid
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -109,13 +110,32 @@ func TestUnalignedWriteRead(t *testing.T) {
 	}
 }
 
+// TestRangeValidation: reads and writes outside the volume — a negative
+// offset, a range past the end, one whose end overflows int64 — return an
+// error instead of panicking or touching a device.
 func TestRangeValidation(t *testing.T) {
 	a, _ := newArray(t, "dcode", 5, 2)
-	if _, err := a.ReadAt(make([]byte, 10), a.Size()-5); err == nil {
-		t.Fatal("read past end accepted")
+	for _, c := range []struct {
+		off int64
+		n   int
+	}{
+		{-1, 1},
+		{a.Size() - 5, 10},
+		{a.Size(), 1},
+		{math.MaxInt64 - 10, 16},
+		{math.MaxInt64, 1},
+	} {
+		if _, err := a.ReadAt(make([]byte, c.n), c.off); err == nil {
+			t.Errorf("read of %d bytes at %d accepted", c.n, c.off)
+		}
+		if _, err := a.WriteAt(make([]byte, c.n), c.off); err == nil {
+			t.Errorf("write of %d bytes at %d accepted", c.n, c.off)
+		}
 	}
-	if _, err := a.WriteAt(make([]byte, 1), -1); err == nil {
-		t.Fatal("negative write offset accepted")
+	for c, dev := range a.iodevs {
+		if s := dev.Metrics().Snapshot(); s.Reads+s.Writes != 0 {
+			t.Fatalf("disk %d served %d reads and %d writes for refused ranges", c, s.Reads, s.Writes)
+		}
 	}
 }
 

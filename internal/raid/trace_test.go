@@ -292,7 +292,7 @@ func (d *linkRecorder) WriteVecAtLink(bufs [][]byte, off int64, l trace.Link) (i
 
 // TestDeviceCallsCarryTraceLinks pins that every device call a link-capable
 // column serves on a traced, fanned-out array — full-stripe and
-// read-modify-write commits, direct and general-path reads — arrives through
+// read-modify-write commits, aligned and unaligned reads — arrives through
 // its link pair with the link of the device span that issued it.
 func TestDeviceCallsCarryTraceLinks(t *testing.T) {
 	const stripes = 2
