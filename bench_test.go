@@ -398,24 +398,6 @@ func BenchmarkAblationDecodePath(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeParallel measures the multi-core speedup of byte-range
-// parallel encoding on large elements.
-func BenchmarkEncodeParallel(b *testing.B) {
-	c := codes.MustNew("dcode", 13)
-	const elem = 1 << 20
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := c.NewStripe(elem)
-			s.Fill(1)
-			b.SetBytes(int64(c.DataElems() * elem))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.EncodeParallel(s, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionRotationHotspot quantifies the paper's §I argument:
 // RAID-5-style stripe rotation cannot balance per-stripe hotspots, while
 // D-Code balances within each stripe.

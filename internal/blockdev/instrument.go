@@ -19,11 +19,12 @@ type LinkedDevice interface {
 // histograms. Errors are passed through unwrapped, so errors.Is checks on
 // ErrFailed / ErrBadSector keep working through the wrapper.
 //
-// Its I/O surface is the four Device methods, each tallied as one operation,
-// plus one vectored pair that carries what the raid layer needs: the
+// Its I/O surface is one vectored pair — the raid layer's every device call
+// goes through it — that carries what the raid layer needs: the
 // ops-equivalent count of a coalesced run, the caller's span link, and the
 // obs.Mono timestamp chain — the caller hands in the call's start and gets
-// its end back, so back-to-back calls share one clock read between them.
+// its end back, so back-to-back calls share one clock read between them. The
+// wrapper is not itself a Device: nothing reaches a column around it.
 type Instrumented struct {
 	dev    Device
 	linked LinkedDevice // dev's link-threading view, nil if unsupported
@@ -41,10 +42,9 @@ type Instrumented struct {
 type OpHook func(write bool, ops, bytes int64, end int64)
 
 // Instrument wraps dev. The wrapper adds a few atomic ops and one monotonic
-// clock read per call: the vectored pair reads the clock only after the device
-// returns, taking its start from the caller; the four Device methods read it
-// on both sides. BenchmarkInstrumentedReadVec prices the wrapper against an
-// in-memory device, where the clock read is most of it.
+// clock read per call, read only after the device returns: the call's start
+// comes from the caller. BenchmarkInstrumentedReadVec prices the wrapper
+// against an in-memory device, where the clock read is most of it.
 func Instrument(dev Device) *Instrumented {
 	lb, _ := dev.(LinkedDevice)
 	return &Instrumented{dev: dev, linked: lb}
@@ -60,34 +60,6 @@ func (d *Instrumented) SetOpHook(h OpHook) { d.hook = h }
 // Underlying returns the wrapped device.
 func (d *Instrumented) Underlying() Device { return d.dev }
 
-// ReadAt implements Device, tallied as one operation.
-func (d *Instrumented) ReadAt(p []byte, off int64) (int, error) {
-	start := obs.Mono()
-	n, err := d.dev.ReadAt(p, off)
-	d.accountRead(start, n, err, 1)
-	return n, err
-}
-
-// WriteAt implements Device, tallied as one operation.
-func (d *Instrumented) WriteAt(p []byte, off int64) (int, error) {
-	start := obs.Mono()
-	n, err := d.dev.WriteAt(p, off)
-	d.accountWrite(start, n, err, 1)
-	return n, err
-}
-
-// ReadVecAt implements Device, tallied as one operation like ReadAt.
-func (d *Instrumented) ReadVecAt(bufs [][]byte, off int64) (int, error) {
-	n, _, err := d.ReadVecAtNLink(bufs, off, 1, trace.Link{}, obs.Mono())
-	return n, err
-}
-
-// WriteVecAt implements Device; see ReadVecAt.
-func (d *Instrumented) WriteVecAt(bufs [][]byte, off int64) (int, error) {
-	n, _, err := d.WriteVecAtNLink(bufs, off, 1, trace.Link{}, obs.Mono())
-	return n, err
-}
-
 // ReadVecAtNLink performs one physical scatter read that stands in for ops
 // element-sized accesses the caller coalesced into it. The read counter
 // advances by ops on success so per-disk load tallies stay identical to the
@@ -98,8 +70,8 @@ func (d *Instrumented) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 // uncoalesced path, which stopped at its first failing element.
 //
 // When the wrapped device is a LinkedDevice (a Remote) and l is live, the
-// caller's span link travels with the operation; otherwise this is the plain
-// ReadVecAt, so the untraced path pays nothing for it.
+// caller's span link travels with the operation; otherwise this is the
+// device's plain ReadVecAt, so the untraced path pays nothing for it.
 //
 // start is the obs.Mono reading the call's latency runs from; the one clock
 // read is taken after the device returns and handed back as end, which a
@@ -162,8 +134,8 @@ func (d *Instrumented) accountWrite(start int64, n int, err error, ops int64) in
 	return end
 }
 
-// Size implements Device.
+// Size returns the wrapped device's size.
 func (d *Instrumented) Size() int64 { return d.dev.Size() }
 
-// Close implements Device.
+// Close closes the wrapped device.
 func (d *Instrumented) Close() error { return d.dev.Close() }

@@ -12,16 +12,16 @@ func TestInstrumentedCountsAndErrors(t *testing.T) {
 	mem := NewMem(4096)
 	dev := Instrument(mem)
 
-	buf := make([]byte, 512)
-	if _, err := dev.WriteAt(buf, 0); err != nil {
+	bufs := [][]byte{make([]byte, 512)}
+	if _, _, err := dev.WriteVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.ReadAt(buf, 0); err != nil {
+	if _, _, err := dev.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
 
 	mem.InjectBadSector(100)
-	if _, err := dev.ReadAt(buf, 0); !errors.Is(err, ErrBadSector) {
+	if _, _, err := dev.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); !errors.Is(err, ErrBadSector) {
 		t.Fatalf("bad sector must pass through the wrapper, got %v", err)
 	}
 
@@ -40,7 +40,7 @@ func TestInstrumentedCountsAndErrors(t *testing.T) {
 	}
 
 	mem.Fail()
-	if _, err := dev.WriteAt(buf, 0); !errors.Is(err, ErrFailed) {
+	if _, _, err := dev.WriteVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); !errors.Is(err, ErrFailed) {
 		t.Fatalf("failed device must pass through the wrapper, got %v", err)
 	}
 	if s := dev.Metrics().Snapshot(); s.WriteErrors != 1 {
@@ -126,7 +126,7 @@ func TestInstrumentedOpHook(t *testing.T) {
 	if ends[0] != end || end < start {
 		t.Fatalf("returned end %d, hook end %d, start %d", end, ends[0], start)
 	}
-	if _, err := dev.ReadAt(buf, 0); err != nil {
+	if _, _, err := dev.ReadVecAtNLink([][]byte{buf}, 0, 1, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
 	mem.Fail()
@@ -149,7 +149,7 @@ func TestInstrumentedOpHook(t *testing.T) {
 	}
 
 	dev.SetOpHook(nil) // clearing must not panic the hot path
-	if _, err := dev.WriteAt(buf, 0); !errors.Is(err, ErrFailed) {
+	if _, _, err := dev.WriteVecAtNLink([][]byte{buf}, 0, 1, trace.Link{}, obs.Mono()); !errors.Is(err, ErrFailed) {
 		t.Fatalf("got %v", err)
 	}
 	if len(calls) != len(want) {
@@ -162,6 +162,13 @@ func TestInstrumentedOpHook(t *testing.T) {
 // chained as the raid run issuer chains it (each call's end is the next
 // call's start, one clock read per call). The difference of the two ns/op is
 // the wrapper's per-call tax; allocs/op must be 0 for both.
+//
+// The hot pair re-reads one 4 KiB buffer, which stays in cache. The cold
+// pair walks a 16 MiB column — four times a 4 MiB L2 — in 4 KiB steps, so
+// each call moves bytes from further out, and the chained twin restarts its
+// clock chain every coldStage calls, as issueRuns does for each stage of a
+// stripe task's runs: cold/chained minus cold/bare is the wrapper's tax, the
+// per-run clock stamp most of it, where the copy does not hide in cache.
 func BenchmarkInstrumentedReadVec(b *testing.B) {
 	mem := NewMem(4 << 10)
 	bufs := [][]byte{make([]byte, 4<<10)}
@@ -182,6 +189,47 @@ func BenchmarkInstrumentedReadVec(b *testing.B) {
 			var err error
 			if _, t, err = d.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, t); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	const coldSize, step, coldStage = 16 << 20, 4 << 10, 8
+	cold := NewMem(coldSize)
+	coldBufs := [][]byte{make([]byte, step)}
+	// Write every page first: untouched pages all map the one zero page,
+	// which would stay in cache.
+	for off := int64(0); off < coldSize; off += step {
+		coldBufs[0][0] = byte(off >> 12)
+		if _, err := cold.WriteVecAt(coldBufs, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold/bare", func(b *testing.B) {
+		b.ReportAllocs()
+		off := int64(0)
+		for i := 0; i < b.N; i++ {
+			if _, err := cold.ReadVecAt(coldBufs, off); err != nil {
+				b.Fatal(err)
+			}
+			if off += step; off == coldSize {
+				off = 0
+			}
+		}
+	})
+	b.Run("cold/chained", func(b *testing.B) {
+		d := Instrument(cold)
+		d.SetOpHook(func(bool, int64, int64, int64) {})
+		b.ReportAllocs()
+		off, t := int64(0), obs.Mono()
+		for i := 0; i < b.N; i++ {
+			if i%coldStage == 0 {
+				t = obs.Mono()
+			}
+			var err error
+			if _, t, err = d.ReadVecAtNLink(coldBufs, off, 1, trace.Link{}, t); err != nil {
+				b.Fatal(err)
+			}
+			if off += step; off == coldSize {
+				off = 0
 			}
 		}
 	})

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"dcode/internal/blockserve"
+	"dcode/internal/obs"
+	"dcode/internal/trace"
 )
 
 // serveMem runs a block server over b on loopback for the test's lifetime.
@@ -137,8 +139,9 @@ func TestInstrumentedRemoteHookFiresOncePerOp(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := inst.ReadAt(make([]byte, 256), 0); err != nil {
-		t.Fatalf("ReadAt: %v", err)
+	bufs := [][]byte{make([]byte, 256)}
+	if _, _, err := inst.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
+		t.Fatalf("read: %v", err)
 	}
 	if hookCalls.Load() != 1 || hookOps.Load() != 1 {
 		t.Fatalf("after retried success: hook fired %d times for %d ops, want 1/1",
@@ -154,8 +157,8 @@ func TestInstrumentedRemoteHookFiresOncePerOp(t *testing.T) {
 	r.SetInjector(func(op uint8, attempt int) error {
 		return errors.New("injected: dead remote")
 	})
-	if _, err := inst.ReadAt(make([]byte, 256), 0); err == nil {
-		t.Fatal("ReadAt should fail with the injector pinned on")
+	if _, _, err := inst.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err == nil {
+		t.Fatal("read should fail with the injector pinned on")
 	}
 	if hookCalls.Load() != 2 || hookOps.Load() != 2 {
 		t.Fatalf("after exhausted failure: hook fired %d times for %d ops, want 2/2",

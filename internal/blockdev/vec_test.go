@@ -244,12 +244,12 @@ func TestInstrumentedVecTallies(t *testing.T) {
 	if hookOps != 6 || hookBytes != 96 {
 		t.Fatalf("hook saw ops=%d bytes=%d, want 6 / 96", hookOps, hookBytes)
 	}
-	// The N-less interface methods tally one op per call, like ReadAt.
-	if _, err := d.ReadVecAt(bufs, 0); err != nil {
+	// A call tallies the ops it is handed, however many buffers it moves.
+	if _, _, err := d.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Reads.Load() != 4 {
-		t.Fatalf("plain ReadVecAt tallied %d, want one more read", m.Reads.Load()-3)
+		t.Fatalf("a one-op vectored read tallied %d, want one more read", m.Reads.Load()-3)
 	}
 	// A failed vectored call is one failed access.
 	mem.Fail()

@@ -53,23 +53,6 @@ func TestSweepUpdateDataKeepsConsistency(t *testing.T) {
 	}
 }
 
-func TestSweepEncodeParallelMatchesSerial(t *testing.T) {
-	for _, e := range All() {
-		c, err := e.New(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := c.NewStripe(2048)
-		serial.Fill(9)
-		parallel := serial.Clone()
-		c.Encode(serial)
-		c.EncodeParallel(parallel, 4)
-		if !serial.Equal(parallel) {
-			t.Errorf("%s: parallel encode differs from serial", e.ID)
-		}
-	}
-}
-
 // Codes whose groups touch each column at most once must decode every
 // double erasure by pure peeling (the Fig. 3 chains); the S-coupled and
 // packet-based codes may stall and fall back to Gaussian elimination.

@@ -27,16 +27,22 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 	}
 	// Collect unknowns: every cell of every failed column. unknownAt maps a
 	// cell (row*cols+col) to 1 + its index in unknowns, 0 for a surviving cell.
-	unknownAt := make([]int, c.rows*c.cols)
-	unknowns := make([]Coord, 0, len(failed)*c.rows)
+	// All three lists live in the code's pooled scratch, so a steady-state
+	// decode does not allocate.
+	sc := c.getScratch(s.ElemSize())
+	defer c.scratch.Put(sc)
+	unknownAt := resize(sc.unknownAt, c.rows*c.cols)
+	clear(unknownAt)
+	unknowns := sc.unknowns[:0]
 	for _, f := range failed {
 		for r := 0; r < c.rows; r++ {
 			unknowns = append(unknowns, Coord{r, f})
 			unknownAt[r*c.cols+f] = len(unknowns)
 		}
 	}
-
-	solved := make([]bool, len(unknowns))
+	solved := resize(sc.solved, len(unknowns))
+	clear(solved)
+	sc.unknownAt, sc.unknowns, sc.solved = unknownAt, unknowns, solved
 	remaining := len(unknowns)
 
 	// eqCells returns the full cell set of group gi (members plus parity).

@@ -122,9 +122,21 @@ func (c *Code) CellFrom(s *stripe.Stripe, data [][]byte, m Coord) []byte {
 	return s.Elem(m.Row, m.Col)
 }
 
-// codeScratch is the pooled per-call scratch of UpdateData and Verify.
+// codeScratch is the pooled per-call scratch of UpdateData, Verify and
+// Reconstruct: an element buffer, and the decoder's unknown-cell lists.
 type codeScratch struct {
-	buf []byte
+	buf       []byte
+	unknownAt []int
+	unknowns  []Coord
+	solved    []bool
+}
+
+// resize returns b with length n, reusing its array when it is large enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 func (c *Code) getScratch(elemSize int) *codeScratch {

@@ -69,9 +69,8 @@ type Code struct {
 	dataIndex   [][]int       // [row][col] -> logical data index, -1 for parity
 	encodeOrder []int         // group indices in dependency order
 
-	// flatParity records that no group reads another group's parity cell.
-	// Group encodes are then mutually independent, so EncodeParallel can fan
-	// out whole parity groups instead of splitting every element byte range.
+	// flatParity records that no group reads another group's parity cell, so
+	// group encodes are mutually independent.
 	flatParity bool
 
 	// scratch pools the per-call delta/accumulator buffers of UpdateData and
@@ -266,7 +265,8 @@ func (c *Code) Groups() []Group { return c.groups }
 
 // FlatParity reports whether every parity group reads data cells only —
 // no parity-on-parity chains (true for D-Code, X-Code, H-Code; false for
-// RDP and HDP). Flat codes admit group-level encode parallelism.
+// RDP and HDP). The raid write plan mixes patched and re-encoded groups only
+// on flat codes.
 func (c *Code) FlatParity() bool { return c.flatParity }
 
 // DataElems returns the number of data elements per stripe.

@@ -228,3 +228,22 @@ func TestCoordString(t *testing.T) {
 		t.Fatalf("Coord.String = %q", (Coord{2, 3}).String())
 	}
 }
+
+// TestFlatParityDetection pins the classifier the raid write plan relies on:
+// codes whose groups read only data cells may mix patched and re-encoded
+// groups; parity-on-parity chains may not.
+func TestFlatParityDetection(t *testing.T) {
+	if !xorPair(t).FlatParity() {
+		t.Fatal("xorPair reads only data cells; want FlatParity")
+	}
+	dep, err := New("dep", 3, 2, 2, []Group{
+		{Parity: Coord{0, 1}, Members: []Coord{{0, 0}, {1, 0}}},
+		{Parity: Coord{1, 1}, Members: []Coord{{0, 1}, {0, 0}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.FlatParity() {
+		t.Fatal("dep reads parity (0,1); want !FlatParity")
+	}
+}

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // XORCounters tallies, lock-free, the element-XOR work a Code instance has
 // actually executed, split by direction: encode (Encode, EncodeGroup,
-// EncodeParallel, UpdateData) and decode (Reconstruct, including the Gaussian
+// UpdateData) and decode (Reconstruct, including the Gaussian
 // fallback). One "op" is one whole-element XOR (or element copy into an
 // accumulator); bytes is ops × element size.
 //

@@ -9,6 +9,8 @@ package raid
 //     deviceOffset), so a run of same-column cells is read or written as one
 //     physical device call, tallied through Instrumented's
 //     ReadVecAtNLink/WriteVecAtNLink as the element operations it replaces;
+//     callers mark the cells they want and markedRuns (writeplan.go), the one
+//     run builder, lists the runs;
 //   - the data path's one run reader and one run writer (readRuns,
 //     writeRuns): stage the runs' iovecs, issue them, settle their errors;
 //   - the sync.Pool-backed per-operation scratch (stripe buffer, mark
@@ -17,7 +19,6 @@ package raid
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -113,36 +114,6 @@ type vecRun struct {
 	lo, hi      int
 }
 
-// coalesce sorts cells by (column, row) in place and splits them into
-// contiguous same-column runs, reusing sc.runs. Only strictly adjacent rows
-// join a run: spanning a gap would move bytes no caller asked for, skewing
-// the byte tallies and touching unrelated bad sectors.
-func coalesce(cells []erasure.Coord, sc *opScratch) []cellRun {
-	slices.SortFunc(cells, func(x, y erasure.Coord) int {
-		if x.Col != y.Col {
-			return x.Col - y.Col
-		}
-		return x.Row - y.Row
-	})
-	runs := sc.runs[:0]
-	for k := 0; k < len(cells); {
-		j := k + 1
-		for j < len(cells) && cells[j].Col == cells[k].Col && cells[j].Row == cells[j-1].Row+1 {
-			j++
-		}
-		runs = append(runs, cellRun{col: cells[k].Col, row: cells[k].Row, n: j - k})
-		k = j
-	}
-	sc.runs = runs
-	return runs
-}
-
-// readCells reads the listed (distinct) cells of stripe si into sc.s, each
-// coalesced run as a single device call.
-func (a *Array) readCells(si int64, cells []erasure.Coord, sc *opScratch) error {
-	return a.readRuns(si, coalesce(cells, sc), nil, sc)
-}
-
 // readRuns is the data path's one run reader: it reads coalesced runs of
 // stripe si into their cells — the caller's buffer for a data cell the
 // overlay holds, sc.s otherwise — each run as one scatter read, and returns
@@ -234,11 +205,13 @@ func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) e
 }
 
 // issueRun issues one staged run under its own device span: one vectored
-// call standing for the run's n element accesses, settled by settleRun. A run
-// on a failed column fails with ErrFailed without touching the device. start
-// is the obs.Mono reading the device call's latency runs from; the returned
-// stamp is where the run ended — the device call's own end, or a fresh
-// reading after a retry, whose element calls time themselves.
+// call standing for the run's n element accesses, settled by settleRun —
+// unless the scratch serves a read-repair, whose failed run is the repair's
+// failure. A run on a failed column fails with ErrFailed without touching
+// the device. start is the obs.Mono reading the device call's latency runs
+// from; the returned stamp is where the run ended — the device call's own
+// end, or a fresh reading after a retry, whose element calls time
+// themselves.
 func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start int64) (int64, error) {
 	tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
 	err := blockdev.ErrFailed
@@ -246,8 +219,8 @@ func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start in
 	if !a.isFailed(r.col) {
 		bufs := sc.vecbufs[r.lo:r.hi]
 		end, err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link(), start)
-		if err != nil {
-			err = a.settleRun(write, si, r, bufs, err, tc.Link())
+		if err != nil && !sc.repair {
+			err = a.settleRun(write, si, r, bufs, err, tc)
 			end = obs.Mono()
 		}
 	}
@@ -274,12 +247,12 @@ func (a *Array) endRun(write bool, r vecRun, tc trace.Ctx, err error) error {
 // returns err, the gather's own failure. A one-buffer run retries through
 // its iovec slot re-pointed at each cell in turn, so the retry does not
 // allocate; the list is spent afterwards.
-func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err error, l trace.Link) error {
+func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err error, tc trace.Ctx) error {
 	if err == nil {
 		return nil
 	}
 	if r.n == 1 {
-		return a.elemFault(write, si, erasure.Coord{Row: r.row, Col: r.col}, bufs[0], err, l)
+		return a.elemFault(write, si, erasure.Coord{Row: r.row, Col: r.col}, bufs[0], err, tc)
 	}
 	whole := bufs[0]
 	for k := 0; k < r.n; k++ {
@@ -288,7 +261,7 @@ func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err err
 			bufs[0] = whole[k*a.elemSize : (k+1)*a.elemSize]
 			iov = bufs
 		}
-		if eerr := a.elemIO(write, si, erasure.Coord{Row: r.row + k, Col: r.col}, iov, l); eerr != nil && !write {
+		if eerr := a.elemIO(write, si, erasure.Coord{Row: r.row + k, Col: r.col}, iov, tc); eerr != nil && !write {
 			return eerr
 		}
 	}
@@ -332,17 +305,17 @@ func (a *Array) columnRuns(skip failSet, sc *opScratch) []cellRun {
 	return runs
 }
 
-// writeColumn writes one whole column of stripe memory — its ColRange staged
-// in sc.vecbufs — as a single vectored device call, bypassing the failure
-// mark: Rebuild uses it to fill the replaced device, which is still marked
-// failed. Unlike the best-effort data-path writes, a rebuild must land every
-// byte, so errors propagate.
-func (a *Array) writeColumn(si int64, col int, sc *opScratch) error {
+// writeColumn writes buf — whole cells from row down — to column col of
+// stripe si as a single device call, bypassing the failure mark: Rebuild
+// fills the replaced device, which is still marked failed, with a stripe's
+// whole column, and read-repair rewrites one cell. Unlike the best-effort
+// data-path writes, both must land every byte, so errors propagate.
+func (a *Array) writeColumn(si int64, col, row int, buf []byte, sc *opScratch) error {
 	tc := a.tr.Begin(trace.OpDevWrite, int32(col), si, sc.tc.Link())
-	rows := a.code.Rows()
-	sc.vecbufs = append(sc.vecbufs[:0], sc.s.ColRange(col, 0, rows))
-	_, err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, 0), int64(rows), tc.Link(), obs.Mono())
-	a.tr.End(tc, int64(rows*a.elemSize), err != nil)
+	sc.vecbufs = append(sc.vecbufs[:0], buf)
+	_, err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, row), int64(len(buf)/a.elemSize), tc.Link(), obs.Mono())
+	clear(sc.vecbufs)
+	a.tr.End(tc, int64(len(buf)), err != nil)
 	return err
 }
 
@@ -361,7 +334,6 @@ type opScratch struct {
 	gseen   []bool // per-group marks
 	genc    []bool // per-group marks of the groups a write plan re-encodes
 	coords  []erasure.Coord
-	fetch   []erasure.Coord
 	srcs    [][]byte
 	runs    []cellRun
 	vruns   []vecRun     // staged device runs (stageRuns)
@@ -369,6 +341,7 @@ type opScratch struct {
 	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
 	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
 	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
+	repair  bool         // the scratch serves a read-repair: failed runs are not settled (repairElem)
 }
 
 func (a *Array) getScratch() *opScratch {

@@ -345,15 +345,71 @@ func TestDegradedReadSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCoalesceRuns checks the run splitter: same-column row-adjacent cells
-// merge, anything else starts a new run.
+// TestDegradedStripeLoadAllocs pins the whole-stripe degraded paths — a
+// one-element write with one column down, and a one-element read and write
+// with two down — at 0 allocations in steady state: the failed set reaches
+// the decoder without a slice of its own, and the decoder's lists come from
+// the code's scratch pool. D-Code decodes every double failure by peeling.
+func TestDegradedStripeLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless under -race")
+	}
+	for _, tc := range []struct {
+		name  string
+		down  []int
+		write bool
+	}{
+		{"write/one-down", []int{2}, true},
+		{"read/two-down", []int{1, 3}, false},
+		{"write/two-down", []int{1, 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := newArrayConc(t, "dcode", 5, 2, WithConcurrency(1))
+			if _, err := a.WriteAt(pattern(int(a.Size()), 5), 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range tc.down {
+				if err := a.FailDisk(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Element 1 sits on column 1 of D-Code p=5, so the two-down read
+			// wants a lost cell.
+			buf := make([]byte, elemSize)
+			op := func() {
+				var err error
+				if tc.write {
+					_, err = a.WriteAt(buf, elemSize)
+				} else {
+					_, err = a.ReadAt(buf, elemSize)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			op() // warm the pools
+			if avg := testing.AllocsPerRun(50, op); avg != 0 {
+				t.Errorf("allocates %.1f/op in steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestCoalesceRuns checks the run builder: marked same-column row-adjacent
+// cells merge, anything else starts a new run, and runs come column by
+// column, down each column.
 func TestCoalesceRuns(t *testing.T) {
-	sc := &opScratch{}
+	a, _ := newArray(t, "dcode", 5, 1)
+	sc := a.getScratch()
 	cells := []erasure.Coord{
 		{Row: 2, Col: 1}, {Row: 0, Col: 0}, {Row: 1, Col: 1},
 		{Row: 1, Col: 0}, {Row: 4, Col: 1}, {Row: 3, Col: 3},
 	}
-	runs := coalesce(cells, sc)
+	clear(sc.seen)
+	for _, co := range cells {
+		sc.seen[co.Row*a.code.Cols()+co.Col] = true
+	}
+	runs := a.markedRuns(sc.seen, sc)
 	want := []cellRun{
 		{col: 0, row: 0, n: 2},
 		{col: 1, row: 1, n: 2},
@@ -361,7 +417,7 @@ func TestCoalesceRuns(t *testing.T) {
 		{col: 3, row: 3, n: 1},
 	}
 	if len(runs) != len(want) {
-		t.Fatalf("coalesce = %+v, want %+v", runs, want)
+		t.Fatalf("markedRuns = %+v, want %+v", runs, want)
 	}
 	for i := range want {
 		if runs[i] != want[i] {

@@ -6,14 +6,15 @@ package raid
 // readStripeRanges. It stages the task's whole-element ranges as views of the
 // caller's buffer (the overlay) and reads the cells it needs — the wanted
 // ones, or the memoized degraded plan's Fetch when a wanted cell is on the one
-// failed column — coalesced into runs by the one run reader (readRuns). Each
-// run is one scatter read whose iovecs point into the caller's buffer for
-// whole wanted cells and into stripe memory for partial and recovery-only
-// cells. Each plan step then folds its lost target into the target's
-// destination (CellFrom: the caller's buffer for a whole range, stripe memory
-// for a partial one), and only partial ranges are copied out. A task that
-// wants a lost cell while two columns are down loads and reconstructs the
-// whole stripe in stripe memory and copies every range out.
+// failed column — through the reconstruction executor (fetchFold), which
+// marks them, reads them in runs through the one run reader (readRuns) and
+// folds each plan step. Each run is one scatter read whose iovecs point into
+// the caller's buffer for whole wanted cells and into stripe memory for
+// partial and recovery-only cells. Each step folds its lost target into the
+// target's destination (CellFrom: the caller's buffer for a whole range,
+// stripe memory for a partial one), and only partial ranges are copied out.
+// A task that wants a lost cell while two columns are down loads and
+// reconstructs the whole stripe in stripe memory and copies every range out.
 //
 // Writes of every shape commit through the same overlay (overlay, then
 // writeRuns in concurrency.go): whole written elements leave from the
@@ -60,25 +61,18 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 				return err
 			}
 		} else {
-			var steps []erasure.DegradedStep
+			plan := erasure.DegradedPlan{Fetch: cells} // healthy: the wanted cells
 			if lost {
 				down := bits.TrailingZeros64(uint64(failed))
 				a.beginDegraded(si, down, len(cells), sc)
-				plan, err := a.planDegraded(down, cells)
+				pl, err := a.planDegraded(down, cells)
 				if err != nil {
 					return err
 				}
-				// The plan is shared; coalesce sorts, so it sorts a copy.
-				cells = append(sc.fetch[:0], plan.Fetch...)
-				sc.fetch = cells
-				steps = plan.Steps
+				plan = *pl
 			}
-			if a.readRuns(si, coalesce(cells, sc), data, sc) != nil {
+			if a.fetchFold(si, &plan, data, sc) != nil {
 				continue // a disk was discovered failed; re-plan
-			}
-			for _, step := range steps {
-				dst := a.code.CellFrom(sc.s, data, step.Target)
-				a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, data, step.Group, step.Target))
 			}
 		}
 		a.endDegraded(sc) // the degraded record times the fetch, not the copy-out
@@ -90,6 +84,32 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 		}
 		return nil
 	}
+}
+
+// fetchFold is the engine's one reconstruction executor, the fetch-and-fold
+// of the paper's low-I/O degraded read (§IV) and hybrid single-failure
+// recovery (§III-D): it marks the cells plan fetches, reads them through the
+// run reader — into their overlay views where data holds them, stripe memory
+// otherwise — and folds each step's target, in order, into its destination
+// (CellFrom: the overlay's view or the target's cell in sc.s), where later
+// steps read it. Its callers are the stripe reader (the memoized plan of a
+// degraded read; a healthy read is a plan with nothing to fold), Rebuild (one
+// plan per call, no overlay) and read-repair (the memoized one-cell plan).
+// An error means a run's column is down and nothing was folded.
+func (a *Array) fetchFold(si int64, plan *erasure.DegradedPlan, data [][]byte, sc *opScratch) error {
+	cols := a.code.Cols()
+	clear(sc.seen)
+	for _, co := range plan.Fetch {
+		sc.seen[co.Row*cols+co.Col] = true
+	}
+	if err := a.readRuns(si, a.markedRuns(sc.seen, sc), data, sc); err != nil {
+		return err
+	}
+	for _, step := range plan.Steps {
+		dst := a.code.CellFrom(sc.s, data, step.Target)
+		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, data, step.Group, step.Target))
+	}
+	return nil
 }
 
 // overlay stages one stripe task's ranges as erasure's data overlay, in

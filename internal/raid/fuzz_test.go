@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,13 +13,16 @@ import (
 )
 
 // TestRandomOpsAgainstModel drives the array with a long random sequence of
-// reads, writes, disk failures, replacements, rebuilds and scrubs, checking
-// every read against a plain in-memory model of the volume. This is the
-// whole-engine integration check: if any code path (RMW parity patching,
-// degraded reads/writes, rebuild, failure discovery) corrupts a byte, the
-// model disagrees.
+// reads, writes, disk failures, latent sector errors, replacements, rebuilds
+// and scrubs, checking every read against a plain in-memory model of the
+// volume. This is the whole-engine integration check: if any code path (the
+// write plan, degraded reads and writes, rebuild, read-repair, failure
+// discovery) corrupts a byte, the model disagrees. The reconstruction
+// executor's three callers — degraded reads, rebuild and read-repair — all
+// run; EVENODD rebuilds through the degraded planner's plan, the others
+// mostly through recovery.Optimize's.
 func TestRandomOpsAgainstModel(t *testing.T) {
-	for _, id := range []string{"dcode", "rdp", "hdp"} {
+	for _, id := range []string{"dcode", "rdp", "hdp", "evenodd"} {
 		t.Run(id, func(t *testing.T) {
 			a, mems := newArray(t, id, 7, 6)
 			model := make([]byte, a.Size())
@@ -30,14 +34,42 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// failedSet holds the disks the test failed; the array may also
+			// fail a column itself, when a read-repair cannot be served. down
+			// is both, sorted.
 			failedSet := map[int]bool{}
+			down := func() []int {
+				cols := a.FailedDisks()
+				for d := range failedSet {
+					if !slices.Contains(cols, d) {
+						cols = append(cols, d)
+					}
+				}
+				slices.Sort(cols)
+				return cols
+			}
+			rebuild := func(d int) error {
+				mems[d].Replace()
+				// The array may not have noticed the failure yet (nothing
+				// touched that disk); tell it explicitly so Rebuild is legal.
+				if err := a.FailDisk(d); err != nil {
+					return err
+				}
+				delete(failedSet, d)
+				return a.Rebuild(d)
+			}
+			// latent is the column holding an unrepaired bad sector, -1 for
+			// none. At most one is outstanding, and then at most one disk is
+			// failed besides the column a failed repair may mark: two failed
+			// columns plus a latent sector error lose data.
+			latent := -1
 			steps := 400
 			if testing.Short() {
 				steps = 100
 			}
 			for i := 0; i < steps; i++ {
 				switch op := rng.Intn(100); {
-				case op < 45: // read
+				case op < 40: // read
 					n := 1 + rng.Intn(600)
 					off := rng.Int63n(a.Size() - int64(n))
 					got := make([]byte, n)
@@ -47,7 +79,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 					if !bytes.Equal(got, model[off:off+int64(n)]) {
 						t.Fatalf("step %d: read mismatch at %d+%d", i, off, n)
 					}
-				case op < 85: // write
+				case op < 75: // write
 					n := 1 + rng.Intn(600)
 					off := rng.Int63n(a.Size() - int64(n))
 					buf := make([]byte, n)
@@ -56,41 +88,55 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 						t.Fatalf("step %d: write: %v", i, err)
 					}
 					copy(model[off:], buf)
-				case op < 93: // fail a disk (keep at most 2 down)
-					if len(failedSet) >= 2 {
+				case op < 83: // fail a disk
+					dn := down()
+					if len(dn) >= 2 || (latent >= 0 && len(dn) >= 1) {
 						continue
 					}
 					d := rng.Intn(len(mems))
-					if failedSet[d] {
+					if slices.Contains(dn, d) {
 						continue
 					}
 					mems[d].Fail()
 					failedSet[d] = true
-				default: // replace + rebuild one failed disk
-					for d := range failedSet {
-						mems[d].Replace()
-						// The array may not have noticed the failure yet
-						// (nothing touched that disk); tell it explicitly so
-						// Rebuild is legal.
-						if err := a.FailDisk(d); err != nil {
-							t.Fatalf("step %d: fail disk: %v", i, err)
-						}
-						if err := a.Rebuild(d); err != nil {
-							t.Fatalf("step %d: rebuild %d: %v", i, d, err)
-						}
-						delete(failedSet, d)
-						break
+				case op < 91: // a latent sector error on a surviving cell
+					dn := down()
+					if latent >= 0 || len(dn) >= 2 {
+						continue
+					}
+					c := rng.Intn(len(mems))
+					if slices.Contains(dn, c) {
+						continue
+					}
+					si := rng.Int63n(a.stripes)
+					row := rng.Intn(a.Code().Rows())
+					mems[c].InjectBadSector(a.deviceOffset(si, row) + rng.Int63n(elemSize))
+					latent = c
+				case op < 95: // scrub a healthy array: read-repair heals in place
+					if len(down()) > 0 {
+						continue
+					}
+					if fixed, err := a.Scrub(); err != nil || fixed != 0 {
+						t.Fatalf("step %d: scrub: fixed=%d err=%v", i, fixed, err)
+					}
+					latent = -1
+				default: // replace + rebuild the lowest failed disk
+					dn := down()
+					if len(dn) == 0 {
+						continue
+					}
+					if err := rebuild(dn[0]); err != nil {
+						t.Fatalf("step %d: rebuild %d: %v", i, dn[0], err)
+					}
+					if dn[0] == latent {
+						latent = -1
 					}
 				}
 			}
 
 			// Drain: repair everything and verify the full volume + parity.
-			for d := range failedSet {
-				mems[d].Replace()
-				if err := a.FailDisk(d); err != nil {
-					t.Fatal(err)
-				}
-				if err := a.Rebuild(d); err != nil {
+			for _, d := range down() {
+				if err := rebuild(d); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -103,6 +149,12 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			if fixed, err := a.Scrub(); err != nil || fixed != 0 {
 				t.Fatalf("final scrub: fixed=%d err=%v", fixed, err)
+			}
+			// The full run must reach every reconstruction path; the short
+			// one is a quarter as long and may miss a repair.
+			if st := a.Stats(); !testing.Short() &&
+				(st.SectorsRepaired == 0 || st.StripesRebuilt == 0 || st.DegradedReads == 0) {
+				t.Fatalf("the op mix missed a reconstruction path: %+v", st)
 			}
 		})
 	}

@@ -7,8 +7,8 @@ package raid
 // scans) on the degraded-read hot path. The memo caches plans per Array
 // keyed by the failure signature: the failed column plus a bitmask of the
 // wanted cells. Memoized plans are shared across goroutines and must never
-// be mutated — callers copy plan.Fetch before handing it to anything that
-// sorts (see readStripeRanges).
+// be mutated; the reconstruction executor (fetchFold) only marks and reads
+// them.
 //
 // FailDisk and Rebuild clear the memo. Plans do not actually depend on the
 // array's failure state (the key pins the failed column), so this is

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dcode/internal/blockdev"
 	"dcode/internal/erasure"
@@ -60,13 +59,9 @@ type Array struct {
 
 	// tr is the structured tracer (trace.Nop unless WithTracer attached
 	// one) and window the always-on rolling per-disk load tracker; both are
-	// wired by initObservability (see trace.go). The window* fields carry
-	// WithLoadWindow's configuration from option to construction.
-	tr              *trace.Tracer
-	window          *obs.LoadWindow
-	windowSlots     int
-	windowSlotDur   time.Duration
-	windowHotFactor float64
+	// wired by initObservability (see trace.go).
+	tr     *trace.Tracer
+	window *obs.LoadWindow
 
 	// jnl, when non-nil, brackets every stripe mutation with intent/commit
 	// records (see journal.go).
@@ -110,13 +105,12 @@ type failSet uint64
 func (f failSet) has(col int) bool { return f&(1<<uint(col)) != 0 }
 func (f failSet) count() int       { return bits.OnesCount64(uint64(f)) }
 
-// cols lists the failed columns in ascending order.
-func (f failSet) cols() []int {
-	out := make([]int, 0, f.count())
+// cols appends the failed columns to dst in ascending order.
+func (f failSet) cols(dst []int) []int {
 	for m := uint64(f); m != 0; m &= m - 1 {
-		out = append(out, bits.TrailingZeros64(m))
+		dst = append(dst, bits.TrailingZeros64(m))
 	}
-	return out
+	return dst
 }
 
 func (a *Array) failedSet() failSet    { return failSet(a.failed.Load()) }
@@ -225,7 +219,8 @@ func (a *Array) Stats() Stats {
 
 // FailedDisks returns the currently failed columns, sorted.
 func (a *Array) FailedDisks() []int {
-	return a.failedSet().cols()
+	f := a.failedSet()
+	return f.cols(make([]int, 0, f.count()))
 }
 
 // FailDisk marks a column failed (as after an I/O error or pulled drive).
@@ -251,15 +246,16 @@ func (a *Array) deviceOffset(stripeIdx int64, row int) int64 {
 // elemIO reads or writes one element through iov, its one-buffer iovec —
 // the element-at-a-time access a failed run retries with (settleRun) and
 // journal replay uses. A failed column fails with ErrFailed without touching
-// the device; a device error settles through elemFault. l is the caller's
-// span link, so a remote column's serve span joins the operation's trace and
-// a failure event records which operation discovered it.
-func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, l trace.Link) error {
+// the device; a device error settles through elemFault. tc is the span of
+// the caller's run, so a remote column's serve span joins the operation's
+// trace, a repair's runs parent to it, and a failure event records which
+// operation discovered it.
+func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, tc trace.Ctx) error {
 	if a.isFailed(co.Col) {
 		return blockdev.ErrFailed
 	}
-	_, err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, l, obs.Mono())
-	return a.elemFault(write, si, co, iov[0], err, l)
+	_, err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, tc.Link(), obs.Mono())
+	return a.elemFault(write, si, co, iov[0], err, tc)
 }
 
 // elemFault settles one element access that returned err. A latent sector
@@ -268,42 +264,43 @@ func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, l t
 // and rewritten in place, without failing the disk. Whole-disk failure is
 // reserved for other errors — and a repair that fails — which mark the
 // column failed.
-func (a *Array) elemFault(write bool, si int64, co erasure.Coord, buf []byte, err error, l trace.Link) error {
+func (a *Array) elemFault(write bool, si int64, co erasure.Coord, buf []byte, err error, tc trace.Ctx) error {
 	if err == nil {
 		return nil
 	}
-	if !write && errors.Is(err, blockdev.ErrBadSector) && a.repairElem(si, co, buf) == nil {
+	if !write && errors.Is(err, blockdev.ErrBadSector) && a.repairElem(si, co, buf, tc) == nil {
 		return nil
 	}
-	a.failDisk(co.Col, l.Trace)
+	a.failDisk(co.Col, tc.Link().Trace)
 	return err
 }
 
-// repairElem reconstructs one unreadable element from a parity group of the
-// same stripe and rewrites it to remap the bad sector.
-func (a *Array) repairElem(stripeIdx int64, co erasure.Coord, dst []byte) error {
-	// Plan as if the whole column were down — conservative (it will not read
-	// sibling cells on the same disk, which are actually fine) but reuses
-	// the engine's group choice and never touches the bad cell itself. The
-	// plan is memoized per (column, cell) signature; treat it as read-only.
+// repairElem reconstructs one unreadable element into dst through the
+// reconstruction executor and rewrites it to remap the bad sector. It plans
+// as if the whole column were down — conservative (it will not read sibling
+// cells on the same disk, which are actually fine) but it reuses the
+// memoized degraded plan and never touches the bad cell itself. The fetch
+// lands in a scratch of its own, since dst may be a cell of the caller's
+// stripe task scratch, and a run that fails under it is not settled: a fault
+// during a repair fails the repair — and so the column — rather than
+// repairing recursively. parent is the span of the run that met the bad
+// sector; the repair's device runs are its children.
+func (a *Array) repairElem(si int64, co erasure.Coord, dst []byte, parent trace.Ctx) error {
 	wanted := [1]erasure.Coord{co}
 	plan, err := a.planDegraded(co.Col, wanted[:])
 	if err != nil {
 		return err
 	}
-	// The fetched cells land in a scratch of their own: dst may be a cell of
-	// the caller's stripe task scratch, whose other cells are in use.
 	sc := a.getScratch()
 	defer a.putScratch(sc)
-	for _, cell := range plan.Fetch {
-		if _, err := a.iodevs[cell.Col].ReadAt(sc.s.Elem(cell.Row, cell.Col), a.deviceOffset(stripeIdx, cell.Row)); err != nil {
-			return err
-		}
+	sc.tc, sc.repair = parent, true
+	err = a.fetchFold(si, plan, nil, sc)
+	sc.repair = false
+	if err != nil {
+		return err
 	}
-	for _, step := range plan.Steps {
-		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, nil, step.Group, co))
-	}
-	if _, err := a.iodevs[co.Col].WriteAt(dst, a.deviceOffset(stripeIdx, co.Row)); err != nil {
+	copy(dst, sc.s.Elem(co.Row, co.Col))
+	if err := a.writeColumn(si, co.Col, co.Row, dst, sc); err != nil {
 		return err
 	}
 	a.m.sectorsRepaired.Inc()
@@ -328,8 +325,9 @@ func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
 			continue
 		}
 		if failed != 0 {
+			var down [2]int
 			ps := obs.Mono()
-			err := a.code.Reconstruct(sc.s, failed.cols()...)
+			err := a.code.Reconstruct(sc.s, failed.cols(down[:0])...)
 			a.m.parityLatency.ObserveNanos(obs.Mono() - ps)
 			if err != nil {
 				return err
@@ -662,11 +660,9 @@ func (a *Array) Rebuild(col int) (err error) {
 			a.ev.Record(obs.EvRebuildEnd, int32(col), -1, tcOp.Link().Trace, obs.Mono()-rebuildStart)
 		}
 	}()
-	var plan *recovery.Plan
+	var plan *erasure.DegradedPlan
 	if a.failedCount() == 1 {
-		if pl, err := recovery.Optimize(a.code, col); err == nil {
-			plan = &pl
-		}
+		plan = a.rebuildPlan(col)
 	}
 	err = a.fanOut(int(a.stripes), func(i int) error {
 		return a.rebuildStripe(int64(i), col, plan, tcOp.Link())
@@ -679,10 +675,35 @@ func (a *Array) Rebuild(col int) (err error) {
 	return nil
 }
 
-// rebuildStripe restores column col of one stripe: the planned read-minimal
-// path when a plan is available and the failure count still permits it,
-// whole-stripe reconstruction otherwise.
-func (a *Array) rebuildStripe(si int64, col int, plan *recovery.Plan, parent trace.Link) (err error) {
+// rebuildPlan returns the plan every stripe of column col is rebuilt with
+// while col is the one failed column, or nil when no plan can source every
+// cell. It prices two plans in cells fetched and keeps the cheaper,
+// recovery.Optimize's on a tie: Optimize's hybrid group choice (paper
+// §III-D), which rebuilds each data row through its chosen group and
+// re-encodes each parity row through its own, and the degraded planner's
+// plan for the whole column, which may also rebuild a parity cell through a
+// group it is a member of and so reads less on codes whose parity groups
+// span the stripe (RDP's diagonal parity column, EVENODD).
+func (a *Array) rebuildPlan(col int) *erasure.DegradedPlan {
+	var best *erasure.DegradedPlan
+	if opt, err := recovery.Optimize(a.code, col); err == nil {
+		if pl, err := opt.Degraded(a.code); err == nil {
+			best = &pl
+		}
+	}
+	if pl, err := a.code.PlanDegraded(col, a.code.ColumnCells(col), nil); err == nil &&
+		(best == nil || len(pl.Fetch) < len(best.Fetch)) {
+		best = &pl
+	}
+	return best
+}
+
+// rebuildStripe restores column col of one stripe: through the
+// reconstruction executor when a plan is available and the failure count
+// still permits it, by whole-stripe reconstruction otherwise (or when the
+// planned fetch discovers a new failure). Either way the column goes out as
+// one device call.
+func (a *Array) rebuildStripe(si int64, col int, plan *erasure.DegradedPlan, parent trace.Link) (err error) {
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	sc.tc = a.tr.Begin(trace.OpRebuildStripe, int32(col), si, parent)
@@ -694,82 +715,13 @@ func (a *Array) rebuildStripe(si int64, col int, plan *recovery.Plan, parent tra
 			a.m.rebuildLatency.ObserveNanos(obs.Mono() - stripeStart)
 		}
 	}()
-	if plan != nil && a.failedCount() == 1 {
-		if err := a.rebuildStripePlanned(si, col, plan, sc); err == nil {
-			return nil
+	if plan == nil || a.failedCount() != 1 || a.fetchFold(si, plan, nil, sc) != nil {
+		if err := a.loadStripe(si, sc); err != nil {
+			return err
 		}
-		// On error a new failure was likely discovered; fall back.
 	}
-	if err := a.loadStripe(si, sc); err != nil {
-		return err
-	}
-	if err := a.writeColumn(si, col, sc); err != nil {
-		return fmt.Errorf("raid: rebuilding disk %d stripe %d: %w", col, si, err)
-	}
-	return nil
-}
-
-// rebuildStripePlanned rebuilds column col of one stripe reading only the
-// elements the recovery plan needs (coalesced per column) and writing the
-// rebuilt column in one device call.
-func (a *Array) rebuildStripePlanned(si int64, col int, plan *recovery.Plan, sc *opScratch) error {
-	cols := a.code.Cols()
 	rows := a.code.Rows()
-	// Gather the read set: every surviving cell any chosen group references,
-	// plus the members of the column's own parity groups. sc.seen doubles as
-	// the "cell available in sc.s" mark for the recovery passes below.
-	clear(sc.seen)
-	need := sc.fetch[:0]
-	addGroup := func(gi int) {
-		g := a.code.Groups()[gi]
-		add := func(co erasure.Coord) {
-			idx := co.Row*cols + co.Col
-			if co.Col != col && !sc.seen[idx] {
-				sc.seen[idx] = true
-				need = append(need, co)
-			}
-		}
-		for _, m := range g.Members {
-			add(m)
-		}
-		add(g.Parity)
-	}
-	for r := 0; r < rows; r++ {
-		if gi := plan.GroupChoice[r]; gi >= 0 {
-			addGroup(gi)
-		} else if gi := a.code.ParityGroup(r, col); gi >= 0 {
-			addGroup(gi)
-		}
-	}
-	sc.fetch = need
-	if err := a.readCells(si, need, sc); err != nil {
-		return err
-	}
-	// Recover data rows through their chosen groups, then parity rows by
-	// re-encoding (their members may include just-recovered data cells).
-	// XOR-op accounting matches the serial path: one op per sourced cell.
-	for r := 0; r < rows; r++ {
-		if gi := plan.GroupChoice[r]; gi >= 0 {
-			target := erasure.Coord{Row: r, Col: col}
-			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, nil, gi, target))
-			sc.seen[r*cols+col] = true
-		}
-	}
-	for r := 0; r < rows; r++ {
-		if gi := a.code.ParityGroup(r, col); gi >= 0 {
-			for _, m := range a.code.Groups()[gi].Members {
-				if !sc.seen[m.Row*cols+m.Col] {
-					// A member this pass cannot source (e.g. an unrecovered
-					// parity cell on the failed column); let the caller fall
-					// back to whole-stripe reconstruction.
-					return fmt.Errorf("raid: planned rebuild cannot source %v", m)
-				}
-			}
-			target := erasure.Coord{Row: r, Col: col}
-			a.countDecodeXOR(a.code.FoldGroup(sc.s.Elem(r, col), sc.s, nil, gi, target))
-		}
-	}
-	if err := a.writeColumn(si, col, sc); err != nil {
+	if err := a.writeColumn(si, col, 0, sc.s.ColRange(col, 0, rows), sc); err != nil {
 		return fmt.Errorf("raid: rebuilding disk %d stripe %d: %w", col, si, err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package raid
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"dcode/internal/blockdev"
 	"dcode/internal/codes"
 	"dcode/internal/erasure"
+	"dcode/internal/recovery"
+	"dcode/internal/trace"
 )
 
 const elemSize = 64
@@ -502,6 +505,86 @@ func TestRebuildUsesPlannedReads(t *testing.T) {
 	}
 }
 
+// TestRebuildPlanTable rebuilds every column of every registered code at
+// p=5 and p=7 and pins, per rebuilt stripe: the reads — the smaller of
+// recovery.Optimize's plan and the degraded planner's whole-column plan, and
+// for D-Code and X-Code Optimize's own 12 (p=5) and 26 (p=7), which the
+// degraded planner does not beat — and Rows() writes; the rebuilt column
+// must come back byte for byte and Scrub must find nothing to repair.
+func TestRebuildPlanTable(t *testing.T) {
+	const stripes = 3
+	optimized := map[string]map[int]int64{
+		"dcode": {5: 12, 7: 26},
+		"xcode": {5: 12, 7: 26},
+	}
+	for _, e := range codes.All() {
+		for _, p := range []int{5, 7} {
+			code := codes.MustNew(e.ID, p)
+			for col := 0; col < code.Cols(); col++ {
+				t.Run(fmt.Sprintf("%s/p=%d/col=%d", e.ID, p, col), func(t *testing.T) {
+					want := int64(-1)
+					if opt, err := recovery.Optimize(code, col); err == nil {
+						if pl, err := opt.Degraded(code); err == nil {
+							want = int64(len(pl.Fetch))
+						}
+					}
+					if pl, err := code.PlanDegraded(col, code.ColumnCells(col), nil); err == nil &&
+						(want < 0 || int64(len(pl.Fetch)) < want) {
+						want = int64(len(pl.Fetch))
+					}
+					if want < 0 {
+						t.Fatal("neither planner can rebuild the column")
+					}
+					if n, ok := optimized[e.ID][p]; ok && want != n {
+						t.Fatalf("planned %d reads per stripe, want Optimize's %d", want, n)
+					}
+
+					a, mems := newArray(t, e.ID, p, stripes)
+					if _, err := a.WriteAt(pattern(int(a.Size()), byte(col+3)), 0); err != nil {
+						t.Fatal(err)
+					}
+					before := make([]byte, mems[col].Size())
+					if _, err := mems[col].ReadAt(before, 0); err != nil {
+						t.Fatal(err)
+					}
+					if err := a.FailDisk(col); err != nil {
+						t.Fatal(err)
+					}
+					mems[col].Replace()
+					tally := func() (r, w int64) {
+						for _, d := range a.Snapshot().Devices {
+							r += d.Reads
+							w += d.Writes
+						}
+						return r, w
+					}
+					r0, w0 := tally()
+					if err := a.Rebuild(col); err != nil {
+						t.Fatal(err)
+					}
+					r1, w1 := tally()
+					if got := r1 - r0; got != want*stripes {
+						t.Errorf("rebuild read %d cells, want %d per stripe × %d", got, want, stripes)
+					}
+					if got := w1 - w0; got != int64(code.Rows())*stripes {
+						t.Errorf("rebuild wrote %d cells, want %d per stripe × %d", got, code.Rows(), stripes)
+					}
+					after := make([]byte, len(before))
+					if _, err := mems[col].ReadAt(after, 0); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(after, before) {
+						t.Fatal("rebuilt column differs from the lost one")
+					}
+					if fixed, err := a.Scrub(); err != nil || fixed != 0 {
+						t.Fatalf("scrub after rebuild: fixed=%d err=%v", fixed, err)
+					}
+				})
+			}
+		}
+	}
+}
+
 // Large partial writes must be served by re-encoding (cheaper than RMW once
 // most of the stripe changes), and the stripe must stay consistent. An array
 // pinned to re-encode-all reads exactly the untouched elements; its twin left
@@ -622,7 +705,7 @@ func TestReadRepairAllocs(t *testing.T) {
 	}
 	co := a.Code().DataCoord(0)
 	dst := make([]byte, elemSize)
-	if err := a.repairElem(0, co, dst); err != nil { // warm the memo and the pool
+	if err := a.repairElem(0, co, dst, trace.Ctx{}); err != nil { // warm the memo and the pool
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data[:elemSize]) {
@@ -630,7 +713,7 @@ func TestReadRepairAllocs(t *testing.T) {
 	}
 	xor := a.Snapshot().XOR.DecodeOps
 	if avg := testing.AllocsPerRun(20, func() {
-		if err := a.repairElem(0, co, dst); err != nil {
+		if err := a.repairElem(0, co, dst, trace.Ctx{}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

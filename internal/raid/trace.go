@@ -12,12 +12,9 @@ package raid
 //   - The load window is always on: every device operation is recorded into
 //     a rolling per-disk read/write tally via the blockdev.Instrumented op
 //     hook, so Snapshot carries the paper's LF metric computed live over the
-//     recent window, plus hot-disk detection. WithLoadWindow tunes the
-//     window geometry and hot threshold.
+//     recent window (60 one-second slots), plus hot-disk detection.
 
 import (
-	"time"
-
 	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
@@ -36,18 +33,6 @@ func WithTracer(tr *trace.Tracer) Option {
 // Tracer returns the array's tracer (trace.Nop when none was attached).
 func (a *Array) Tracer() *trace.Tracer { return a.tr }
 
-// WithLoadWindow configures the live load tracker: slots time slices of
-// slotDur each (non-positive values keep the 60×1s default), and hotFactor
-// as the hot-disk threshold (multiple of the per-disk mean; ≤ 1 disables
-// detection, 0 keeps the default).
-func WithLoadWindow(slots int, slotDur time.Duration, hotFactor float64) Option {
-	return func(a *Array) {
-		a.windowSlots = slots
-		a.windowSlotDur = slotDur
-		a.windowHotFactor = hotFactor
-	}
-}
-
 // LoadWindow returns the array's live per-disk load tracker.
 func (a *Array) LoadWindow() *obs.LoadWindow { return a.window }
 
@@ -57,10 +42,7 @@ func (a *Array) initObservability() {
 	if a.tr == nil {
 		a.tr = trace.Nop
 	}
-	a.window = obs.NewLoadWindow(a.code.Cols(), a.windowSlots, a.windowSlotDur)
-	if a.windowHotFactor != 0 {
-		a.window.SetHotFactor(a.windowHotFactor)
-	}
+	a.window = obs.NewLoadWindow(a.code.Cols(), 0, 0)
 	for i := range a.iodevs {
 		col := i
 		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64, end int64) {

@@ -164,25 +164,6 @@ func TestSnapshotCarriesObservability(t *testing.T) {
 	}
 }
 
-// TestWithLoadWindowOption checks the tuning knobs reach the window.
-func TestWithLoadWindowOption(t *testing.T) {
-	a, _ := newArrayConc(t, "dcode", 5, 2, WithLoadWindow(4, 50*time.Millisecond, 3))
-	data := pattern(int(a.Size()), 1)
-	if _, err := a.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	s := a.LoadWindow().Snapshot()
-	if s.SlotNanos != int64(50*time.Millisecond) {
-		t.Errorf("slot duration %d", s.SlotNanos)
-	}
-	if s.HotFactor != 3 {
-		t.Errorf("hot factor %v, want 3", s.HotFactor)
-	}
-	if s.Load.Total == 0 {
-		t.Error("tuned window recorded nothing")
-	}
-}
-
 // TestResetMetricsClearsWindow: ResetMetrics must clear the rolling window
 // along with the other tallies (the bench harness resets after pre-fill).
 func TestResetMetricsClearsWindow(t *testing.T) {

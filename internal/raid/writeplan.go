@@ -190,9 +190,11 @@ func (a *Array) markWrites(sc *opScratch) {
 	}
 }
 
-// markedRuns lists the cells marks sets (rows×cols, row-major) as maximal
-// same-column runs, in sc.runs, column by column — the runs coalesce would
-// build from a list of the same cells.
+// markedRuns is the engine's one run builder: it lists the cells marks sets
+// (rows×cols, row-major) as maximal same-column runs, in sc.runs, column by
+// column and down each column. Only strictly adjacent rows join a run:
+// spanning a gap would move bytes no caller asked for, skewing the byte
+// tallies and touching unrelated bad sectors.
 func (a *Array) markedRuns(marks []bool, sc *opScratch) []cellRun {
 	rows, cols := a.code.Rows(), a.code.Cols()
 	runs := sc.runs[:0]

@@ -126,6 +126,47 @@ func Optimize(c *erasure.Code, failed int) (Plan, error) {
 	return best, nil
 }
 
+// Degraded expresses the plan as the schedule the raid layer's
+// reconstruction executor runs: Steps rebuild each data row through its
+// chosen group, then re-encode each parity row through its own group (its
+// members may include just-rebuilt data cells); Fetch lists every surviving
+// cell a step reads, once, in the order first needed. It fails when a step
+// needs a cell of the failed column that no earlier step rebuilds.
+func (p Plan) Degraded(c *erasure.Code) (erasure.DegradedPlan, error) {
+	var out erasure.DegradedPlan
+	for r, gi := range p.GroupChoice {
+		if gi >= 0 {
+			out.Steps = append(out.Steps, erasure.DegradedStep{Target: erasure.Coord{Row: r, Col: p.Failed}, Group: gi})
+		}
+	}
+	for r := range p.GroupChoice {
+		if gi := c.ParityGroup(r, p.Failed); gi >= 0 {
+			out.Steps = append(out.Steps, erasure.DegradedStep{Target: erasure.Coord{Row: r, Col: p.Failed}, Group: gi})
+		}
+	}
+	have := newCellSet(c)
+	for _, st := range out.Steps {
+		g := c.Groups()[st.Group]
+		for i := 0; i <= len(g.Members); i++ {
+			cell := g.Parity
+			if i < len(g.Members) {
+				cell = g.Members[i]
+			}
+			switch {
+			case cell == st.Target || have.has(cell):
+			case cell.Col == p.Failed:
+				return erasure.DegradedPlan{}, fmt.Errorf("recovery: %s: rebuilding %v needs %v before it is rebuilt", c.Name(), st.Target, cell)
+			default:
+				have.add(cell)
+				out.Fetch = append(out.Fetch, cell)
+			}
+		}
+		have.add(st.Target)
+	}
+	out.Extra = len(out.Fetch)
+	return out, nil
+}
+
 // choice lists the usable parity groups for one lost data row.
 type choice struct {
 	row    int
@@ -217,6 +258,11 @@ func newCellSet(c *erasure.Code) *cellSet {
 func (s *cellSet) add(co erasure.Coord) {
 	i := co.Row*s.cols + co.Col
 	s.words[i/64] |= 1 << (i % 64)
+}
+
+func (s *cellSet) has(co erasure.Coord) bool {
+	i := co.Row*s.cols + co.Col
+	return s.words[i/64]>>(i%64)&1 == 1
 }
 
 func (s *cellSet) clone() *cellSet {
