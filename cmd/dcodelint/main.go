@@ -168,7 +168,7 @@ func resolveRoot(flagRoot string) (string, error) {
 
 // selectScope maps package arguments to loaded packages. No arguments or
 // "./..." selects the whole module; anything else matches import-path
-// suffixes (e.g. internal/raid or ./cmd/bench).
+// suffixes (e.g. internal/raid or ./cmd/loadgen).
 func selectScope(m *lint.Module, args []string) ([]*lint.Package, error) {
 	all := m.ModulePackages()
 	if len(args) == 0 {

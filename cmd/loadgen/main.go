@@ -7,15 +7,13 @@
 // degraded, local or remote column — counts as an error.
 //
 // It reports per-op latency (p50/p95/p99/p999 for reads and writes
-// separately), throughput, and the error count, both as a human-readable
-// summary and as a benchfmt artifact with the same JSON shape cmd/bench emits
-// — so CI gates a load run with the same `bench -compare` used for benchmark
-// regressions. With -ops the run is execution-bound instead of
-// deadline-bound, so a seeded run offers a byte-identical op stream every
-// time:
+// separately), throughput, and the error count as a human-readable summary,
+// optionally appended as a markdown table to a file; the exit status gates
+// the run. With -ops the run is execution-bound instead of deadline-bound, so
+// a seeded run offers a byte-identical op stream every time:
 //
 //	loadgen -addr HOST:PORT [-clients 8] [-duration 5s] [-profile mixed]
-//	        [-seed 1] [-ops 0] [-out LOADGEN.json] [-md SUMMARY.md]
+//	        [-seed 1] [-ops 0] [-md SUMMARY.md]
 //	        [-max-errors 0] [-trace-out TRACE.json] [-slowest 5]
 //
 // With -trace-out every op runs under a client-side span whose trace context
@@ -35,13 +33,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dcode/internal/benchfmt"
 	"dcode/internal/blockdev"
 	"dcode/internal/obs"
 	"dcode/internal/trace"
@@ -67,9 +63,7 @@ func main() {
 	opsFlag := flag.Int("ops", 0, "op executions per client (0 = run until -duration; >0 makes a seeded run fully deterministic)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline on the protocol client")
 	retries := flag.Int("retries", 4, "transport attempts per op before the client reports failure")
-	out := flag.String("out", "", "write a benchfmt JSON artifact to this path")
 	md := flag.String("md", "", "append a markdown latency table to this file (e.g. $GITHUB_STEP_SUMMARY)")
-	rev := flag.String("rev", defaultRev(), "revision label embedded in the artifact")
 	maxErrors := flag.Int64("max-errors", 0, "tolerated op/data errors before exiting nonzero")
 	traceOut := flag.String("trace-out", "", "write this run's client spans as a trace.NodeDump JSON file")
 	slowestN := flag.Int("slowest", 5, "slowest ops to list with trace IDs in the report")
@@ -169,24 +163,17 @@ func main() {
 	wg.Wait()
 	elapsed := *duration
 
-	res := benchfmt.Result{
-		Code:       st.Code,
-		Workload:   prof.Name,
-		Clients:    *clients,
-		Errors:     shared.errs.Load(),
-		Executions: shared.execs.Load(),
-		BytesMoved: shared.bytes.Load(),
+	res := summary{
+		code:       st.Code,
+		workload:   prof.Name,
+		clients:    *clients,
+		errors:     shared.errs.Load(),
+		executions: shared.execs.Load(),
 	}
 	rs, ws := shared.readLat.Snapshot(), shared.writeLat.Snapshot()
-	res.ReadP50Ns, res.ReadP95Ns, res.ReadP99Ns = rs.P50Nanos, rs.P95Nanos, rs.P99Nanos
-	res.WriteP50Ns, res.WriteP95Ns, res.WriteP99Ns = ws.P50Nanos, ws.P95Nanos, ws.P99Nanos
-	res.ReadP999Ns, res.WriteP999Ns = rs.P999Nanos, ws.P999Nanos
 	if sec := elapsed.Seconds(); sec > 0 {
-		res.MBPerSec = float64(res.BytesMoved) / (1 << 20) / sec
-		res.OpsPerSec = float64(res.Executions) / sec
-	}
-	if res.Executions > 0 {
-		res.NsPerOp = float64(rs.SumNanos+ws.SumNanos) / float64(res.Executions)
+		res.mbPerSec = float64(shared.bytes.Load()) / (1 << 20) / sec
+		res.opsPerSec = float64(res.executions) / sec
 	}
 
 	report(os.Stdout, res, rs, ws)
@@ -205,35 +192,23 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", *traceOut)
 	}
-	if *out != "" {
-		file := benchfmt.File{
-			Schema:    benchfmt.SchemaVersion,
-			Rev:       *rev,
-			GoVersion: runtime.Version(),
-			Timing:    true,
-			Config: benchfmt.Config{
-				ElemSize: st.ElemSize,
-				Ops:      *opsFlag, // 0 = open-ended (deadline-bound, not op-bound)
-				MaxLen:   *maxLen,
-				MaxTimes: *maxTimes,
-				Seed:     *seed,
-			},
-			Results: []benchfmt.Result{res},
-		}
-		if err := benchfmt.WriteFile(*out, file); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", *out)
-	}
-
-	if res.Executions == 0 {
+	if res.executions == 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: no operations executed")
 		os.Exit(1)
 	}
-	if res.Errors > *maxErrors {
-		fmt.Fprintf(os.Stderr, "loadgen: %d errors exceed budget %d\n", res.Errors, *maxErrors)
+	if res.errors > *maxErrors {
+		fmt.Fprintf(os.Stderr, "loadgen: %d errors exceed budget %d\n", res.errors, *maxErrors)
 		os.Exit(1)
 	}
+}
+
+// summary is one run's totals, as the report and the markdown table print
+// them.
+type summary struct {
+	code, workload      string
+	clients             int
+	errors, executions  int64
+	mbPerSec, opsPerSec float64
 }
 
 // runState aggregates results across client goroutines.
@@ -472,9 +447,9 @@ func profileByName(name string) (workload.Profile, error) {
 	return workload.Profile{}, fmt.Errorf("unknown profile %q (readonly, readintensive, mixed)", name)
 }
 
-func report(w *os.File, res benchfmt.Result, rs, ws obs.HistogramSnapshot) {
+func report(w *os.File, res summary, rs, ws obs.HistogramSnapshot) {
 	fmt.Fprintf(w, "loadgen: %s %q x%d: %d ops, %.1f MB/s, %.0f ops/s, %d errors\n",
-		res.Code, res.Workload, res.Clients, res.Executions, res.MBPerSec, res.OpsPerSec, res.Errors)
+		res.code, res.workload, res.clients, res.executions, res.mbPerSec, res.opsPerSec, res.errors)
 	fmt.Fprintf(w, "  read  (%d): p50 %s  p95 %s  p99 %s  p999 %s  max %s\n",
 		rs.Count, ms(rs.P50Nanos), ms(rs.P95Nanos), ms(rs.P99Nanos), ms(rs.P999Nanos), ms(rs.MaxNanos))
 	fmt.Fprintf(w, "  write (%d): p50 %s  p95 %s  p99 %s  p999 %s  max %s\n",
@@ -485,7 +460,7 @@ func report(w *os.File, res benchfmt.Result, rs, ws obs.HistogramSnapshot) {
 // followed by the slowest ops with their trace IDs when the run was traced —
 // each ID greps straight into the merged Chrome trace and the flight
 // recorder's event dump.
-func appendMarkdown(path string, res benchfmt.Result, rs, ws obs.HistogramSnapshot, slowest []slowOp) (err error) {
+func appendMarkdown(path string, res summary, rs, ws obs.HistogramSnapshot, slowest []slowOp) (err error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -505,10 +480,10 @@ func appendMarkdown(path string, res benchfmt.Result, rs, ws obs.HistogramSnapsh
 %d executions, %.1f MB/s, %.0f ops/s, **%d errors**
 
 `,
-		res.Code, res.Workload, res.Clients,
+		res.code, res.workload, res.clients,
 		rs.Count, ms(rs.P50Nanos), ms(rs.P95Nanos), ms(rs.P99Nanos), ms(rs.P999Nanos), ms(rs.MaxNanos),
 		ws.Count, ms(ws.P50Nanos), ms(ws.P95Nanos), ms(ws.P99Nanos), ms(ws.P999Nanos), ms(ws.MaxNanos),
-		res.Executions, res.MBPerSec, res.OpsPerSec, res.Errors)
+		res.executions, res.mbPerSec, res.opsPerSec, res.errors)
 	if err != nil || len(slowest) == 0 {
 		return err
 	}
@@ -526,13 +501,6 @@ func appendMarkdown(path string, res benchfmt.Result, rs, ws obs.HistogramSnapsh
 
 func ms(ns int64) string {
 	return time.Duration(ns).Round(10 * time.Microsecond).String()
-}
-
-func defaultRev() string {
-	if sha := os.Getenv("GITHUB_SHA"); len(sha) >= 8 {
-		return sha[:8]
-	}
-	return "local"
 }
 
 func fatal(err error) {

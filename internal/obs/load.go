@@ -6,7 +6,7 @@ import "math"
 // one lock-free cell per lane. It is the live-engine analogue of the
 // internal/ioload simulator's per-disk counts: the same Lmax/Lmin
 // load-balancing factor (paper Eq. 8) and, additionally, the coefficient of
-// variation used by the benchmark harness as a regression-friendly scalar.
+// variation, which stays finite when a disk is idle.
 type LoadTally struct {
 	cells []Counter
 }

@@ -18,6 +18,7 @@ package raid
 //     allocation-free.
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -119,7 +120,8 @@ type vecRun struct {
 // overlay holds, sc.s otherwise — each run as one scatter read, and returns
 // the error of the lowest-indexed run it could not serve. A bad sector is
 // repaired in place on the way (settleRun), so an error means the run's
-// column is down: failed before the read, or marked failed by it.
+// column is down: failed before the read, or marked failed by it — or, under
+// a read-repair, a second bad sector (issueRun).
 func (a *Array) readRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) error {
 	err := a.issueRuns(false, si, a.stageRuns(runs, data, sc), sc)
 	clear(sc.vecbufs) // drop the user-buffer references before the scratch is pooled
@@ -206,12 +208,13 @@ func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) e
 
 // issueRun issues one staged run under its own device span: one vectored
 // call standing for the run's n element accesses, settled by settleRun —
-// unless the scratch serves a read-repair, whose failed run is the repair's
-// failure. A run on a failed column fails with ErrFailed without touching
-// the device. start is the obs.Mono reading the device call's latency runs
-// from; the returned stamp is where the run ended — the device call's own
-// end, or a fresh reading after a retry, whose element calls time
-// themselves.
+// unless the scratch serves a read-repair, which does not repair recursively:
+// there a bad sector is the repair's failure, and any other error marks the
+// run's column for the repair to plan around. A run on a failed column fails
+// with ErrFailed without touching the device. start is the obs.Mono reading
+// the device call's latency runs from; the returned stamp is where the run
+// ended — the device call's own end, or a fresh reading after a retry, whose
+// element calls time themselves.
 func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start int64) (int64, error) {
 	tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
 	err := blockdev.ErrFailed
@@ -219,9 +222,13 @@ func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start in
 	if !a.isFailed(r.col) {
 		bufs := sc.vecbufs[r.lo:r.hi]
 		end, err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link(), start)
-		if err != nil && !sc.repair {
+		switch {
+		case err == nil:
+		case !sc.repair:
 			err = a.settleRun(write, si, r, bufs, err, tc)
 			end = obs.Mono()
+		case !errors.Is(err, blockdev.ErrBadSector):
+			a.failDisk(r.col, tc.Link().Trace)
 		}
 	}
 	return end, a.endRun(write, r, tc, err)
@@ -341,7 +348,7 @@ type opScratch struct {
 	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
 	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
 	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
-	repair  bool         // the scratch serves a read-repair: failed runs are not settled (repairElem)
+	repair  bool         // the scratch serves a read-repair: failed runs are not repaired (issueRun)
 }
 
 func (a *Array) getScratch() *opScratch {

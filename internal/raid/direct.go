@@ -57,7 +57,7 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 		if lost && failed.count() == 2 {
 			a.beginDegraded(si, -1, len(cells), sc)
 			clear(data) // every range copies out of the loaded stripe
-			if err := a.loadStripe(si, sc); err != nil {
+			if err := a.loadStripe(si, 0, sc); err != nil {
 				return err
 			}
 		} else {

@@ -72,8 +72,12 @@ func parseJournalRecord(b []byte) (journalRecord, bool) {
 	return r, true
 }
 
-// openJournal scans the device and returns the journal positioned after the
-// newest record, plus the uncommitted intents (seq -> stripe).
+// openJournal scans the device and returns the journal, appending at slot 0
+// with a sequence number above every record's, plus the uncommitted intents
+// (seq -> stripe). An intent and its commit pair by sequence number wherever
+// the ring put them: concurrent stripe writes commit out of order, and a wrap
+// can put a commit in a lower slot than its intent. The caller clears the
+// ring before appending (NewJournaled), so no write head is looked for.
 func openJournal(dev blockdev.Device) (*journal, map[uint64]int64, error) {
 	slots := dev.Size() / journalSlotSize
 	if slots < 4 {
@@ -81,8 +85,8 @@ func openJournal(dev blockdev.Device) (*journal, map[uint64]int64, error) {
 	}
 	j := &journal{dev: dev, slots: slots}
 	intents := make(map[uint64]int64) // seq -> stripe
+	committed := make(map[uint64]bool)
 	var maxSeq uint64
-	maxSlot := int64(-1)
 	buf := make([]byte, journalSlotSize)
 	for s := int64(0); s < slots; s++ {
 		if _, err := dev.ReadAt(buf, s*journalSlotSize); err != nil {
@@ -96,15 +100,14 @@ func openJournal(dev blockdev.Device) (*journal, map[uint64]int64, error) {
 		case recIntent:
 			intents[r.seq] = r.stripe
 		case recCommit:
-			delete(intents, r.seq)
+			committed[r.seq] = true
 		}
-		if r.seq >= maxSeq {
-			maxSeq = r.seq
-			maxSlot = s
-		}
+		maxSeq = max(maxSeq, r.seq)
+	}
+	for seq := range committed {
+		delete(intents, seq)
 	}
 	j.seq = maxSeq + 1
-	j.slot = (maxSlot + 1) % slots
 	return j, intents, nil
 }
 
@@ -126,9 +129,12 @@ func (j *journal) log(typ byte, seq uint64, stripe int64) (uint64, error) {
 
 // NewJournaled assembles an array with a write-intent journal on a dedicated
 // device and replays it: stripes left dirty by a crash get their parity
-// recomputed from data before the array is returned. Replay requires a
-// healthy array — with disks missing, stale parity cannot be told apart from
-// stale data, so mounting dirty and degraded is refused.
+// recomputed from data (the scrub's stripe task) before the array is
+// returned. Replay requires a healthy array — with disks missing, stale
+// parity cannot be told apart from stale data, so mounting dirty and degraded
+// is refused, and so is a replay whose read finds a disk dead. Once every
+// intent is resolved, one write clears the ring, which this mount then fills
+// from slot 0.
 //
 //lint:ignore lockcheck journal replay writes stripes during construction, before the array is returned to any caller — no concurrent operation can hold or need the per-stripe locks yet
 func NewJournaled(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64,
@@ -145,36 +151,17 @@ func NewJournaled(code *erasure.Code, devs []blockdev.Device, elemSize int, stri
 		return nil, fmt.Errorf("raid: %d dirty stripes in journal but array is degraded; replace disks first", len(dirty))
 	}
 	scrubbed := make(map[int64]bool, len(dirty))
-	for seq, si := range dirty {
+	for _, si := range dirty {
 		if si >= 0 && si < stripes && !scrubbed[si] {
-			if err := a.scrubStripe(si); err != nil {
+			if _, err := a.scrubStripeTask(si, trace.Link{}); err != nil {
 				return nil, fmt.Errorf("raid: replaying journal for stripe %d: %w", si, err)
 			}
 			scrubbed[si] = true
 		}
-		// Pair the intent so the next mount does not replay it again.
-		if _, err := jnl.log(recCommit, seq, si); err != nil {
-			return nil, err
-		}
+	}
+	if _, err := journalDev.WriteAt(make([]byte, jnl.slots*journalSlotSize), 0); err != nil {
+		return nil, fmt.Errorf("raid: clearing journal: %w", err)
 	}
 	a.jnl = jnl
 	return a, nil
-}
-
-// scrubStripe recomputes a stripe's parity from its data cells.
-func (a *Array) scrubStripe(si int64) error {
-	s := a.code.NewStripe(a.elemSize)
-	for i := 0; i < a.code.DataElems(); i++ {
-		co := a.code.DataCoord(i)
-		if err := a.elemIO(false, si, co, [][]byte{s.Elem(co.Row, co.Col)}, trace.Ctx{}); err != nil {
-			return err
-		}
-	}
-	a.code.Encode(s)
-	for _, g := range a.code.Groups() {
-		if err := a.elemIO(true, si, g.Parity, [][]byte{s.Elem(g.Parity.Row, g.Parity.Col)}, trace.Ctx{}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

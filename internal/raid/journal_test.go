@@ -261,3 +261,90 @@ func TestJournalIgnoresOutOfRangeStripes(t *testing.T) {
 	}
 	_ = a
 }
+
+// Commits carry their intent's sequence number, so concurrent stripe writes
+// leave the ring out of seq order (I1 I2 C2 C1). A clean remount must not
+// resume appending over C1: that leaves I1 unpaired, and a later mount with a
+// disk down refuses to replay it.
+func TestJournalRemountAfterOutOfOrderCommits(t *testing.T) {
+	a, mems, jdev := newJournaledArray(t, 4, 4096)
+	if _, err := a.WriteAt(pattern(int(a.Size()), 90), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Two concurrent stripe writes whose commits land in reverse order.
+	s1, err := a.jnl.log(recIntent, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := a.jnl.log(recIntent, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.jnl.log(recCommit, s2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.jnl.log(recCommit, s1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	b := remount(t, mems, 4, jdev)
+	if _, err := b.WriteAt(pattern(elemSize, 91), 0); err != nil { // one stripe write
+		t.Fatal(err)
+	}
+	if _, dirty, err := openJournal(jdev); err != nil || len(dirty) != 0 {
+		t.Fatalf("every write committed, yet dirty=%v err=%v", dirty, err)
+	}
+	mems[1].Fail()
+	code := codes.MustNew("dcode", 5)
+	devs := make([]blockdev.Device, len(mems))
+	for i := range mems {
+		devs[i] = mems[i]
+	}
+	if _, err := NewJournaled(code, devs, elemSize, 4, jdev); err != nil {
+		t.Fatalf("clean journal refused with a disk down: %v", err)
+	}
+}
+
+// A wrap can put a commit in a lower slot than its intent; the scan pairs
+// them by sequence number all the same.
+func TestJournalPairsAcrossWrap(t *testing.T) {
+	jdev := blockdev.NewMem(5 * journalSlotSize)
+	j, _, err := openJournal(jdev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := int64(0); si < 3; si++ { // I C I C I | C lands in slot 0
+		seq, err := j.log(recIntent, 0, si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.log(recCommit, seq, si); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, dirty, err := openJournal(jdev); err != nil || len(dirty) != 0 {
+		t.Fatalf("every intent committed, yet dirty=%v err=%v", dirty, err)
+	}
+}
+
+// Replay reads each dirty stripe whole; a disk found dead there means the
+// stripe's parity cannot be checked against its data, so the mount fails
+// instead of re-encoding from reconstructed cells.
+func TestJournalReplayRefusesDiskFoundDead(t *testing.T) {
+	a, mems, jdev := newJournaledArray(t, 4, 4096)
+	if _, err := a.WriteAt(pattern(int(a.Size()), 92), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.jnl.log(recIntent, 0, 0); err != nil { // a crash mid-write
+		t.Fatal(err)
+	}
+	mems[2].Fail()
+	code := codes.MustNew("dcode", 5)
+	devs := make([]blockdev.Device, len(mems))
+	for i := range mems {
+		devs[i] = mems[i]
+	}
+	if _, err := NewJournaled(code, devs, elemSize, 4, jdev); err == nil {
+		t.Fatal("replay over a dead disk mounted")
+	}
+}

@@ -2,8 +2,10 @@ package raid
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"dcode/internal/blockdev"
 	"dcode/internal/codes"
 	"dcode/internal/ioload"
 	"dcode/internal/obs"
@@ -163,5 +165,125 @@ func TestLiveMixedLFOrdering(t *testing.T) {
 				t.Errorf("seed %d: D-Code live LF %.4f not below %s's %.4f", seed, dcode, id, other)
 			}
 		}
+	}
+}
+
+// TestLoadMatrixPinned pins the live engine's per-disk I/O counts, the
+// paper's Figs. 4–5 metric, for the comparison codes under the three paper
+// workloads at p=5: 512 B elements, 16 stripes, 120 generated ops of L ≤ 20
+// and T ≤ 2 at seed 42, replayed serially after one whole-volume pre-fill
+// write and a metrics reset, each op's length clamped to the volume. Every
+// cell's per-disk accesses, executed XOR counts, executions and bytes are
+// exact, so any change to which cells a read or write touches shows here,
+// whether it moves one disk's count or all of them.
+func TestLoadMatrixPinned(t *testing.T) {
+	const (
+		p        = 5
+		elem     = 512
+		stripes  = 16
+		seed     = 42
+		maxLen   = 20
+		maxTimes = 2
+		opCount  = 120
+	)
+	want := []struct {
+		code, workload string
+		executions     int
+		bytes          int64
+		perDisk        []int64
+		encodeXOR      int64
+		decodeXOR      int64
+	}{
+		{"rdp", "Read-Only", 178, 915968, []int64{450, 449, 442, 448, 0, 0}, 0, 0},
+		{"rdp", "Read-Intensive", 178, 915968, []int64{558, 537, 529, 529, 272, 430}, 990, 0},
+		{"rdp", "Read-Write Evenly Mixed", 178, 915968, []int64{617, 587, 580, 590, 414, 666}, 1545, 0},
+		{"hcode", "Read-Only", 178, 915968, []int64{450, 338, 341, 327, 333, 0}, 0, 0},
+		{"hcode", "Read-Intensive", 178, 915968, []int64{558, 484, 512, 503, 516, 243}, 1011, 0},
+		{"hcode", "Read-Write Evenly Mixed", 178, 915968, []int64{617, 573, 622, 612, 615, 360}, 1590, 0},
+		{"hdp", "Read-Only", 178, 907264, []int64{443, 440, 453, 436}, 0, 0},
+		{"hdp", "Read-Intensive", 178, 907264, []int64{728, 757, 779, 756}, 1215, 0},
+		{"hdp", "Read-Write Evenly Mixed", 178, 907264, []int64{880, 922, 957, 919}, 1863, 0},
+		{"xcode", "Read-Only", 178, 934400, []int64{370, 367, 364, 364, 360}, 0, 0},
+		{"xcode", "Read-Intensive", 178, 934400, []int64{640, 608, 632, 643, 615}, 1308, 0},
+		{"xcode", "Read-Write Evenly Mixed", 178, 934400, []int64{790, 737, 785, 816, 766}, 1978, 0},
+		{"dcode", "Read-Only", 178, 934400, []int64{370, 367, 364, 364, 360}, 0, 0},
+		{"dcode", "Read-Intensive", 178, 934400, []int64{578, 589, 592, 570, 554}, 1050, 0},
+		{"dcode", "Read-Write Evenly Mixed", 178, 934400, []int64{693, 718, 723, 681, 665}, 1594, 0},
+	}
+	cell := 0
+	for _, e := range codes.Comparison() {
+		for _, prof := range workload.Profiles {
+			if cell == len(want) {
+				t.Fatalf("%s/%s: no pinned row (the matrix grew)", e.ID, prof.Name)
+			}
+			w := want[cell]
+			cell++
+			if w.code != e.ID || w.workload != prof.Name {
+				t.Fatalf("cell %d is %s/%s, pinned row is %s/%s", cell-1, e.ID, prof.Name, w.code, w.workload)
+			}
+			code, err := e.New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs := make([]blockdev.Device, code.Cols())
+			for i := range devs {
+				devs[i] = blockdev.NewMem(stripes * int64(code.Rows()) * elem)
+			}
+			a, err := New(code, devs, elem, stripes, WithConcurrency(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill := make([]byte, a.Size())
+			for i := range fill {
+				fill[i] = byte(uint32(i)*2654435761 + seed)
+			}
+			if _, err := a.WriteAt(fill, 0); err != nil {
+				t.Fatal(err)
+			}
+			a.ResetMetrics()
+
+			ops, err := workload.Generate(workload.Config{
+				Ops: opCount, MaxLen: maxLen, MaxTimes: maxTimes,
+				DataElems: stripes * code.DataElems(), Seed: seed,
+			}, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var executions int
+			var moved int64
+			buf := make([]byte, (maxLen+1)*elem)
+			for _, op := range ops {
+				off := int64(op.S) * elem
+				n := min(int64(op.L)*elem, a.Size()-off)
+				for r := 0; r < op.T && n > 0; r++ {
+					if op.Kind == workload.Read {
+						_, err = a.ReadAt(buf[:n], off)
+					} else {
+						_, err = a.WriteAt(buf[:n], off)
+					}
+					if err != nil {
+						t.Fatalf("%s/%s %v S=%d L=%d: %v", e.ID, prof.Name, op.Kind, op.S, op.L, err)
+					}
+					executions++
+					moved += n
+				}
+			}
+
+			snap := a.Snapshot()
+			if executions != w.executions || moved != w.bytes {
+				t.Errorf("%s/%s: %d executions moving %d bytes, pinned %d and %d",
+					e.ID, prof.Name, executions, moved, w.executions, w.bytes)
+			}
+			if !slices.Equal(snap.Load.PerDisk, w.perDisk) {
+				t.Errorf("%s/%s: per-disk accesses %v, pinned %v", e.ID, prof.Name, snap.Load.PerDisk, w.perDisk)
+			}
+			if snap.XOR.EncodeOps != w.encodeXOR || snap.XOR.DecodeOps != w.decodeXOR {
+				t.Errorf("%s/%s: encode/decode XOR ops %d/%d, pinned %d/%d",
+					e.ID, prof.Name, snap.XOR.EncodeOps, snap.XOR.DecodeOps, w.encodeXOR, w.decodeXOR)
+			}
+		}
+	}
+	if cell != len(want) {
+		t.Errorf("matrix has %d cells, %d pinned", cell, len(want))
 	}
 }

@@ -52,8 +52,7 @@ func (a *Array) countDecodeXOR(n int) {
 }
 
 // Snapshot is the machine-readable view of everything the array measures.
-// It is the payload of `raidctl stats`, the /stats HTTP endpoint, and the
-// per-cell detail of cmd/bench.
+// It is the payload of `raidctl stats` and the /stats HTTP endpoint.
 type Snapshot struct {
 	Code  string `json:"code"`
 	Disks int    `json:"disks"`
@@ -63,8 +62,7 @@ type Snapshot struct {
 
 	// Load is the per-column device-operation tally (reads+writes per disk)
 	// with the paper's load-balancing factor LF = Lmax/Lmin (Eq. 8, -1 when
-	// a disk is idle) and the coefficient of variation the benchmark harness
-	// gates regressions on.
+	// a disk is idle) and the coefficient of variation.
 	Load obs.LoadSnapshot `json:"load"`
 
 	// Devices carries the full per-disk detail: op/byte/error counts and
@@ -339,8 +337,8 @@ func (s *Snapshot) Merge(o Snapshot) {
 }
 
 // ResetMetrics zeroes every counter, histogram and device tally, including
-// the erasure code's XOR counters. The benchmark harness calls it after
-// pre-filling an array so the measured window covers only the workload.
+// the erasure code's XOR counters. Call it after pre-filling an array so the
+// measured window covers only the workload.
 // It is exact only while the array is quiescent; note the XOR counters live
 // on the code instance, so arrays sharing one *erasure.Code share that reset.
 func (a *Array) ResetMetrics() {

@@ -244,12 +244,11 @@ func (a *Array) deviceOffset(stripeIdx int64, row int) int64 {
 }
 
 // elemIO reads or writes one element through iov, its one-buffer iovec —
-// the element-at-a-time access a failed run retries with (settleRun) and
-// journal replay uses. A failed column fails with ErrFailed without touching
-// the device; a device error settles through elemFault. tc is the span of
-// the caller's run, so a remote column's serve span joins the operation's
-// trace, a repair's runs parent to it, and a failure event records which
-// operation discovered it.
+// the element-at-a-time access a failed run retries with (settleRun). A
+// failed column fails with ErrFailed without touching the device; a device
+// error settles through elemFault. tc is the span of the caller's run, so a
+// remote column's serve span joins the operation's trace, a repair's runs
+// parent to it, and a failure event records which operation discovered it.
 func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, tc trace.Ctx) error {
 	if a.isFailed(co.Col) {
 		return blockdev.ErrFailed
@@ -275,26 +274,23 @@ func (a *Array) elemFault(write bool, si int64, co erasure.Coord, buf []byte, er
 	return err
 }
 
-// repairElem reconstructs one unreadable element into dst through the
-// reconstruction executor and rewrites it to remap the bad sector. It plans
-// as if the whole column were down — conservative (it will not read sibling
-// cells on the same disk, which are actually fine) but it reuses the
-// memoized degraded plan and never touches the bad cell itself. The fetch
-// lands in a scratch of its own, since dst may be a cell of the caller's
-// stripe task scratch, and a run that fails under it is not settled: a fault
-// during a repair fails the repair — and so the column — rather than
-// repairing recursively. parent is the span of the run that met the bad
-// sector; the repair's device runs are its children.
+// repairElem reconstructs one unreadable element into dst and rewrites it to
+// remap the bad sector. It counts the bad cell's column as down — conservative
+// (it will not read sibling cells on the same disk, which are actually fine)
+// but it never touches the bad cell itself: alone, through the reconstruction
+// executor and the memoized degraded plan; beside another failed column, by a
+// two-erasure decode of the whole stripe. The fetch lands in a scratch of its
+// own, since dst may be a cell of the caller's stripe task scratch. A run that
+// fails under it is not repaired recursively: a second bad sector fails the
+// repair — and so the bad cell's column — while any other error marks the
+// run's own column (issueRun) and the repair re-plans around it. parent is the
+// span of the run that met the bad sector; the repair's device runs are its
+// children.
 func (a *Array) repairElem(si int64, co erasure.Coord, dst []byte, parent trace.Ctx) error {
-	wanted := [1]erasure.Coord{co}
-	plan, err := a.planDegraded(co.Col, wanted[:])
-	if err != nil {
-		return err
-	}
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	sc.tc, sc.repair = parent, true
-	err = a.fetchFold(si, plan, nil, sc)
+	err := a.repairFetch(si, co, sc)
 	sc.repair = false
 	if err != nil {
 		return err
@@ -307,21 +303,51 @@ func (a *Array) repairElem(si int64, co erasure.Coord, dst []byte, parent trace.
 	return nil
 }
 
-// loadStripe reads a full stripe from the surviving disks into sc.s and
-// reconstructs any failed columns — each surviving column as one run of the
-// run reader. A device that fails silently is discovered here (the read
-// errors and marks it), in which case the load restarts without it, up to
-// the code's two-failure tolerance.
-func (a *Array) loadStripe(stripeIdx int64, sc *opScratch) error {
+// repairFetch rebuilds cell co of stripe si into sc.s with co's column
+// counted as down, re-planning whenever a fetch marks another column failed.
+func (a *Array) repairFetch(si int64, co erasure.Coord, sc *opScratch) error {
+	bad := failSet(1) << uint(co.Col)
+	wanted := [1]erasure.Coord{co}
 	for {
-		failed := a.failedSet()
+		failed := a.failedSet() | bad
+		var err error
+		switch failed.count() {
+		case 1:
+			var plan *erasure.DegradedPlan
+			if plan, err = a.planDegraded(co.Col, wanted[:]); err != nil {
+				return err
+			}
+			err = a.fetchFold(si, plan, nil, sc)
+		case 2:
+			err = a.loadStripe(si, bad, sc)
+		default:
+			return ErrTooManyFailures
+		}
+		if err == nil || a.failedSet()|bad == failed {
+			return err // rebuilt, or a fault that marked nothing: a second bad sector
+		}
+	}
+}
+
+// loadStripe reads a full stripe from the surviving disks into sc.s and
+// reconstructs any failed columns, counting the columns in lost as failed
+// too — each surviving column as one run of the run reader. A device that
+// fails silently is discovered here (the read errors and marks it), in which
+// case the load restarts without it, up to the code's two-failure tolerance.
+func (a *Array) loadStripe(stripeIdx int64, lost failSet, sc *opScratch) error {
+	for {
+		failed := a.failedSet() | lost
 		if failed.count() > 2 {
 			return ErrTooManyFailures
 		}
-		if a.readRuns(stripeIdx, a.columnRuns(failed, sc), nil, sc) != nil {
+		if err := a.readRuns(stripeIdx, a.columnRuns(failed, sc), nil, sc); err != nil {
 			// The failing read marked its disk; restart the load degraded
 			// (or give up via the failure-count check — the failed set only
-			// grows, so this terminates).
+			// grows, so this terminates). Under a read-repair, a bad sector
+			// marks nothing and fails the load.
+			if a.failedSet()|lost == failed {
+				return err
+			}
 			continue
 		}
 		if failed != 0 {
@@ -619,7 +645,7 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 		}
 		// A disk failed mid-write; redo the stripe degraded.
 	}
-	if err := a.loadStripe(si, sc); err != nil {
+	if err := a.loadStripe(si, 0, sc); err != nil {
 		return err
 	}
 	data := a.overlay(ers, p, sc)
@@ -716,7 +742,7 @@ func (a *Array) rebuildStripe(si int64, col int, plan *erasure.DegradedPlan, par
 		}
 	}()
 	if plan == nil || a.failedCount() != 1 || a.fetchFold(si, plan, nil, sc) != nil {
-		if err := a.loadStripe(si, sc); err != nil {
+		if err := a.loadStripe(si, 0, sc); err != nil {
 			return err
 		}
 	}
@@ -735,8 +761,8 @@ func (a *Array) Scrub() (fixedN int64, err error) {
 	defer func() { a.tr.End(tcOp, 0, err != nil) }()
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	if n := a.failedCount(); n > 0 {
-		return 0, fmt.Errorf("raid: scrub requires a healthy array (%d disks failed)", n)
+	if err := a.scrubbable(); err != nil {
+		return 0, err
 	}
 	scrubStart := obs.Mono()
 	a.ev.Record(obs.EvScrubStart, -1, -1, tcOp.Link().Trace, 0)
@@ -754,15 +780,30 @@ func (a *Array) Scrub() (fixedN int64, err error) {
 	return fixed.Load(), err
 }
 
+// scrubbable refuses a scrub of a degraded array: a lost cell can only be
+// reconstructed by trusting the parity the scrub is meant to check.
+func (a *Array) scrubbable() error {
+	if n := a.failedCount(); n > 0 {
+		return fmt.Errorf("raid: scrub requires a healthy array (%d disks failed)", n)
+	}
+	return nil
+}
+
 // scrubStripeTask verifies (and if needed repairs) one stripe, returning 1
-// when it had to be re-encoded.
+// when it had to be re-encoded. It serves Scrub and journal replay. A stripe
+// whose load finds a disk dead is not verified: its reconstructed cells took
+// the parity on trust, so re-encoding from them could bake stale parity into
+// data.
 func (a *Array) scrubStripeTask(si int64, parent trace.Link) (fixed int64, err error) {
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	sc.tc = a.tr.Begin(trace.OpScrubStripe, -1, si, parent)
 	defer func() { a.tr.End(sc.tc, 0, err != nil) }()
 	stripeStart := obs.Mono()
-	if err := a.loadStripe(si, sc); err != nil {
+	if err := a.loadStripe(si, 0, sc); err != nil {
+		return 0, err
+	}
+	if err := a.scrubbable(); err != nil {
 		return 0, err
 	}
 	if a.code.Verify(sc.s) {

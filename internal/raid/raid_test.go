@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcode/internal/blockdev"
@@ -687,6 +688,60 @@ func TestReadRepairHealsBadSector(t *testing.T) {
 	}
 	if a.Stats().SectorsRepaired != 1 {
 		t.Fatal("repair ran twice for a healed sector")
+	}
+}
+
+// TestReadRepairAroundDeadColumn heals a bad sector while another column is
+// dead: whether the array already knows (marked) or the repair's own fetch
+// finds out (unnoticed), the repair must fail the dead column only and rebuild
+// the bad cell around it — a two-erasure decode of the stripe — rather than
+// fail the bad sector's healthy column and leave the array with two down,
+// whether the repair's runs go inline or fan out.
+func TestReadRepairAroundDeadColumn(t *testing.T) {
+	const dead = 1
+	for _, tc := range []struct {
+		marked bool
+		conc   int
+	}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
+		name := fmt.Sprintf("unnoticed/conc%d", tc.conc)
+		if tc.marked {
+			name = fmt.Sprintf("marked/conc%d", tc.conc)
+		}
+		t.Run(name, func(t *testing.T) {
+			a, mems := newArrayConc(t, "dcode", 5, 2, WithConcurrency(tc.conc))
+			data := pattern(int(a.Size()), 58)
+			if _, err := a.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			co := a.Code().DataCoord(0)
+			if co.Col == dead {
+				t.Fatalf("data element 0 lies on the dead column %d", dead)
+			}
+			mems[dead].Fail()
+			if tc.marked {
+				if err := a.FailDisk(dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mems[co.Col].InjectBadSector(a.deviceOffset(0, co.Row))
+
+			got := make([]byte, elemSize)
+			if _, err := a.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data[:elemSize]) {
+				t.Fatal("read-repair returned wrong data")
+			}
+			if fd := a.FailedDisks(); !slices.Equal(fd, []int{dead}) {
+				t.Errorf("FailedDisks = %v, want [%d]", fd, dead)
+			}
+			if n := a.Stats().SectorsRepaired; n != 1 {
+				t.Errorf("SectorsRepaired = %d, want 1", n)
+			}
+			if _, err := mems[co.Col].ReadAt(make([]byte, elemSize), a.deviceOffset(0, co.Row)); err != nil {
+				t.Errorf("sector still bad after repair: %v", err)
+			}
+		})
 	}
 }
 

@@ -165,7 +165,7 @@ func TestSnapshotCarriesObservability(t *testing.T) {
 }
 
 // TestResetMetricsClearsWindow: ResetMetrics must clear the rolling window
-// along with the other tallies (the bench harness resets after pre-fill).
+// along with the other tallies (TestLoadMatrixPinned resets after pre-fill).
 func TestResetMetricsClearsWindow(t *testing.T) {
 	a, _ := newArray(t, "dcode", 5, 2)
 	data := pattern(int(a.Size()), 4)
