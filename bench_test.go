@@ -1,15 +1,15 @@
-// Benchmark harness: one benchmark per table/figure of the D-Code paper's
-// evaluation, each emitting the paper's metric via b.ReportMetric, plus
-// kernel microbenchmarks and ablations. See DESIGN.md §3 for the experiment
-// index and EXPERIMENTS.md for measured-vs-paper results.
+// Benchmark harness: kernel microbenchmarks, ablations, the live array's
+// throughput on memory and delayed devices, and the Reed-Solomon baselines.
+// The paper's tables and figures are computed by `go run ./cmd/paper` (its
+// TestReport pins them); see DESIGN.md §3 for the experiment index and
+// EXPERIMENTS.md for measured-vs-paper results.
 //
-//	go test -bench 'Figure4' -benchtime 1x .   # one full Fig. 4 sweep
-//	go test -bench . -benchmem ./...           # everything
+//	go test -bench 'Encode' -benchmem .   # the encode kernels
+//	go test -bench . -benchmem ./...      # everything
 package dcode_test
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -22,211 +22,11 @@ import (
 	"dcode/internal/erasure"
 	"dcode/internal/ioload"
 	"dcode/internal/readperf"
-	"dcode/internal/recovery"
 	"dcode/internal/rs"
 	"dcode/internal/workload"
 )
 
 const benchSeed = 42
-
-// ---------------------------------------------------------------------------
-// Paper §III-D — the feature table: encoding/decoding/update complexity.
-
-func BenchmarkFeatureTable(b *testing.B) {
-	for _, e := range codes.All() {
-		for _, p := range []int{7, 13} {
-			c, err := e.New(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/p=%d", e.ID, p), func(b *testing.B) {
-				var m erasure.Metrics
-				var decodeXOR float64
-				for i := 0; i < b.N; i++ {
-					m = c.ComputeMetrics()
-					decodeXOR, _ = c.DecodeXORPerLost()
-				}
-				b.ReportMetric(m.EncodeXORPerData, "encXOR/data")
-				b.ReportMetric(decodeXOR, "decXOR/lost")
-				b.ReportMetric(m.UpdateAvg, "parity-upd/write")
-				b.ReportMetric(m.StorageEfficiency, "storage-eff")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Paper Fig. 1 — degraded-read and partial-write footprints (p=7): the
-// number of extra elements each code touches for one 5-element operation.
-
-func BenchmarkFigure1Footprints(b *testing.B) {
-	for _, id := range []string{"rdp", "xcode", "dcode"} {
-		c := codes.MustNew(id, 7)
-		b.Run("write/"+id, func(b *testing.B) {
-			var parities int
-			cells := make([]erasure.Coord, 5)
-			for i := range cells {
-				cells[i] = c.DataCoord(i)
-			}
-			for i := 0; i < b.N; i++ {
-				parities = len(c.GroupsTouchedBy(cells))
-			}
-			b.ReportMetric(float64(parities), "parities-updated")
-		})
-		b.Run("degraded-read/"+id, func(b *testing.B) {
-			wanted := make([]erasure.Coord, 5)
-			for i := range wanted {
-				wanted[i] = c.DataCoord(i)
-			}
-			failed := wanted[2].Col
-			var extra int
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, extra, err = readperf.PlanStripeFetch(c, failed, wanted)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(extra), "extra-reads")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Paper Fig. 3 — double-failure recovery: chain length and XOR cost for
-// D-Code, disks 2 and 3, p=7.
-
-func BenchmarkFigure3RecoveryChain(b *testing.B) {
-	c := codes.MustNew("dcode", 7)
-	var xors, chainLen int
-	for i := 0; i < b.N; i++ {
-		x, chain, err := c.SymbolicDecode(2, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xors, chainLen = x, len(chain)
-	}
-	b.ReportMetric(float64(chainLen), "elements")
-	b.ReportMetric(float64(xors)/float64(chainLen), "XOR/element")
-}
-
-// ---------------------------------------------------------------------------
-// Paper Fig. 4 — load balancing factor LF, and Fig. 5 — total I/O cost:
-// 5 codes × 3 workloads × p ∈ {5,7,11,13}.
-
-func benchIOLoad(b *testing.B, metric string) {
-	for _, prof := range workload.Profiles {
-		for _, e := range codes.Comparison() {
-			for _, p := range codes.PaperPrimes {
-				c, err := e.New(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				name := fmt.Sprintf("%s/%s/p=%d", prof.Name, e.ID, p)
-				b.Run(name, func(b *testing.B) {
-					ops, err := workload.Generate(workload.Config{
-						DataElems: c.DataElems(), Seed: benchSeed,
-					}, prof)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var res ioload.Result
-					for i := 0; i < b.N; i++ {
-						res = ioload.Simulate(c, ops)
-					}
-					switch metric {
-					case "lf":
-						lf := res.LF()
-						if math.IsInf(lf, 1) {
-							lf = 30 // the paper plots infinity as 30
-						}
-						b.ReportMetric(lf, "LF")
-					case "cost":
-						b.ReportMetric(float64(res.Cost()), "IO-accesses")
-					}
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4LoadBalancing(b *testing.B) { benchIOLoad(b, "lf") }
-func BenchmarkFigure5IOCost(b *testing.B)        { benchIOLoad(b, "cost") }
-
-// ---------------------------------------------------------------------------
-// Paper Fig. 6 — normal-mode read speed (and average per disk).
-
-func BenchmarkFigure6NormalRead(b *testing.B) {
-	for _, e := range codes.Comparison() {
-		for _, p := range codes.PaperPrimes {
-			c, err := e.New(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/p=%d", e.ID, p), func(b *testing.B) {
-				var res readperf.Result
-				for i := 0; i < b.N; i++ {
-					res = readperf.Normal(c, readperf.Config{Seed: benchSeed})
-				}
-				b.ReportMetric(res.SpeedMBps, "MB/s")
-				b.ReportMetric(res.AvgSpeedMBps, "MB/s/disk")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Paper Fig. 7 — degraded-mode read speed under single data-disk failures.
-
-func BenchmarkFigure7DegradedRead(b *testing.B) {
-	for _, e := range codes.Comparison() {
-		for _, p := range codes.PaperPrimes {
-			c, err := e.New(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/p=%d", e.ID, p), func(b *testing.B) {
-				var res readperf.Result
-				for i := 0; i < b.N; i++ {
-					res, err = readperf.Degraded(c, readperf.Config{Seed: benchSeed})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(res.SpeedMBps, "MB/s")
-				b.ReportMetric(res.AvgSpeedMBps, "MB/s/disk")
-				b.ReportMetric(float64(res.ExtraElems), "extra-elems")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Paper §III-D — single-disk-failure recovery reads: the ~25% saving of the
-// hybrid plan versus the conventional single-kind plan.
-
-func BenchmarkSingleFailureRecovery(b *testing.B) {
-	for _, e := range codes.Comparison() {
-		for _, p := range []int{7, 13} {
-			c, err := e.New(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/p=%d", e.ID, p), func(b *testing.B) {
-				var saving, reads float64
-				for i := 0; i < b.N; i++ {
-					var err error
-					saving, reads, _, err = recovery.AverageSaving(c)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(saving*100, "%-saved")
-				b.ReportMetric(reads, "reads/stripe")
-			})
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Kernel microbenchmarks: raw encode/decode throughput per code, the

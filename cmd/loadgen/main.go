@@ -134,7 +134,8 @@ func main() {
 		shared.tr = trace.New(capacity, trace.DefaultSlowCapacity)
 		shared.tr.Enable()
 	}
-	deadline := time.Now().Add(*duration)
+	start := time.Now()
+	deadline := start.Add(*duration)
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
 		wg.Add(1)
@@ -161,7 +162,7 @@ func main() {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := *duration
+	elapsed := time.Since(start)
 
 	res := summary{
 		code:       st.Code,

@@ -1,5 +1,9 @@
-// Command raidctl manages persistent file-backed RAID-6 arrays: one image
-// file per disk plus an array.json descriptor in a directory.
+// Command raidctl manages persistent file-backed RAID-6 arrays, each in an
+// array directory (internal/arraydir): a descriptor, one image file per disk
+// and, with create -journal, a write-intent journal. Every verb opens the
+// array through that package, so a journaled array replays at each open and
+// the failed disks it records stay failed until rebuilt; raidserve opens the
+// same directories the same way.
 //
 //	raidctl create -dir /tmp/a -code dcode -p 7 -elem 4096 -stripes 256
 //	raidctl info   -dir /tmp/a
@@ -48,20 +52,10 @@ import (
 	"strings"
 	"time"
 
-	"dcode/internal/blockdev"
-	"dcode/internal/codes"
+	"dcode/internal/arraydir"
 	"dcode/internal/obs"
 	"dcode/internal/raid"
 )
-
-type meta struct {
-	Code    string `json:"code"`
-	P       int    `json:"p"`
-	Elem    int    `json:"elem"`
-	Stripes int64  `json:"stripes"`
-	Failed  []int  `json:"failed"`
-	Journal bool   `json:"journal,omitempty"`
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -113,7 +107,7 @@ func main() {
 	case "read":
 		doRead(*dir, *off, *n, *outFile)
 	case "fail":
-		setFailed(*dir, *disk, true)
+		fail(*dir, *disk)
 	case "rebuild":
 		rebuild(*dir, *disk)
 	case "scrub":
@@ -148,99 +142,28 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func metaPath(dir string) string { return filepath.Join(dir, "array.json") }
-
-func loadMeta(dir string) meta {
-	b, err := os.ReadFile(metaPath(dir))
-	if err != nil {
-		fatal(fmt.Errorf("not an array directory: %w", err))
-	}
-	var m meta
-	if err := json.Unmarshal(b, &m); err != nil {
-		fatal(err)
-	}
-	return m
-}
-
-func saveMeta(dir string, m meta) {
-	b, err := json.MarshalIndent(m, "", "  ")
+// mount opens dir's array, exiting on error.
+func mount(dir string, opts ...raid.Option) (*raid.Array, arraydir.Descriptor) {
+	a, d, err := arraydir.Open(dir, nil, opts...)
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(metaPath(dir), b, 0o644); err != nil {
-		fatal(err)
-	}
-}
-
-// open assembles the array from the directory's metadata and disk images.
-func open(dir string, opts ...raid.Option) (*raid.Array, meta) {
-	m := loadMeta(dir)
-	entry, err := codes.ByID(m.Code)
-	if err != nil {
-		fatal(err)
-	}
-	c, err := entry.New(m.P)
-	if err != nil {
-		fatal(err)
-	}
-	devs := make([]blockdev.Device, c.Cols())
-	size := m.Stripes * int64(c.Rows()) * int64(m.Elem)
-	for i := range devs {
-		d, err := blockdev.OpenFile(filepath.Join(dir, fmt.Sprintf("disk%d.img", i)), size)
-		if err != nil {
-			fatal(err)
-		}
-		devs[i] = d
-	}
-	var a *raid.Array
-	if m.Journal {
-		jdev, jerr := blockdev.OpenFile(filepath.Join(dir, "journal.img"), 64<<10)
-		if jerr != nil {
-			fatal(jerr)
-		}
-		a, err = raid.NewJournaled(c, devs, m.Elem, m.Stripes, jdev, opts...)
-	} else {
-		a, err = raid.New(c, devs, m.Elem, m.Stripes, opts...)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, f := range m.Failed {
-		if err := a.FailDisk(f); err != nil {
-			fatal(err)
-		}
-	}
-	return a, m
+	return a, d
 }
 
 func create(dir, codeID string, p, elem int, stripes int64, journal bool) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d := arraydir.Descriptor{Code: codeID, P: p, Elem: elem, Stripes: stripes, Journal: journal}
+	a, err := arraydir.Create(dir, d, nil)
+	if err != nil {
 		fatal(err)
-	}
-	if _, err := os.Stat(metaPath(dir)); err == nil {
-		fatal(fmt.Errorf("array already exists in %s", dir))
-	}
-	m := meta{Code: codeID, P: p, Elem: elem, Stripes: stripes, Journal: journal}
-	saveMeta(dir, m)
-	a, _ := open(dir)
-	// Write zeroes through the array so parity matches the zeroed data.
-	zero := make([]byte, 1<<16)
-	for off := int64(0); off < a.Size(); off += int64(len(zero)) {
-		chunk := zero
-		if rem := a.Size() - off; rem < int64(len(chunk)) {
-			chunk = chunk[:rem]
-		}
-		if _, err := a.WriteAt(chunk, off); err != nil {
-			fatal(err)
-		}
 	}
 	persistStats(dir, a)
 	fmt.Printf("created %s array: %d disks, %d B elements, %d stripes, %.1f MiB usable\n",
-		a.Code().Name(), a.Code().Cols(), m.Elem, m.Stripes, float64(a.Size())/(1<<20))
+		a.Code().Name(), a.Code().Cols(), d.Elem, d.Stripes, float64(a.Size())/(1<<20))
 }
 
 func info(dir string) {
-	a, m := open(dir)
+	a, m := mount(dir)
 	c := a.Code()
 	metrics := c.ComputeMetrics()
 	fmt.Printf("code:      %s (p=%d, %s)\n", c.Name(), m.P, m.Code)
@@ -252,7 +175,7 @@ func info(dir string) {
 }
 
 func doWrite(dir string, off int64, inFile string) {
-	a, _ := open(dir)
+	a, _ := mount(dir)
 	var r io.Reader = os.Stdin
 	if inFile != "-" {
 		f, err := os.Open(inFile)
@@ -278,7 +201,7 @@ func doRead(dir string, off int64, n int, outFile string) {
 	if n <= 0 {
 		fatal(fmt.Errorf("-n must be positive"))
 	}
-	a, _ := open(dir)
+	a, _ := mount(dir)
 	buf := make([]byte, n)
 	if _, err := a.ReadAt(buf, off); err != nil {
 		fatal(err)
@@ -309,39 +232,33 @@ func writeOutput(outFile string, data []byte) error {
 	return f.Close()
 }
 
-func setFailed(dir string, disk int, failed bool) {
-	a, m := open(dir)
-	if failed {
-		if err := a.FailDisk(disk); err != nil {
-			fatal(err)
-		}
+func fail(dir string, disk int) {
+	a, _ := mount(dir)
+	if err := a.FailDisk(disk); err != nil {
+		fatal(err)
 	}
-	m.Failed = a.FailedDisks()
-	saveMeta(dir, m)
-	fmt.Printf("failed disks now: %v\n", m.Failed)
+	persistFailed(dir, a)
+	fmt.Printf("failed disks now: %v\n", a.FailedDisks())
 }
 
 func rebuild(dir string, disk int) {
-	a, m := open(dir)
-	// Blank the replacement image first, as a swapped drive would be.
-	c := a.Code()
-	size := m.Stripes * int64(c.Rows()) * int64(m.Elem)
-	img := filepath.Join(dir, fmt.Sprintf("disk%d.img", disk))
-	if err := os.WriteFile(img, make([]byte, size), 0o644); err != nil {
+	mount(dir) // a journaled array replays over the old image first
+	// Blank the replacement image, as a swapped drive would be, and reopen
+	// over it.
+	if err := arraydir.Blank(dir, disk); err != nil {
 		fatal(err)
 	}
-	a, m = open(dir) // reopen over the fresh image
+	a, _ := mount(dir)
 	if err := a.Rebuild(disk); err != nil {
 		fatal(err)
 	}
-	m.Failed = a.FailedDisks()
-	saveMeta(dir, m)
+	persistFailed(dir, a)
 	persistStats(dir, a)
-	fmt.Printf("disk %d rebuilt; failed disks now: %v\n", disk, m.Failed)
+	fmt.Printf("disk %d rebuilt; failed disks now: %v\n", disk, a.FailedDisks())
 }
 
 func scrub(dir string) {
-	a, _ := open(dir)
+	a, _ := mount(dir)
 	fixed, err := a.Scrub()
 	if err != nil {
 		fatal(err)
@@ -350,11 +267,12 @@ func scrub(dir string) {
 	fmt.Printf("scrub complete: %d stripes repaired\n", fixed)
 }
 
-// persistFailed records failures the array discovered during this run.
+// persistFailed records the failed disks, including those the array
+// discovered during this run.
 func persistFailed(dir string, a *raid.Array) {
-	m := loadMeta(dir)
-	m.Failed = a.FailedDisks()
-	saveMeta(dir, m)
+	if err := arraydir.SaveFailed(dir, a); err != nil {
+		fatal(err)
+	}
 }
 
 func statsPath(dir string) string { return filepath.Join(dir, "stats.json") }
@@ -411,7 +329,10 @@ func stats(dir string, reset bool, serve string, watch time.Duration) {
 		fmt.Println("statistics cleared")
 		return
 	}
-	loadMeta(dir) // fail early with a clear error outside an array directory
+	// Fail early with a clear error outside an array directory.
+	if _, err := arraydir.Load(dir); err != nil {
+		fatal(err)
+	}
 	if serve != "" {
 		mux := obs.NewMux(
 			func() any { return loadStats(dir) },

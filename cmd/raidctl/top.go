@@ -87,7 +87,7 @@ func doTrace(dir, out string, opsN int, profileName string, slow time.Duration, 
 	if slow > 0 {
 		tr.SetSlowThreshold(slow)
 	}
-	a, _ := open(dir, raid.WithTracer(tr))
+	a, _ := mount(dir, raid.WithTracer(tr))
 	tr.Enable()
 	if err := replayWorkload(a, opsN, profileName, seed, nil); err != nil {
 		fatal(err)
@@ -130,7 +130,7 @@ func top(dir string, interval time.Duration, count int, drive bool, opsN int, pr
 	}
 	tr := trace.New(trace.DefaultCapacity, trace.DefaultSlowCapacity)
 	tr.SetSlowThreshold(time.Millisecond)
-	a, _ := open(dir, raid.WithTracer(tr))
+	a, _ := mount(dir, raid.WithTracer(tr))
 	tr.Enable()
 	var stop atomic.Bool
 	done := make(chan error, 1)

@@ -8,56 +8,49 @@
 //	          [-max-clients 256] [-max-inflight 128] [-conc 0] [-trace]
 //	raidserve -column -addr :9650 -file /tmp/col3.img -size 4194304
 //
-// Array mode creates (or reopens) a file-backed array in -dir, one disk
-// image per column, writing the same array.json descriptor raidctl uses.
-// Columns listed in -remotes are network-attached instead: the device is a
-// blockdev.Remote speaking this same protocol to another raidserve -column
-// process, so a column can live on a different node and a dead remote
-// behaves exactly like a failed local disk (degraded reads, rebuild on
-// reconnect).
+// Array mode opens the array directory in -dir through internal/arraydir,
+// exactly as raidctl does: a journaled array replays its write-intent
+// journal at mount (and refuses to mount dirty and degraded) and brackets
+// every network write, and the descriptor's failed columns stay failed. A
+// directory with no array yet gets one from -code, -p, -elem and -stripes,
+// zero-filled as raidctl create does. Columns listed in -remotes are
+// network-attached instead of image files: the device is a blockdev.Remote
+// speaking this same protocol to another raidserve -column process, so a
+// column can live on a different node and a dead remote behaves exactly like
+// a failed local disk (degraded reads, rebuild on reconnect).
 //
 // With -metrics the process also serves the observability HTTP endpoints
 // (/stats JSON, /metrics Prometheus text, pprof); the block
 // service's per-client op/byte tallies are merged into Array.Snapshot(), so
 // one scrape covers the array and the clients hammering it. SIGINT/SIGTERM
-// drain gracefully: accept stops, in-flight requests finish, then
-// connections close.
+// drain gracefully: accept stops, in-flight requests finish, connections
+// close, and then the array's failed columns are saved to its directory.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"dcode/internal/arraydir"
 	"dcode/internal/blockdev"
 	"dcode/internal/blockserve"
-	"dcode/internal/codes"
 	"dcode/internal/obs"
 	"dcode/internal/raid"
 	"dcode/internal/trace"
 )
-
-// arrayMeta mirrors raidctl's array.json so the two tools can open the same
-// directory.
-type arrayMeta struct {
-	Code    string `json:"code"`
-	P       int    `json:"p"`
-	Elem    int    `json:"elem"`
-	Stripes int64  `json:"stripes"`
-	Failed  []int  `json:"failed"`
-	Journal bool   `json:"journal,omitempty"`
-}
 
 func main() {
 	addr := flag.String("addr", ":9640", "TCP address to serve the block protocol on")
@@ -72,11 +65,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 128, "maximum requests being served at once (admission control)")
 	conc := flag.Int("conc", 0, "array concurrency: goroutine fan-out bound (0 = GOMAXPROCS)")
 	traceOn := flag.Bool("trace", false, "enable per-op tracing (request spans carry client tags)")
-	traceCap := flag.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in spans")
-	eventsCap := flag.Int("events-cap", obs.DefaultEventCapacity, "flight-recorder ring capacity in events")
 	node := flag.String("node", "", "node name in /trace and /events dumps (default: the -addr value)")
-	remoteTimeout := flag.Duration("remote-timeout", 2*time.Second, "per-request deadline for remote columns")
-	remoteRetries := flag.Int("remote-retries", 3, "attempts per remote-column operation")
 	column := flag.Bool("column", false, "column mode: serve a single file-backed device instead of an array")
 	file := flag.String("file", "", "backing file (column mode)")
 	size := flag.Int64("size", 0, "device size in bytes (column mode)")
@@ -97,12 +86,12 @@ func main() {
 		tr      *trace.Tracer
 	)
 	if *traceOn {
-		tr = trace.New(*traceCap, trace.DefaultSlowCapacity)
+		tr = trace.New(trace.DefaultCapacity, trace.DefaultSlowCapacity)
 		tr.SetSlowThreshold(10 * time.Millisecond)
 	}
 	// The flight recorder is always on: it retains only rare events, costs a
 	// few atomics when one fires, and is the postmortem of record on panic.
-	rec := obs.NewRecorder(*eventsCap)
+	rec := obs.NewRecorder(obs.DefaultEventCapacity)
 
 	if *column {
 		if *file == "" || *size <= 0 {
@@ -119,18 +108,21 @@ func main() {
 		if *dir == "" {
 			log.Fatal("array mode requires -dir (or pass -column)")
 		}
-		remoteCols, err := parseRemotes(*remotes)
+		cols, err := dialRemotes(*remotes, rec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		arr, err = openArray(*dir, *codeID, *p, *elem, *stripes, remoteCols,
-			*conc, tr, rec, *remoteTimeout, *remoteRetries)
-		if err != nil {
+		opts := []raid.Option{raid.WithConcurrency(*conc), raid.WithEvents(rec)}
+		if tr != nil {
+			opts = append(opts, raid.WithTracer(tr))
+		}
+		create := arraydir.Descriptor{Code: *codeID, P: *p, Elem: *elem, Stripes: *stripes}
+		if arr, err = mountArray(*dir, create, cols, opts...); err != nil {
 			log.Fatal(err)
 		}
-		backend = &arrayBackend{a: arr}
+		backend = arrayBackend{arr}
 		log.Printf("serving %s array from %s: %d disks, %d bytes usable, %d remote columns",
-			arr.Code().Name(), *dir, arr.Code().Cols(), arr.Size(), len(remoteCols))
+			arr.Code().Name(), *dir, arr.Code().Cols(), arr.Size(), len(cols))
 	}
 	if tr != nil {
 		tr.Enable()
@@ -219,12 +211,9 @@ func main() {
 	select {
 	case s := <-sig:
 		log.Printf("%s: draining", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("drain incomplete: %v", err)
+		if err := drain(srv, done, *dir, arr); err != nil {
+			log.Printf("saving failed columns: %v", err)
 		}
-		<-done
 	case err := <-done:
 		if err != nil {
 			log.Fatal(err)
@@ -233,11 +222,12 @@ func main() {
 	log.Printf("bye")
 }
 
-// parseRemotes parses "3=host:9650,4=host:9651" into a column→address map.
-func parseRemotes(s string) (map[int]string, error) {
-	out := map[int]string{}
+// dialRemotes parses "3=host:9650,4=host:9651" and dials each column's
+// blockserve endpoint, as a device that feeds rec on transport retries.
+func dialRemotes(s string, rec *obs.Recorder) (map[int]blockdev.Device, error) {
+	cols := map[int]blockdev.Device{}
 	if s == "" {
-		return out, nil
+		return cols, nil
 	}
 	for _, part := range strings.Split(s, ",") {
 		col, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
@@ -245,120 +235,63 @@ func parseRemotes(s string) (map[int]string, error) {
 			return nil, fmt.Errorf("bad -remotes entry %q (want col=host:port)", part)
 		}
 		c, err := strconv.Atoi(col)
-		if err != nil || c < 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad column in -remotes entry %q", part)
 		}
-		if addr == "" {
-			return nil, fmt.Errorf("empty address in -remotes entry %q", part)
-		}
-		if _, dup := out[c]; dup {
+		if _, dup := cols[c]; dup {
 			return nil, fmt.Errorf("column %d listed twice in -remotes", c)
 		}
-		out[c] = addr
-	}
-	return out, nil
-}
-
-// openArray creates or reopens the file-backed array in dir, substituting
-// Remote devices for the columns in remoteCols.
-func openArray(dir, codeID string, p, elem int, stripes int64, remoteCols map[int]string,
-	conc int, tr *trace.Tracer, rec *obs.Recorder, rtimeout time.Duration, rretries int) (*raid.Array, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	m := arrayMeta{Code: codeID, P: p, Elem: elem, Stripes: stripes}
-	metaPath := filepath.Join(dir, "array.json")
-	if b, err := os.ReadFile(metaPath); err == nil {
-		if err := json.Unmarshal(b, &m); err != nil {
-			return nil, fmt.Errorf("%s: %w", metaPath, err)
-		}
-	} else {
-		b, _ := json.MarshalIndent(m, "", "  ")
-		if err := os.WriteFile(metaPath, b, 0o644); err != nil {
-			return nil, err
-		}
-	}
-	entry, err := codes.ByID(m.Code)
-	if err != nil {
-		return nil, err
-	}
-	code, err := entry.New(m.P)
-	if err != nil {
-		return nil, err
-	}
-	for col := range remoteCols {
-		if col >= code.Cols() {
-			return nil, fmt.Errorf("-remotes column %d out of range for %d-column %s", col, code.Cols(), code.Name())
-		}
-	}
-	devSize := m.Stripes * int64(code.Rows()) * int64(m.Elem)
-	devs := make([]blockdev.Device, code.Cols())
-	for i := range devs {
-		if addr, ok := remoteCols[i]; ok {
-			r, err := blockdev.DialRemote(addr,
-				blockdev.WithRequestTimeout(rtimeout),
-				blockdev.WithRetry(rretries, 10*time.Millisecond))
-			if err != nil {
-				return nil, fmt.Errorf("column %d: %w", i, err)
-			}
-			if r.Size() < devSize {
-				return nil, fmt.Errorf("column %d: remote holds %d bytes, need %d", i, r.Size(), devSize)
-			}
-			r.SetEvents(rec, int32(i))
-			log.Printf("column %d served by remote %s (caps 0x%x)", i, addr, r.Caps())
-			devs[i] = r
-			continue
-		}
-		d, err := blockdev.OpenFile(filepath.Join(dir, fmt.Sprintf("disk%d.img", i)), devSize)
+		r, err := blockdev.DialRemote(addr)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("column %d: %w", c, err)
 		}
-		devs[i] = d
+		r.SetEvents(rec, int32(c))
+		log.Printf("column %d served by remote %s (caps 0x%x)", c, addr, r.Caps())
+		cols[c] = r
 	}
-	opts := []raid.Option{raid.WithConcurrency(conc), raid.WithEvents(rec)}
-	if tr != nil {
-		opts = append(opts, raid.WithTracer(tr))
-	}
-	a, err := raid.New(code, devs, m.Elem, m.Stripes, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range m.Failed {
-		if err := a.FailDisk(f); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return cols, nil
 }
 
-// arrayBackend adapts *raid.Array to the blockserve Backend and its admin
-// interfaces.
+// mountArray opens dir's array over cols (the network-attached columns), or
+// creates it from create when dir holds no array yet.
+func mountArray(dir string, create arraydir.Descriptor, cols map[int]blockdev.Device, opts ...raid.Option) (*raid.Array, error) {
+	if _, err := arraydir.Load(dir); errors.Is(err, fs.ErrNotExist) {
+		log.Printf("no array in %s: creating a %s p=%d array", dir, create.Code, create.P)
+		return arraydir.Create(dir, create, cols, opts...)
+	}
+	a, _, err := arraydir.Open(dir, cols, opts...)
+	return a, err
+}
+
+// drain stops srv — accept stops, in-flight requests finish, connections
+// close — waits for its Serve to return on done, and then saves arr's failed
+// columns to dir, as raidctl does after each command. arr is nil in column
+// mode.
+func drain(srv *blockserve.Server, done <-chan error, dir string, arr *raid.Array) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("drain incomplete: %v", err)
+	}
+	<-done
+	if arr == nil {
+		return nil
+	}
+	return arraydir.SaveFailed(dir, arr)
+}
+
+// arrayBackend serves the array over the wire. The embedded *raid.Array is
+// the blockserve Backend, Flusher and Rebuilder, and its LinkedBackend: the
+// server's serve span becomes the parent of the array's op span, so a
+// request that recurses into a remote column carries one unbroken trace
+// across all three processes.
 type arrayBackend struct {
-	a *raid.Array
+	*raid.Array
 }
-
-func (b *arrayBackend) ReadAt(p []byte, off int64) (int, error)  { return b.a.ReadAt(p, off) }
-func (b *arrayBackend) WriteAt(p []byte, off int64) (int, error) { return b.a.WriteAt(p, off) }
-func (b *arrayBackend) Size() int64                              { return b.a.Size() }
-
-// ReadAtLink / WriteAtLink implement blockserve.LinkedBackend: the server's
-// serve span becomes the parent of the array's op span, so a request that
-// recurses into a remote column carries one unbroken trace across all three
-// processes.
-func (b *arrayBackend) ReadAtLink(p []byte, off int64, parent trace.Link) (int, error) {
-	return b.a.ReadAtLink(p, off, parent)
-}
-
-func (b *arrayBackend) WriteAtLink(p []byte, off int64, parent trace.Link) (int, error) {
-	return b.a.WriteAtLink(p, off, parent)
-}
-
-// Flush is a no-op: the array writes through to its devices synchronously.
-func (b *arrayBackend) Flush() error { return nil }
 
 // StatusJSON serves the full observability snapshot plus the fields a
 // protocol client needs to mount the volume.
-func (b *arrayBackend) StatusJSON() ([]byte, error) {
+func (b arrayBackend) StatusJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		Code     string        `json:"code"`
 		Size     int64         `json:"size"`
@@ -366,15 +299,13 @@ func (b *arrayBackend) StatusJSON() ([]byte, error) {
 		Failed   []int         `json:"failed"`
 		Snapshot raid.Snapshot `json:"snapshot"`
 	}{
-		Code:     b.a.Code().Name(),
-		Size:     b.a.Size(),
-		ElemSize: b.a.ElemSize(),
-		Failed:   b.a.FailedDisks(),
-		Snapshot: b.a.Snapshot(),
+		Code:     b.Code().Name(),
+		Size:     b.Size(),
+		ElemSize: b.ElemSize(),
+		Failed:   b.FailedDisks(),
+		Snapshot: b.Snapshot(),
 	})
 }
-
-func (b *arrayBackend) Rebuild(disk int) error { return b.a.Rebuild(disk) }
 
 // columnBackend adapts a FileDevice to the Backend + Flusher interfaces for
 // -column mode.

@@ -2,47 +2,9 @@ package obs
 
 import "math"
 
-// LoadTally counts accesses per disk (or any other fixed set of lanes) with
-// one lock-free cell per lane. It is the live-engine analogue of the
-// internal/ioload simulator's per-disk counts: the same Lmax/Lmin
-// load-balancing factor (paper Eq. 8) and, additionally, the coefficient of
-// variation, which stays finite when a disk is idle.
-type LoadTally struct {
-	cells []Counter
-}
-
-// NewLoadTally returns a tally over n lanes.
-func NewLoadTally(n int) *LoadTally {
-	return &LoadTally{cells: make([]Counter, n)}
-}
-
-// Add records n accesses on lane i.
-func (t *LoadTally) Add(i int, n int64) { t.cells[i].Add(n) }
-
-// Inc records one access on lane i.
-func (t *LoadTally) Inc(i int) { t.cells[i].Inc() }
-
-// Len returns the number of lanes.
-func (t *LoadTally) Len() int { return len(t.cells) }
-
-// Reset zeroes every lane (quiescent writers only, like Counter.Reset).
-func (t *LoadTally) Reset() {
-	for i := range t.cells {
-		t.cells[i].Reset()
-	}
-}
-
-// Snapshot captures the per-lane counts and derived balance metrics.
-func (t *LoadTally) Snapshot() LoadSnapshot {
-	s := LoadSnapshot{PerDisk: make([]int64, len(t.cells))}
-	for i := range t.cells {
-		s.PerDisk[i] = t.cells[i].Load()
-	}
-	s.refresh()
-	return s
-}
-
-// LoadSnapshot is the JSON-friendly view of a LoadTally.
+// LoadSnapshot is a per-disk (or any other fixed set of lanes) access tally,
+// the live-engine analogue of the internal/ioload simulator's per-disk
+// counts.
 //
 // LF is Lmax/Lmin (paper Eq. 8); a lane with zero load makes the true value
 // +Inf, which JSON cannot carry, so it is reported as -1 (the paper's figures
@@ -82,11 +44,8 @@ func (s *LoadSnapshot) Lmin() int64 {
 }
 
 // Recompute rederives Total, LF and CV from PerDisk; callers that assemble a
-// snapshot from raw counts (rather than via LoadTally.Snapshot) finish with
-// it.
-func (s *LoadSnapshot) Recompute() { s.refresh() }
-
-func (s *LoadSnapshot) refresh() {
+// snapshot from raw counts finish with it.
+func (s *LoadSnapshot) Recompute() {
 	s.Total = 0
 	for _, v := range s.PerDisk {
 		s.Total += v
@@ -123,5 +82,5 @@ func (s *LoadSnapshot) Merge(o LoadSnapshot) {
 	for i, v := range o.PerDisk {
 		s.PerDisk[i] += v
 	}
-	s.refresh()
+	s.Recompute()
 }

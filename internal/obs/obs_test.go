@@ -135,21 +135,17 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestLoadTally(t *testing.T) {
-	lt := NewLoadTally(4)
-	lt.Add(0, 10)
-	lt.Add(1, 10)
-	lt.Add(2, 10)
-	lt.Add(3, 10)
-	s := lt.Snapshot()
+func TestLoadSnapshotRecompute(t *testing.T) {
+	s := LoadSnapshot{PerDisk: []int64{10, 10, 10, 10}}
+	s.Recompute()
 	if s.CV != 0 || s.LF != 1 || s.Total != 40 {
 		t.Fatalf("balanced tally: %+v", s)
 	}
 
-	lt.Add(0, 40) // now 50,10,10,10
-	s = lt.Snapshot()
-	if s.LF != 5 {
-		t.Fatalf("LF = %v, want 5", s.LF)
+	s.PerDisk[0] += 40 // now 50,10,10,10
+	s.Recompute()
+	if s.Total != 80 || s.LF != 5 {
+		t.Fatalf("Total, LF = %d, %v; want 80, 5", s.Total, s.LF)
 	}
 	// mean 20, variance (900+100+100+100)/4 = 300, cv = sqrt(300)/20
 	want := math.Sqrt(300) / 20
@@ -158,10 +154,9 @@ func TestLoadTally(t *testing.T) {
 	}
 }
 
-func TestLoadTallyIdleDisk(t *testing.T) {
-	lt := NewLoadTally(3)
-	lt.Inc(0)
-	s := lt.Snapshot()
+func TestLoadSnapshotIdleDisk(t *testing.T) {
+	s := LoadSnapshot{PerDisk: []int64{1, 0, 0}}
+	s.Recompute()
 	if s.LF != -1 {
 		t.Fatalf("idle-disk LF should be -1 (the +Inf sentinel), got %v", s.LF)
 	}
@@ -180,9 +175,9 @@ func TestLoadTallyIdleDisk(t *testing.T) {
 
 func TestLoadSnapshotMerge(t *testing.T) {
 	a := LoadSnapshot{PerDisk: []int64{1, 2, 3}}
-	a.refresh()
+	a.Recompute()
 	b := LoadSnapshot{PerDisk: []int64{3, 2, 1}}
-	b.refresh()
+	b.Recompute()
 	a.Merge(b)
 	if a.Total != 12 || a.CV != 0 || a.LF != 1 {
 		t.Fatalf("merged snapshot: %+v", a)

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// LoadWindow is the live, windowed counterpart of LoadTally: per-disk access
+// LoadWindow is the live, windowed counterpart of LoadSnapshot: per-disk access
 // counts over a rolling time window, kept as a ring of fixed-duration slots
 // with separate read and write cells. It computes the paper's load-balancing
 // factor LF = Lmax/Lmin (Eq. 8) over the recent window rather than over the

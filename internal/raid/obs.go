@@ -139,11 +139,14 @@ type XORSnapshot struct {
 	DecodeBytes int64 `json:"decode_bytes"`
 }
 
-// CounterSnapshot mirrors Stats with JSON tags. Under the write plan a
-// stripe write that patches any parity counts its written elements in
-// RMWWrites; one that patches none — re-encoded, full-stripe or degraded —
-// counts once in FullStripeWrites. The plan-memo counter is omitted when
-// zero, as on an array that never read degraded.
+// CounterSnapshot is the array's counter record, as Stats returns it and
+// Snapshot carries it. Under the write plan a stripe write that patches any
+// parity counts its written elements in RMWWrites; one that patches none —
+// re-encoded, full-stripe or degraded — counts once in FullStripeWrites.
+// Reads and Writes count logical operations, DegradedReads those that needed
+// reconstruction, SectorsRepaired the latent sector errors read-repair
+// healed. The plan-memo counter is omitted when zero, as on an array that
+// never read degraded.
 type CounterSnapshot struct {
 	Reads            int64 `json:"reads"`
 	Writes           int64 `json:"writes"`
@@ -170,19 +173,9 @@ type LatencySnapshot struct {
 // exact once they quiesce.
 func (a *Array) Snapshot() Snapshot {
 	s := Snapshot{
-		Code:  a.code.Name(),
-		Disks: a.code.Cols(),
-		Counters: CounterSnapshot{
-			Reads:            a.m.reads.Load(),
-			Writes:           a.m.writes.Load(),
-			DegradedReads:    a.m.degradedReads.Load(),
-			FullStripeWrites: a.m.fullStripeWrites.Load(),
-			RMWWrites:        a.m.rmwWrites.Load(),
-			StripesRebuilt:   a.m.stripesRebuilt.Load(),
-			ScrubErrorsFixed: a.m.scrubErrorsFixed.Load(),
-			SectorsRepaired:  a.m.sectorsRepaired.Load(),
-			DegradedPlanHits: a.m.degradedPlanHits.Load(),
-		},
+		Code:     a.code.Name(),
+		Disks:    a.code.Cols(),
+		Counters: a.Stats(),
 		Latency: LatencySnapshot{
 			Read:         a.m.readLatency.Snapshot(),
 			Write:        a.m.writeLatency.Snapshot(),

@@ -141,17 +141,6 @@ func (a *Array) clearFailed(col int) {
 	a.failMu.Unlock()
 }
 
-// Stats aggregates array-level counters.
-type Stats struct {
-	Reads, Writes    int64 // logical operations served
-	DegradedReads    int64 // reads that needed reconstruction
-	FullStripeWrites int64 // stripe writes that patched no parity (re-encoded, full-stripe or degraded)
-	RMWWrites        int64 // elements written by stripe writes that patched a parity
-	StripesRebuilt   int64
-	ScrubErrorsFixed int64
-	SectorsRepaired  int64 // latent sector errors healed by read-repair
-}
-
 // New assembles an array from one device per column of the code. Every
 // device must hold at least `stripes` stripes of rows×elemSize bytes.
 // Options tune the array; see WithConcurrency.
@@ -202,10 +191,10 @@ func (a *Array) Size() int64 {
 	return a.stripes * int64(a.code.DataElems()) * int64(a.elemSize)
 }
 
-// Stats returns a snapshot of the counters. Snapshot returns the full
+// Stats returns the array's counters. Snapshot returns the full
 // observability view (latency histograms, per-disk loads, XOR volume).
-func (a *Array) Stats() Stats {
-	return Stats{
+func (a *Array) Stats() CounterSnapshot {
+	return CounterSnapshot{
 		Reads:            a.m.reads.Load(),
 		Writes:           a.m.writes.Load(),
 		DegradedReads:    a.m.degradedReads.Load(),
@@ -214,6 +203,7 @@ func (a *Array) Stats() Stats {
 		StripesRebuilt:   a.m.stripesRebuilt.Load(),
 		ScrubErrorsFixed: a.m.scrubErrorsFixed.Load(),
 		SectorsRepaired:  a.m.sectorsRepaired.Load(),
+		DegradedPlanHits: a.m.degradedPlanHits.Load(),
 	}
 }
 

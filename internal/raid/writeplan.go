@@ -229,7 +229,8 @@ func (a *Array) markedRuns(marks []bool, sc *opScratch) []cellRun {
 // cells stay mutually consistent, so the column is reconstructable.
 //
 // A write that patches any group counts its w written elements in
-// Stats.RMWWrites; one that patches none counts one FullStripeWrites.
+// CounterSnapshot.RMWWrites; one that patches none counts one
+// FullStripeWrites.
 func (a *Array) writePlanned(si int64, ers []elemRange, p []byte, sc *opScratch) error {
 	if runs := a.markedRuns(sc.rd, sc); len(runs) > 0 {
 		if err := a.readRuns(si, runs, nil, sc); err != nil {
