@@ -118,7 +118,7 @@ func TestServedJournaledArrayReplaysAtMount(t *testing.T) {
 	// The crashing process: its intent for stripe 0 reaches the journal and
 	// its commit does not.
 	jnl := blockdev.NewMem(arraydir.JournalSize)
-	crashed, err := raid.NewJournaled(code, devs, d.Elem, d.Stripes, jnl)
+	crashed, err := raid.NewJournaled(code, devs, d.Elem, d.Stripes, jnl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

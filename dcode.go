@@ -124,10 +124,12 @@ func NewArray(c *Code, devs []Device, elemSize int, stripes int64, opts ...Array
 // its parity updates (the RAID write hole) cannot silently corrupt later
 // reconstructions.
 func NewJournaledArray(c *Code, devs []Device, elemSize int, stripes int64, journal Device, opts ...ArrayOption) (*Array, error) {
-	return raid.NewJournaled(c, devs, elemSize, stripes, journal, opts...)
+	return raid.NewJournaled(c, devs, elemSize, stripes, journal, nil, opts...)
 }
 
-// NewMemDevice allocates a zeroed in-memory block device.
+// NewMemDevice allocates a zeroed in-memory block device. On Linux one of
+// 2 MiB or more is a mapping on huge pages; Close releases it, and so does
+// the collector once the device is unreachable.
 func NewMemDevice(size int64) *MemDevice { return blockdev.NewMem(size) }
 
 // OpenFileDevice creates or opens a file-backed block device of the given

@@ -7,6 +7,7 @@ package arraydir
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,7 +64,9 @@ func (d Descriptor) save(dir string) error {
 	return os.WriteFile(descPath(dir), b, 0o644)
 }
 
-// geometry returns the descriptor's code and the bytes each column holds.
+// geometry returns the descriptor's code and the bytes each column holds,
+// refusing an unknown code, a prime the code does not take, or an element
+// size or stripe count that is not positive.
 func (d Descriptor) geometry() (*erasure.Code, int64, error) {
 	entry, err := codes.ByID(d.Code)
 	if err != nil {
@@ -73,13 +76,22 @@ func (d Descriptor) geometry() (*erasure.Code, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	if d.Elem <= 0 || d.Stripes <= 0 {
+		return nil, 0, fmt.Errorf("element size %d and stripe count %d must be positive", d.Elem, d.Stripes)
+	}
 	return c, d.Stripes * int64(c.Rows()) * int64(d.Elem), nil
 }
 
 // Create makes dir an array directory holding d, refusing one that already
 // has a descriptor, and zero-fills the volume through the array so every
-// stripe's parity matches its data. cols is as for Open.
-func Create(dir string, d Descriptor, cols map[int]blockdev.Device, opts ...raid.Option) (*raid.Array, error) {
+// stripe's parity matches its data. cols is as for Open. A descriptor that
+// does not name a valid geometry is refused before anything is written, and
+// a Create that fails after writing it removes it again, so the directory is
+// left free for the next Create.
+func Create(dir string, d Descriptor, cols map[int]blockdev.Device, opts ...raid.Option) (a *raid.Array, err error) {
+	if _, _, err := d.geometry(); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -89,8 +101,13 @@ func Create(dir string, d Descriptor, cols map[int]blockdev.Device, opts ...raid
 	if err := d.save(dir); err != nil {
 		return nil, err
 	}
-	a, _, err := Open(dir, cols, opts...)
-	if err != nil {
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, os.Remove(descPath(dir)))
+			a = nil
+		}
+	}()
+	if a, _, err = Open(dir, cols, opts...); err != nil {
 		return nil, err
 	}
 	zero := make([]byte, 1<<16)
@@ -108,8 +125,9 @@ func Create(dir string, d Descriptor, cols map[int]blockdev.Device, opts ...raid
 
 // Open assembles dir's array. cols supplies the devices of columns served
 // elsewhere (a network-attached column); every other column is its image
-// file in dir. A journaled array is opened with raid.NewJournaled, which
-// replays the journal, and the descriptor's failed columns are failed again.
+// file in dir. The descriptor's failed columns are failed again; a journaled
+// array is opened with raid.NewJournaled, which fails them before it replays
+// the journal.
 func Open(dir string, cols map[int]blockdev.Device, opts ...raid.Option) (a *raid.Array, d Descriptor, err error) {
 	if d, err = Load(dir); err != nil {
 		return nil, d, err
@@ -154,11 +172,13 @@ func Open(dir string, cols map[int]blockdev.Device, opts ...raid.Option) (a *rai
 		if jerr != nil {
 			return nil, d, jerr
 		}
-		a, err = raid.NewJournaled(c, devs, d.Elem, d.Stripes, jdev, opts...)
-	} else {
-		a, err = raid.New(c, devs, d.Elem, d.Stripes, opts...)
+		// The failed set goes in before replay, so a dirty journal over a
+		// degraded array is refused instead of re-encoding parity over a
+		// dead column's stale image.
+		a, err = raid.NewJournaled(c, devs, d.Elem, d.Stripes, jdev, d.Failed, opts...)
+		return a, d, err
 	}
-	if err != nil {
+	if a, err = raid.New(c, devs, d.Elem, d.Stripes, opts...); err != nil {
 		return nil, d, err
 	}
 	for _, f := range d.Failed {

@@ -19,6 +19,9 @@ var ErrFailed = errors.New("blockdev: device failed")
 // ErrBadSector is returned when a read touches an injected bad sector.
 var ErrBadSector = errors.New("blockdev: unreadable sector")
 
+// ErrClosed is returned by a MemDevice after Close: its medium is gone.
+var ErrClosed = errors.New("blockdev: device closed")
+
 // Device is a fixed-size random-access block device.
 type Device interface {
 	// ReadAt fills p from the device starting at off.
@@ -51,11 +54,21 @@ type Stats struct {
 // concurrent use.
 type MemDevice struct {
 	mu         sync.Mutex
-	buf        []byte
+	m          *media // nil once closed
+	size       int64
 	failed     bool
 	bad        map[int64]bool // offsets (byte granularity ranges rounded by caller) marked unreadable
 	writeLimit int64          // -1: unlimited; otherwise remaining persisted writes
 	stats      Stats
+}
+
+// media is a MemDevice's storage: buf is the whole medium. A medium of at
+// least one huge page is a mapping of its own on Linux (mem_linux.go), which
+// release unmaps; a finalizer on the holder releases a medium whose device
+// was dropped without Close.
+type media struct {
+	buf    []byte
+	mapped bool
 }
 
 // NewMem allocates a zeroed in-memory device of the given size.
@@ -63,7 +76,7 @@ func NewMem(size int64) *MemDevice {
 	if size < 0 {
 		panic(fmt.Sprintf("blockdev: negative size %d", size))
 	}
-	return &MemDevice{buf: make([]byte, size), bad: make(map[int64]bool), writeLimit: -1}
+	return &MemDevice{m: newMedia(size), size: size, bad: make(map[int64]bool), writeLimit: -1}
 }
 
 // SetWriteLimit models a power loss with a volatile write cache: the next n
@@ -85,6 +98,17 @@ func checkRange(n int, off, size int64) error {
 	return nil
 }
 
+// usable reports why the device cannot serve a request: closed or failed.
+func (d *MemDevice) usable() error {
+	if d.m == nil {
+		return ErrClosed
+	}
+	if d.failed {
+		return ErrFailed
+	}
+	return nil
+}
+
 // badInRange reports whether any injected bad sector falls in [off, off+n).
 func (d *MemDevice) badInRange(n int, off int64) bool {
 	if len(d.bad) == 0 {
@@ -102,16 +126,16 @@ func (d *MemDevice) badInRange(n int, off int64) bool {
 func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return 0, ErrFailed
+	if err := d.usable(); err != nil {
+		return 0, err
 	}
-	if err := checkRange(len(p), off, d.Size()); err != nil {
+	if err := checkRange(len(p), off, d.size); err != nil {
 		return 0, err
 	}
 	if d.badInRange(len(p), off) {
 		return 0, ErrBadSector
 	}
-	copy(p, d.buf[off:])
+	copy(p, d.m.buf[off:])
 	d.stats.Reads++
 	d.stats.BytesRead += int64(len(p))
 	return len(p), nil
@@ -124,10 +148,10 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	total := VecLen(bufs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return 0, ErrFailed
+	if err := d.usable(); err != nil {
+		return 0, err
 	}
-	if err := checkRange(total, off, d.Size()); err != nil {
+	if err := checkRange(total, off, d.size); err != nil {
 		return 0, err
 	}
 	if d.badInRange(total, off) {
@@ -135,7 +159,7 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	}
 	n := 0
 	for _, b := range bufs {
-		n += copy(b, d.buf[off+int64(n):])
+		n += copy(b, d.m.buf[off+int64(n):])
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += int64(total)
@@ -147,10 +171,10 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return 0, ErrFailed
+	if err := d.usable(); err != nil {
+		return 0, err
 	}
-	if err := checkRange(len(p), off, d.Size()); err != nil {
+	if err := checkRange(len(p), off, d.size); err != nil {
 		return 0, err
 	}
 	if d.writeLimit == 0 {
@@ -162,7 +186,7 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	if d.writeLimit > 0 {
 		d.writeLimit--
 	}
-	copy(d.buf[off:], p)
+	copy(d.m.buf[off:], p)
 	d.healRange(len(p), off)
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(len(p))
@@ -189,10 +213,10 @@ func (d *MemDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	total := VecLen(bufs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return 0, ErrFailed
+	if err := d.usable(); err != nil {
+		return 0, err
 	}
-	if err := checkRange(total, off, d.Size()); err != nil {
+	if err := checkRange(total, off, d.size); err != nil {
 		return 0, err
 	}
 	if d.writeLimit == 0 {
@@ -205,7 +229,7 @@ func (d *MemDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 	}
 	n := 0
 	for _, b := range bufs {
-		n += copy(d.buf[off+int64(n):], b)
+		n += copy(d.m.buf[off+int64(n):], b)
 	}
 	d.healRange(total, off)
 	d.stats.Writes++
@@ -214,10 +238,20 @@ func (d *MemDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 }
 
 // Size implements Device.
-func (d *MemDevice) Size() int64 { return int64(len(d.buf)) }
+func (d *MemDevice) Size() int64 { return d.size }
 
-// Close implements Device.
-func (d *MemDevice) Close() error { return nil }
+// Close implements Device: it releases the medium, and every later access
+// returns ErrClosed.
+func (d *MemDevice) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.m == nil {
+		return nil
+	}
+	err := d.m.release()
+	d.m = nil
+	return err
+}
 
 // Fail makes every subsequent access return ErrFailed.
 func (d *MemDevice) Fail() {
@@ -226,14 +260,17 @@ func (d *MemDevice) Fail() {
 	d.mu.Unlock()
 }
 
-// Replace swaps in fresh zeroed media (a replacement disk) and clears the
-// failure state and any write limit; contents are lost.
+// Replace zeroes the medium in place (a replacement disk) and clears the
+// failure state, bad sectors, any write limit and the counters; contents are
+// lost. A closed device stays closed.
 func (d *MemDevice) Replace() {
 	d.mu.Lock()
-	d.buf = make([]byte, len(d.buf))
+	if d.m != nil {
+		clear(d.m.buf)
+	}
 	d.failed = false
 	d.writeLimit = -1
-	d.bad = make(map[int64]bool)
+	clear(d.bad)
 	d.stats = Stats{}
 	d.mu.Unlock()
 }
@@ -256,8 +293,8 @@ func (d *MemDevice) Stats() Stats {
 // silent media corruption for scrub tests.
 func (d *MemDevice) Corrupt(off int64) {
 	d.mu.Lock()
-	if off >= 0 && off < int64(len(d.buf)) {
-		d.buf[off] ^= 0xFF
+	if d.m != nil && off >= 0 && off < d.size {
+		d.m.buf[off] ^= 0xFF
 	}
 	d.mu.Unlock()
 }

@@ -130,18 +130,24 @@ func (j *journal) log(typ byte, seq uint64, stripe int64) (uint64, error) {
 // NewJournaled assembles an array with a write-intent journal on a dedicated
 // device and replays it: stripes left dirty by a crash get their parity
 // recomputed from data (the scrub's stripe task) before the array is
-// returned. Replay requires a healthy array — with disks missing, stale
-// parity cannot be told apart from stale data, so mounting dirty and degraded
-// is refused, and so is a replay whose read finds a disk dead. Once every
-// intent is resolved, one write clears the ring, which this mount then fills
-// from slot 0.
+// returned. failed lists columns already known dead (a saved failed set);
+// they are failed before replay. Replay requires a healthy array — with
+// disks missing, stale parity cannot be told apart from stale data, so
+// mounting dirty and degraded is refused, and so is a replay whose read finds
+// a disk dead. Once every intent is resolved, one write clears the ring,
+// which this mount then fills from slot 0.
 //
 //lint:ignore lockcheck journal replay writes stripes during construction, before the array is returned to any caller — no concurrent operation can hold or need the per-stripe locks yet
 func NewJournaled(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64,
-	journalDev blockdev.Device, opts ...Option) (*Array, error) {
+	journalDev blockdev.Device, failed []int, opts ...Option) (*Array, error) {
 	a, err := New(code, devs, elemSize, stripes, opts...)
 	if err != nil {
 		return nil, err
+	}
+	for _, col := range failed {
+		if err := a.FailDisk(col); err != nil {
+			return nil, err
+		}
 	}
 	jnl, dirty, err := openJournal(journalDev)
 	if err != nil {

@@ -19,7 +19,7 @@ func newJournaledArray(t *testing.T, stripes int64, journalBytes int64) (*Array,
 		devs[i] = mems[i]
 	}
 	jdev := blockdev.NewMem(journalBytes)
-	a, err := NewJournaled(code, devs, elemSize, stripes, jdev)
+	a, err := NewJournaled(code, devs, elemSize, stripes, jdev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func remount(t *testing.T, mems []*blockdev.MemDevice, stripes int64, jdev *bloc
 	for i := range mems {
 		devs[i] = mems[i]
 	}
-	a, err := NewJournaled(code, devs, elemSize, stripes, jdev)
+	a, err := NewJournaled(code, devs, elemSize, stripes, jdev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestJournalIgnoresGarbage(t *testing.T) {
 	for i := range devs {
 		devs[i] = blockdev.NewMem(4 * int64(code.Rows()) * elemSize)
 	}
-	if _, err := NewJournaled(code, devs, elemSize, 4, jdev); err != nil {
+	if _, err := NewJournaled(code, devs, elemSize, 4, jdev, nil); err != nil {
 		t.Fatalf("garbage journal rejected: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestJournalTooSmall(t *testing.T) {
 	for i := range devs {
 		devs[i] = blockdev.NewMem(4 * int64(code.Rows()) * elemSize)
 	}
-	if _, err := NewJournaled(code, devs, elemSize, 4, blockdev.NewMem(64)); err == nil {
+	if _, err := NewJournaled(code, devs, elemSize, 4, blockdev.NewMem(64), nil); err == nil {
 		t.Fatal("undersized journal accepted")
 	}
 }
@@ -214,7 +214,7 @@ func TestJournaledRefusesDirtyDegradedMount(t *testing.T) {
 	for i := range mems {
 		devs[i] = mems[i]
 	}
-	arr, err := NewJournaled(code, devs, elemSize, 4, jdev)
+	arr, err := NewJournaled(code, devs, elemSize, 4, jdev, nil)
 	// The failure is silent, so mounting succeeds but replay's first read
 	// marks the disk and errors out — either a refusal error or a replay
 	// error is acceptable, never a silent success.
@@ -230,7 +230,7 @@ func TestJournaledRefusesDirtyDegradedMount(t *testing.T) {
 func TestJournaledRejectsBadGeometry(t *testing.T) {
 	code := codes.MustNew("dcode", 5)
 	devs := make([]blockdev.Device, 3) // wrong device count
-	if _, err := NewJournaled(code, devs, elemSize, 4, blockdev.NewMem(4096)); err == nil {
+	if _, err := NewJournaled(code, devs, elemSize, 4, blockdev.NewMem(4096), nil); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
 }
@@ -251,7 +251,7 @@ func TestJournalIgnoresOutOfRangeStripes(t *testing.T) {
 	for i := range devs {
 		devs[i] = blockdev.NewMem(4 * int64(code.Rows()) * elemSize)
 	}
-	a, err := NewJournaled(code, devs, elemSize, 4, jdev)
+	a, err := NewJournaled(code, devs, elemSize, 4, jdev, nil)
 	if err != nil {
 		t.Fatalf("stale out-of-range intent broke the mount: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestJournalRemountAfterOutOfOrderCommits(t *testing.T) {
 	for i := range mems {
 		devs[i] = mems[i]
 	}
-	if _, err := NewJournaled(code, devs, elemSize, 4, jdev); err != nil {
+	if _, err := NewJournaled(code, devs, elemSize, 4, jdev, nil); err != nil {
 		t.Fatalf("clean journal refused with a disk down: %v", err)
 	}
 }
@@ -344,7 +344,7 @@ func TestJournalReplayRefusesDiskFoundDead(t *testing.T) {
 	for i := range mems {
 		devs[i] = mems[i]
 	}
-	if _, err := NewJournaled(code, devs, elemSize, 4, jdev); err == nil {
+	if _, err := NewJournaled(code, devs, elemSize, 4, jdev, nil); err == nil {
 		t.Fatal("replay over a dead disk mounted")
 	}
 }
