@@ -129,7 +129,9 @@ func NewJournaledArray(c *Code, devs []Device, elemSize int, stripes int64, jour
 
 // NewMemDevice allocates a zeroed in-memory block device. On Linux one of
 // 2 MiB or more is a mapping on huge pages; Close releases it, and so does
-// the collector once the device is unreachable.
+// the collector once the device is unreachable. An array column that is a
+// bare MemDevice lends its bytes to Rebuild and degraded reads, which fold
+// from it without copying.
 func NewMemDevice(size int64) *MemDevice { return blockdev.NewMem(size) }
 
 // OpenFileDevice creates or opens a file-backed block device of the given

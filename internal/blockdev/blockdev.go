@@ -1,6 +1,12 @@
 // Package blockdev provides the block-device abstraction the RAID engine
 // stores columns on: an in-memory device with fault injection for tests and
 // simulations, and a file-backed device for real use.
+//
+// A Device moves bytes by copy: vectored reads and writes into and out of
+// the caller's buffers. A MemDevice can also lend a read-only view of its
+// medium (Lend, Return), so a reader that only folds the bytes need not copy
+// them first; Instrumented offers that to the raid layer for a bare
+// MemDevice only (see Instrumented.Lends).
 package blockdev
 
 import (
@@ -54,7 +60,9 @@ type Stats struct {
 // concurrent use.
 type MemDevice struct {
 	mu         sync.Mutex
-	m          *media // nil once closed
+	m          *media   // nil once closed
+	loans      int      // views lent and not yet returned (Lend, Return)
+	retired    []*media // media closed or replaced under a loan, released at the last Return
 	size       int64
 	failed     bool
 	bad        map[int64]bool // offsets (byte granularity ranges rounded by caller) marked unreadable
@@ -122,18 +130,27 @@ func (d *MemDevice) badInRange(n int, off int64) bool {
 	return false
 }
 
+// checkRead reports why n bytes at off cannot be read: the device is closed
+// or failed, the range is outside it, or it holds a bad sector.
+func (d *MemDevice) checkRead(n int, off int64) error {
+	if err := d.usable(); err != nil {
+		return err
+	}
+	if err := checkRange(n, off, d.size); err != nil {
+		return err
+	}
+	if d.badInRange(n, off) {
+		return ErrBadSector
+	}
+	return nil
+}
+
 // ReadAt implements Device.
 func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
+	if err := d.checkRead(len(p), off); err != nil {
 		return 0, err
-	}
-	if err := checkRange(len(p), off, d.size); err != nil {
-		return 0, err
-	}
-	if d.badInRange(len(p), off) {
-		return 0, ErrBadSector
 	}
 	copy(p, d.m.buf[off:])
 	d.stats.Reads++
@@ -148,14 +165,8 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	total := VecLen(bufs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
+	if err := d.checkRead(total, off); err != nil {
 		return 0, err
-	}
-	if err := checkRange(total, off, d.size); err != nil {
-		return 0, err
-	}
-	if d.badInRange(total, off) {
-		return 0, ErrBadSector
 	}
 	n := 0
 	for _, b := range bufs {
@@ -164,6 +175,56 @@ func (d *MemDevice) ReadVecAt(bufs [][]byte, off int64) (int, error) {
 	d.stats.Reads++
 	d.stats.BytesRead += int64(total)
 	return total, nil
+}
+
+// Lend is a ReadVecAt of n bytes at off that hands back a view of the
+// medium instead of copying it: the same checks and failures (ErrClosed,
+// ErrFailed, a range outside the device, ErrBadSector) and the same Stats —
+// one read of n bytes. The view is read-only, and it reads whatever the
+// medium holds, so the caller keeps writers off the range while it reads
+// (the raid layer holds the stripe). Every successful Lend is matched by one
+// Return, on this device, once the view is no longer read. A Close or
+// Replace while views are out leaves them readable: the medium they point
+// into is released at the last Return.
+func (d *MemDevice) Lend(n int, off int64) ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.checkRead(n, off); err != nil {
+		return nil, err
+	}
+	d.loans++
+	d.stats.Reads++
+	d.stats.BytesRead += int64(n)
+	end := off + int64(n)
+	return d.m.buf[off:end:end], nil
+}
+
+// Return ends one loan of Lend. The last Return releases the media a Close
+// or Replace retired while views were out.
+func (d *MemDevice) Return() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.loans == 0 {
+		panic("blockdev: Return without a loan")
+	}
+	d.loans--
+	if d.loans > 0 {
+		return
+	}
+	for _, m := range d.retired {
+		// A munmap of a mapping of our own fails only on a corrupted
+		// address; the loan is over either way.
+		_ = m.release()
+	}
+	d.retired = nil
+}
+
+// Loans returns how many views Lend has handed out that are not yet
+// returned.
+func (d *MemDevice) Loans() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.loans
 }
 
 // WriteAt implements Device. Writing over a bad sector heals it, as
@@ -240,17 +301,21 @@ func (d *MemDevice) WriteVecAt(bufs [][]byte, off int64) (int, error) {
 // Size implements Device.
 func (d *MemDevice) Size() int64 { return d.size }
 
-// Close implements Device: it releases the medium, and every later access
-// returns ErrClosed.
+// Close implements Device: every later access returns ErrClosed. The medium
+// is released now, or at the last Return when views of it are still lent.
 func (d *MemDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.m == nil {
+	m := d.m
+	if m == nil {
 		return nil
 	}
-	err := d.m.release()
 	d.m = nil
-	return err
+	if d.loans > 0 {
+		d.retired = append(d.retired, m)
+		return nil
+	}
+	return m.release()
 }
 
 // Fail makes every subsequent access return ErrFailed.
@@ -262,10 +327,16 @@ func (d *MemDevice) Fail() {
 
 // Replace zeroes the medium in place (a replacement disk) and clears the
 // failure state, bad sectors, any write limit and the counters; contents are
-// lost. A closed device stays closed.
+// lost. While views are lent, it swaps in a fresh medium instead, so the
+// views keep the old bytes until their Return. A closed device stays closed.
 func (d *MemDevice) Replace() {
 	d.mu.Lock()
-	if d.m != nil {
+	switch {
+	case d.m == nil:
+	case d.loans > 0:
+		d.retired = append(d.retired, d.m)
+		d.m = newMedia(d.size)
+	default:
 		clear(d.m.buf)
 	}
 	d.failed = false

@@ -19,15 +19,19 @@ type LinkedDevice interface {
 // histograms. Errors are passed through unwrapped, so errors.Is checks on
 // ErrFailed / ErrBadSector keep working through the wrapper.
 //
-// Its I/O surface is one vectored pair — the raid layer's every device call
-// goes through it — that carries what the raid layer needs: the
-// ops-equivalent count of a coalesced run, the caller's span link, and the
-// obs.Mono timestamp chain — the caller hands in the call's start and gets
-// its end back, so back-to-back calls share one clock read between them. The
-// wrapper is not itself a Device: nothing reaches a column around it.
+// Its I/O surface — the raid layer's every device call goes through it — is
+// a vectored pair plus, on a bare MemDevice, a lend (LendN, Return): a read
+// that hands back a view of the medium instead of copying. Each call carries
+// what the raid layer needs: the ops-equivalent count of a coalesced run, the
+// caller's span link, and the obs.Mono timestamp chain — the caller hands in
+// the call's start and gets its end back, so back-to-back calls share one
+// clock read between them. A lend is accounted exactly as the vectored read
+// of the same range. The wrapper is not itself a Device: nothing reaches a
+// column around it.
 type Instrumented struct {
 	dev    Device
 	linked LinkedDevice // dev's link-threading view, nil if unsupported
+	mem    *MemDevice   // dev when it is a bare MemDevice, the one device that lends
 	m      obs.IOMetrics
 	hook   OpHook
 }
@@ -47,8 +51,30 @@ type OpHook func(write bool, ops, bytes int64, end int64)
 // against an in-memory device, where the clock read is most of it.
 func Instrument(dev Device) *Instrumented {
 	lb, _ := dev.(LinkedDevice)
-	return &Instrumented{dev: dev, linked: lb}
+	mem, _ := dev.(*MemDevice)
+	return &Instrumented{dev: dev, linked: lb, mem: mem}
 }
+
+// Lends reports whether LendN may be called: the wrapped device is a bare
+// *MemDevice. The test is on the concrete type, not on an interface, so a
+// wrapper that embeds a MemDevice to inject faults or record calls does not
+// inherit the lend and have its own reads bypassed; FileDevice, Remote and
+// Delayed copy too.
+func (d *Instrumented) Lends() bool { return d.mem != nil }
+
+// LendN is ReadVecAtNLink for a read the caller folds without copying: one
+// physical read of n bytes at off, standing for ops element accesses and
+// accounted as the vectored read of the same range, that returns a
+// read-only view of the MemDevice's medium (MemDevice.Lend). A MemDevice
+// carries no trace link. Only valid when Lends reports true; every
+// successful LendN is matched by one Return.
+func (d *Instrumented) LendN(n int, off int64, ops int64, start int64) (view []byte, end int64, err error) {
+	view, err = d.mem.Lend(n, off)
+	return view, d.accountRead(start, len(view), err, ops), err
+}
+
+// Return ends one loan of LendN.
+func (d *Instrumented) Return() { d.mem.Return() }
 
 // Metrics returns the wrapper's metric set; callers snapshot or reset it.
 func (d *Instrumented) Metrics() *obs.IOMetrics { return &d.m }

@@ -234,3 +234,60 @@ func BenchmarkInstrumentedReadVec(b *testing.B) {
 		}
 	})
 }
+
+// TestInstrumentedLend checks that a lend is accounted as the vectored read
+// of the same range — ops, bytes, errors, latency, the op hook — and that
+// only a bare MemDevice lends: not a wrapper that embeds one, not Delayed.
+func TestInstrumentedLend(t *testing.T) {
+	type call struct {
+		write      bool
+		ops, bytes int64
+	}
+	tally := func(dev *Instrumented) *[]call {
+		var calls []call
+		dev.SetOpHook(func(write bool, ops, bytes int64, _ int64) { calls = append(calls, call{write, ops, bytes}) })
+		return &calls
+	}
+	rmem, lmem := NewMem(4096), NewMem(4096)
+	rdev, ldev := Instrument(rmem), Instrument(lmem)
+	rcalls, lcalls := tally(rdev), tally(ldev)
+	buf := make([]byte, 1024)
+	for _, bad := range []bool{false, true} {
+		if bad {
+			rmem.InjectBadSector(700)
+			lmem.InjectBadSector(700)
+		}
+		_, _, rerr := rdev.ReadVecAtNLink([][]byte{buf}, 512, 2, trace.Link{}, obs.Mono())
+		view, _, lerr := ldev.LendN(len(buf), 512, 2, obs.Mono())
+		if !errors.Is(lerr, rerr) || (rerr == nil) != (len(view) == len(buf)) {
+			t.Fatalf("bad sector %v: ReadVecAtNLink %v, LendN %d bytes, %v", bad, rerr, len(view), lerr)
+		}
+		if lerr == nil {
+			ldev.Return()
+		}
+	}
+	rs, ls := rdev.Metrics().Snapshot(), ldev.Metrics().Snapshot()
+	if rs.Reads != ls.Reads || rs.ReadErrors != ls.ReadErrors || rs.BytesRead != ls.BytesRead ||
+		rs.ReadLatency.Count != ls.ReadLatency.Count {
+		t.Fatalf("read %+v, lend %+v", rs, ls)
+	}
+	if len(*rcalls) != 2 || len(*lcalls) != 2 || (*rcalls)[0] != (*lcalls)[0] || (*rcalls)[1] != (*lcalls)[1] {
+		t.Fatalf("op hook: read %v, lend %v", *rcalls, *lcalls)
+	}
+	if rmem.Stats() != lmem.Stats() {
+		t.Fatalf("device stats: read %+v, lend %+v", rmem.Stats(), lmem.Stats())
+	}
+
+	type embedded struct{ *MemDevice }
+	for name, dev := range map[string]Device{
+		"embedding wrapper": embedded{lmem},
+		"Delayed":           &Delayed{Device: lmem},
+	} {
+		if Instrument(dev).Lends() {
+			t.Errorf("%s lends", name)
+		}
+	}
+	if !ldev.Lends() {
+		t.Error("a bare MemDevice does not lend")
+	}
+}

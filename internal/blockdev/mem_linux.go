@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"syscall"
 )
 
@@ -33,7 +34,52 @@ func newMedia(size int64) *media {
 	_ = syscall.Madvise(buf, syscall.MADV_HUGEPAGE)
 	m := &media{buf: buf, mapped: true}
 	runtime.SetFinalizer(m, (*media).release)
+	if mapped.add(size) {
+		runtime.GC()
+	}
 	return m
+}
+
+// mapped paces the collector for mapped media. Their bytes are outside the
+// Go heap, so a program that drops devices without Close and allocates
+// little else would grow its mappings until something else collected and
+// ran their finalizers. Like GOGC for the heap, a new mapping forces a
+// collection when the bytes still mapped outgrow twice what was mapped after
+// the last one (and the floor minMappedGoal): goal is set to twice the
+// mapped bytes at each forced collection and falls with every release, so it
+// follows the bytes that survive it.
+var mapped pacer
+
+type pacer struct {
+	sync.Mutex
+	live int64 // bytes mapped and not yet released
+	goal int64 // live above this forces a collection; minMappedGoal when lower
+}
+
+// minMappedGoal is the mapped bytes below which no collection is forced,
+// the counterpart of the heap's minimum goal.
+const minMappedGoal = 64 << 20
+
+// add accounts size newly mapped bytes, and reports whether the caller
+// should collect; a collection is due when live outgrows the goal, which
+// then doubles from there.
+func (p *pacer) add(size int64) bool {
+	p.Lock()
+	defer p.Unlock()
+	p.live += size
+	if p.live <= max(p.goal, minMappedGoal) {
+		return false
+	}
+	p.goal = 2 * p.live
+	return true
+}
+
+// sub accounts size released bytes; the goal follows them down.
+func (p *pacer) sub(size int64) {
+	p.Lock()
+	p.live -= size
+	p.goal = min(p.goal, 2*p.live)
+	p.Unlock()
 }
 
 // release unmaps a mapped medium; a heap one is left to the collector. It
@@ -46,6 +92,7 @@ func (m *media) release() error {
 	runtime.SetFinalizer(m, nil)
 	buf := m.buf
 	m.buf, m.mapped = nil, false
+	mapped.sub(int64(len(buf)))
 	if err := syscall.Munmap(buf); err != nil {
 		return fmt.Errorf("blockdev: munmap: %w", err)
 	}

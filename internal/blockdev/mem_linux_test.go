@@ -56,6 +56,54 @@ func TestDroppedMediaAreUnmapped(t *testing.T) {
 		n>>20, drops, size>>20, base>>20)
 }
 
+// A mapped medium closed while a view of it is lent stays mapped until the
+// view is returned, and is unmapped then.
+func TestReturnedLoanUnmaps(t *testing.T) {
+	const size = 4 << 20
+	d := NewMem(size)
+	view, err := d.Lend(size, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withMedium := advisedBytes(t)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := advisedBytes(t); n != withMedium {
+		t.Fatalf("Close under a loan unmapped the medium: %d MiB advised, %d before", n>>20, withMedium>>20)
+	}
+	if view[size-1] != 0 {
+		t.Fatal("lent view of a zeroed medium reads non-zero")
+	}
+	d.Return()
+	if n := advisedBytes(t); n != withMedium-size {
+		t.Fatalf("%d MiB advised after the last Return, want %d", n>>20, (withMedium-size)>>20)
+	}
+}
+
+// Devices dropped without Close, in a program that never collects itself,
+// are unmapped all the same: each new mapping accounts for the bytes still
+// mapped and forces a collection when they outgrow the pacer's goal, so 64
+// dropped 4 MiB devices leave at most about two floors' worth (2 ×
+// minMappedGoal) in huge-page mappings, not 256 MiB. The test reads smaps
+// once, after giving the finalizers time: reading it allocates, and a
+// polling loop would collect by itself.
+func TestDroppedMediaArePaced(t *testing.T) {
+	const size, drops = 4 << 20, 64
+	base := advisedBytes(t)
+	for i := 0; i < drops; i++ {
+		d := NewMem(size)
+		if _, err := d.WriteAt([]byte{1}, int64(i)<<12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	if n := advisedBytes(t); n > base+2*minMappedGoal {
+		t.Fatalf("%d MiB in huge-page mappings after dropping %d devices of %d MiB, %d MiB before",
+			n>>20, drops, size>>20, base>>20)
+	}
+}
+
 // advisedBytes sums the sizes of the process's mappings advised
 // MADV_HUGEPAGE: those whose VmFlags in /proc/self/smaps include "hg".
 func advisedBytes(t *testing.T) int64 {

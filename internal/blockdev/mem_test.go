@@ -149,6 +149,107 @@ func TestMemDeviceContract(t *testing.T) {
 				t.Fatalf("second Close: %v", err)
 			}
 		}},
+		{"lend", func(t *testing.T, d *MemDevice) {
+			// A lend is the ReadVecAt of its range without the copy: the
+			// same bytes, the same Stats, the same failures.
+			data := pattern(3<<12, 5)
+			off := d.Size()/2 - 1<<12
+			if _, err := d.WriteAt(data, off); err != nil {
+				t.Fatal(err)
+			}
+			before := d.Stats()
+			got := make([]byte, len(data))
+			if _, err := d.ReadVecAt([][]byte{got[:100], got[100:]}, off); err != nil {
+				t.Fatal(err)
+			}
+			read := d.Stats()
+			view, err := d.Lend(len(data), off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(view, data) || !bytes.Equal(view, got) {
+				t.Fatal("lent view differs from what was written")
+			}
+			if after := d.Stats(); after.Reads-read.Reads != read.Reads-before.Reads ||
+				after.BytesRead-read.BytesRead != read.BytesRead-before.BytesRead {
+				t.Fatalf("stats: ReadVecAt moved them %+v → %+v, Lend %+v → %+v", before, read, read, after)
+			}
+			if n := d.Loans(); n != 1 {
+				t.Fatalf("%d loans out, want 1", n)
+			}
+			d.Return()
+			if n := d.Loans(); n != 0 {
+				t.Fatalf("%d loans out after Return, want 0", n)
+			}
+			for _, bad := range []struct {
+				n   int
+				off int64
+			}{{1, -1}, {2, d.Size() - 1}, {int(d.Size()) + 1, 0}} {
+				if _, err := d.Lend(bad.n, bad.off); err == nil {
+					t.Errorf("Lend of %d bytes at %d outside the device succeeded", bad.n, bad.off)
+				}
+			}
+			stats := d.Stats()
+			d.InjectBadSector(off + 5000)
+			_, verr := d.ReadVecAt([][]byte{got}, off)
+			_, lerr := d.Lend(len(data), off)
+			if !errors.Is(verr, ErrBadSector) || !errors.Is(lerr, ErrBadSector) {
+				t.Fatalf("over a bad sector: ReadVecAt %v, Lend %v", verr, lerr)
+			}
+			if d.Stats() != stats || d.Loans() != 0 {
+				t.Fatalf("a failed lend moved the stats (%+v → %+v) or left a loan (%d)", stats, d.Stats(), d.Loans())
+			}
+		}},
+		{"lend across replace", func(t *testing.T, d *MemDevice) {
+			data := pattern(4096, 3)
+			if _, err := d.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			view, err := d.Lend(len(data), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Fail()
+			d.Replace()
+			got := make([]byte, len(data))
+			if _, err := d.ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, len(data))) {
+				t.Fatalf("replaced device reads %x…, %v; want zeros", got[:8], err)
+			}
+			if !bytes.Equal(view, data) {
+				t.Fatal("Replace changed a lent view")
+			}
+			d.Return()
+		}},
+		{"lend across close", func(t *testing.T, d *MemDevice) {
+			// A view stays readable while Close runs and after it; every
+			// call after Close, a lend included, returns ErrClosed.
+			data := pattern(1<<16, 11)
+			if _, err := d.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			view, err := d.Lend(len(data), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error)
+			go func() { done <- d.Close() }()
+			for i := 0; i < 8; i++ {
+				if !bytes.Equal(view, data) {
+					t.Fatal("lent view changed under Close")
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			checkCalls(t, d, 0, ErrClosed)
+			if !bytes.Equal(view, data) {
+				t.Fatal("lent view changed after Close")
+			}
+			d.Return()
+			if n := d.Loans(); n != 0 {
+				t.Fatalf("%d loans out after Return, want 0", n)
+			}
+		}},
 		{"close under load", func(t *testing.T, d *MemDevice) {
 			// Close while four goroutines read and write: every call
 			// either completes or returns ErrClosed, and none touches
@@ -205,8 +306,8 @@ func pattern(n int, seed byte) []byte {
 	return p
 }
 
-// checkCalls makes each of the device's four I/O calls on one byte at off
-// and requires every one to fail with want.
+// checkCalls makes each of the device's four I/O calls, and a lend, on one
+// byte at off and requires every one to fail with want.
 func checkCalls(t *testing.T, d *MemDevice, off int64, want error) {
 	t.Helper()
 	for name, call := range map[string]func() (int, error){
@@ -214,6 +315,13 @@ func checkCalls(t *testing.T, d *MemDevice, off int64, want error) {
 		"WriteAt":    func() (int, error) { return d.WriteAt([]byte{1}, off) },
 		"ReadVecAt":  func() (int, error) { return d.ReadVecAt([][]byte{make([]byte, 1)}, off) },
 		"WriteVecAt": func() (int, error) { return d.WriteVecAt([][]byte{{1}}, off) },
+		"Lend": func() (int, error) {
+			v, err := d.Lend(1, off)
+			if err == nil {
+				d.Return()
+			}
+			return len(v), err
+		},
 	} {
 		if _, err := call(); !errors.Is(err, want) {
 			t.Errorf("%s: %v, want %v", name, err, want)

@@ -57,7 +57,9 @@ func (c *Code) encodeGroupInto(s *stripe.Stripe, gi int) {
 // the overlay); it must not be any other cell of the group. Sources are
 // gathered into a stack array and handed to the set-form kernel, so no call
 // allocates and no seed copy precedes the first XOR; a group wider than the
-// array continues through the accumulate form.
+// array continues through the accumulate form. A stripe that borrows cells
+// from a device's medium (stripe.Borrow) folds through XORSetCold, whose
+// interleaved walk suits sources that are not in cache.
 func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, target Coord) int {
 	g := &c.groups[gi]
 	var arr [16][]byte
@@ -68,9 +70,12 @@ func (c *Code) FoldGroup(dst []byte, s *stripe.Stripe, data [][]byte, gi int, ta
 			srcs = append(srcs, c.CellFrom(s, data, m))
 		}
 		if len(srcs) == cap(srcs) || i == len(g.Members) {
-			if folded == 0 {
+			switch {
+			case folded == 0 && s.Borrowing():
+				stripe.XORSetCold(dst, srcs...)
+			case folded == 0:
 				stripe.XORSet(dst, srcs...)
-			} else {
+			default:
 				stripe.XORMulti(dst, srcs...)
 			}
 			folded += len(srcs)

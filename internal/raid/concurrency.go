@@ -13,6 +13,8 @@ package raid
 //     run builder, lists the runs;
 //   - the data path's one run reader and one run writer (readRuns,
 //     writeRuns): stage the runs' iovecs, issue them, settle their errors;
+//     the reconstruction executor's reads may borrow a run from a memory
+//     column instead of copying it (loans, below);
 //   - the sync.Pool-backed per-operation scratch (stripe buffer, mark
 //     bitmaps, coordinate lists) that makes the steady-state data path
 //     allocation-free.
@@ -110,9 +112,14 @@ type cellRun struct {
 // vecRun is one staged cellRun: rows [row, row+n) of column col, served by
 // the iovec list sc.vecbufs[lo:hi] — one buffer per cell, or a single
 // contiguous one when the whole run lives in stripe memory (see stageRuns).
+// lend marks a stripe-memory run of a read that may borrow its bytes from
+// the device instead (issueRun); view is the medium it was lent, until
+// takeLoans moves it into the stripe.
 type vecRun struct {
 	col, row, n int
 	lo, hi      int
+	lend        bool
+	view        []byte
 }
 
 // readRuns is the data path's one run reader: it reads coalesced runs of
@@ -121,10 +128,17 @@ type vecRun struct {
 // the error of the lowest-indexed run it could not serve. A bad sector is
 // repaired in place on the way (settleRun), so an error means the run's
 // column is down: failed before the read, or marked failed by it — or, under
-// a read-repair, a second bad sector (issueRun).
-func (a *Array) readRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) error {
-	err := a.issueRuns(false, si, a.stageRuns(runs, data, sc), sc)
+// a read-repair, a second bad sector (issueRun). With lend, a run bound for
+// stripe memory on a column that lends is borrowed rather than copied, and
+// the loans are in sc.s's borrowed cells and sc.loans on return, error or
+// not (takeLoans).
+func (a *Array) readRuns(si int64, runs []cellRun, data [][]byte, lend bool, sc *opScratch) error {
+	vruns := a.stageRuns(runs, data, lend, sc)
+	err := a.issueRuns(false, si, vruns, sc)
 	clear(sc.vecbufs) // drop the user-buffer references before the scratch is pooled
+	if sc.lendable {
+		a.takeLoans(vruns, sc)
+	}
 	return err
 }
 
@@ -132,7 +146,7 @@ func (a *Array) readRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch)
 // as one gather write from its cells, read through the overlay as in
 // readRuns. A column that fails is marked and skipped.
 func (a *Array) writeRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch) {
-	_ = a.issueRuns(true, si, a.stageRuns(runs, data, sc), sc)
+	_ = a.issueRuns(true, si, a.stageRuns(runs, data, false, sc), sc)
 	clear(sc.vecbufs)
 }
 
@@ -141,21 +155,25 @@ func (a *Array) writeRuns(si int64, runs []cellRun, data [][]byte, sc *opScratch
 // overlay gets one buffer per cell, resolved through erasure's CellFrom (the
 // caller's buffer for a data cell the overlay holds, sc.s otherwise); a run
 // living wholly in stripe memory gets its contiguous ColRange as one buffer,
-// so a device without native scatter/gather still moves it in one call. The
-// caller clears sc.vecbufs once the runs are done.
-func (a *Array) stageRuns(runs []cellRun, data [][]byte, sc *opScratch) []vecRun {
+// so a device without native scatter/gather still moves it in one call, and
+// under lend it may be borrowed instead (sc.lendable says whether any run
+// may). The caller clears sc.vecbufs once the runs are done.
+func (a *Array) stageRuns(runs []cellRun, data [][]byte, lend bool, sc *opScratch) []vecRun {
 	bufs := sc.vecbufs[:0]
 	vruns := sc.vruns[:0]
+	sc.lendable = false
 	for _, r := range runs {
 		lo := len(bufs)
-		if a.inOverlay(r, data) {
+		inStripe := !a.inOverlay(r, data)
+		if inStripe {
+			bufs = append(bufs, sc.s.ColRange(r.col, r.row, r.n))
+			sc.lendable = sc.lendable || lend
+		} else {
 			for k := 0; k < r.n; k++ {
 				bufs = append(bufs, a.code.CellFrom(sc.s, data, erasure.Coord{Row: r.row + k, Col: r.col}))
 			}
-		} else {
-			bufs = append(bufs, sc.s.ColRange(r.col, r.row, r.n))
 		}
-		vruns = append(vruns, vecRun{col: r.col, row: r.row, n: r.n, lo: lo, hi: len(bufs)})
+		vruns = append(vruns, vecRun{col: r.col, row: r.row, n: r.n, lo: lo, hi: len(bufs), lend: lend && inStripe})
 	}
 	sc.vecbufs = bufs
 	sc.vruns = vruns
@@ -192,36 +210,43 @@ func (a *Array) issueRuns(write bool, si int64, vruns []vecRun, sc *opScratch) e
 		// Loop directly: the fanOut closure escapes into its goroutine path,
 		// so constructing it would heap-allocate on every call.
 		t := obs.Mono()
-		for _, r := range vruns {
+		for i := range vruns {
 			var err error
-			if t, err = a.issueRun(write, si, r, sc, t); err != nil {
+			if t, err = a.issueRun(write, si, &vruns[i], sc, t); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	return a.fanOut(len(vruns), func(i int) error {
-		_, err := a.issueRun(write, si, vruns[i], sc, obs.Mono())
+		_, err := a.issueRun(write, si, &vruns[i], sc, obs.Mono())
 		return err
 	})
 }
 
 // issueRun issues one staged run under its own device span: one vectored
-// call standing for the run's n element accesses, settled by settleRun —
-// unless the scratch serves a read-repair, which does not repair recursively:
-// there a bad sector is the repair's failure, and any other error marks the
-// run's column for the repair to plan around. A run on a failed column fails
-// with ErrFailed without touching the device. start is the obs.Mono reading
-// the device call's latency runs from; the returned stamp is where the run
-// ended — the device call's own end, or a fresh reading after a retry, whose
-// element calls time themselves.
-func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start int64) (int64, error) {
+// call standing for the run's n element accesses — or, for a lend run on a
+// column that lends, one lend of the run's bytes into r.view, accounted as
+// that call — settled by settleRun (a failed lend retries by copy, as a
+// failed vectored read does) — unless the scratch serves a read-repair,
+// which does not repair recursively: there a bad sector is the repair's
+// failure, and any other error marks the run's column for the repair to plan
+// around. A run on a failed column fails with ErrFailed without touching the
+// device. start is the obs.Mono reading the device call's latency runs from;
+// the returned stamp is where the run ended — the device call's own end, or
+// a fresh reading after a retry, whose element calls time themselves.
+func (a *Array) issueRun(write bool, si int64, r *vecRun, sc *opScratch, start int64) (int64, error) {
 	tc := a.tr.Begin(devOp(write), int32(r.col), si, sc.tc.Link())
 	err := blockdev.ErrFailed
 	end := start
 	if !a.isFailed(r.col) {
 		bufs := sc.vecbufs[r.lo:r.hi]
-		end, err = a.devIO(write, r.col, bufs, a.deviceOffset(si, r.row), int64(r.n), tc.Link(), start)
+		off := a.deviceOffset(si, r.row)
+		if dev := a.iodevs[r.col]; r.lend && dev.Lends() {
+			r.view, end, err = dev.LendN(len(bufs[0]), off, int64(r.n), start)
+		} else {
+			end, err = a.devIO(write, r.col, bufs, off, int64(r.n), tc.Link(), start)
+		}
 		switch {
 		case err == nil:
 		case !sc.repair:
@@ -237,7 +262,7 @@ func (a *Array) issueRun(write bool, si int64, r vecRun, sc *opScratch, start in
 // endRun closes a run's device span — failed if the run failed — and returns
 // what the run reports to issueRuns: its error for a read, nil for a
 // best-effort write.
-func (a *Array) endRun(write bool, r vecRun, tc trace.Ctx, err error) error {
+func (a *Array) endRun(write bool, r *vecRun, tc trace.Ctx, err error) error {
 	a.tr.End(tc, int64(r.n*a.elemSize), err != nil)
 	if write {
 		return nil
@@ -254,7 +279,7 @@ func (a *Array) endRun(write bool, r vecRun, tc trace.Ctx, err error) error {
 // returns err, the gather's own failure. A one-buffer run retries through
 // its iovec slot re-pointed at each cell in turn, so the retry does not
 // allocate; the list is spent afterwards.
-func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err error, tc trace.Ctx) error {
+func (a *Array) settleRun(write bool, si int64, r *vecRun, bufs [][]byte, err error, tc trace.Ctx) error {
 	if err == nil {
 		return nil
 	}
@@ -276,6 +301,41 @@ func (a *Array) settleRun(write bool, si int64, r vecRun, bufs [][]byte, err err
 		return err
 	}
 	return nil
+}
+
+// Loans. The reconstruction executor (fetchFold) folds the cells it fetches
+// and, for a healthy or degraded read, copies out partial ranges; it never
+// writes them. So a run it reads into stripe memory from a bare MemDevice
+// column is borrowed — a view of the medium (blockdev.Instrumented.LendN) —
+// rather than copied, and the fold reads the cells there through sc.s's
+// borrowed views (stripe.Borrow). Every other read copies: runs that land in
+// the caller's buffer, and every read on the write path, whose stripe cells
+// are patched or re-encoded in place. Loans are returned when the scratch is
+// pooled (putScratch), or at once when the fetch fails and the scratch is
+// reused by a re-plan or a whole-stripe load.
+
+// takeLoans moves the views issueRun borrowed for vruns into sc.s's borrowed
+// cells, recording each run's column in sc.loans for returnLoans. It runs
+// after the runs are issued, so fanned-out runs never share a list.
+func (a *Array) takeLoans(vruns []vecRun, sc *opScratch) {
+	for i := range vruns {
+		r := &vruns[i]
+		if r.view != nil {
+			sc.s.Borrow(r.col, r.row, r.view)
+			sc.loans = append(sc.loans, r.col)
+			r.view = nil
+		}
+	}
+}
+
+// returnLoans returns every loan the scratch holds and drops the borrowed
+// views, so its stripe reads its own memory again.
+func (a *Array) returnLoans(sc *opScratch) {
+	for _, col := range sc.loans {
+		a.iodevs[col].Return()
+	}
+	sc.loans = sc.loans[:0]
+	sc.s.Unborrow()
 }
 
 // devOp is the span kind of a device run in one direction.
@@ -333,22 +393,24 @@ func (a *Array) writeColumn(si int64, col, row int, buf []byte, sc *opScratch) e
 // per-column goroutines under it only touch disjoint cells of sc.s and the
 // shared run list built before the fan-out.
 type opScratch struct {
-	s       *stripe.Stripe
-	seen    []bool // rows×cols cell marks
-	part    []bool // rows×cols partial-write marks
-	rd      []bool // rows×cols marks of the cells a write plan reads
-	erd     []bool // rows×cols marks of the cells re-encode-all would read
-	gseen   []bool // per-group marks
-	genc    []bool // per-group marks of the groups a write plan re-encodes
-	coords  []erasure.Coord
-	srcs    [][]byte
-	runs    []cellRun
-	vruns   []vecRun     // staged device runs (stageRuns)
-	vecbufs [][]byte     // their iovec assembly (cleared after use)
-	data    [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
-	tc      trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
-	deg     degradedRead // the read task's degraded record; zero between tasks (endDegraded)
-	repair  bool         // the scratch serves a read-repair: failed runs are not repaired (issueRun)
+	s        *stripe.Stripe
+	seen     []bool // rows×cols cell marks
+	part     []bool // rows×cols partial-write marks
+	rd       []bool // rows×cols marks of the cells a write plan reads
+	erd      []bool // rows×cols marks of the cells re-encode-all would read
+	gseen    []bool // per-group marks
+	genc     []bool // per-group marks of the groups a write plan re-encodes
+	coords   []erasure.Coord
+	srcs     [][]byte
+	runs     []cellRun
+	vruns    []vecRun     // staged device runs (stageRuns)
+	vecbufs  [][]byte     // their iovec assembly (cleared after use)
+	loans    []int        // columns of the runs sc.s borrows, one per loan (takeLoans)
+	data     [][]byte     // the data overlay: user-buffer views by data index (cleared after use)
+	tc       trace.Ctx    // the stripe task's span; set at every task start (pooled state is stale)
+	deg      degradedRead // the read task's degraded record; zero between tasks (endDegraded)
+	repair   bool         // the scratch serves a read-repair: failed runs are not repaired (issueRun)
+	lendable bool         // the staged runs include a lend run (stageRuns)
 }
 
 func (a *Array) getScratch() *opScratch {
@@ -369,10 +431,18 @@ func (a *Array) getScratch() *opScratch {
 		// staging lists never grow after the scratch is made.
 		vruns:   make([]vecRun, 0, cells),
 		vecbufs: make([][]byte, 0, cells),
+		loans:   make([]int, 0, cells),
 	}
 }
 
-func (a *Array) putScratch(sc *opScratch) { a.scratch.Put(sc) }
+// putScratch pools sc, returning its loans first: the stripe task is done
+// with the bytes they lend.
+func (a *Array) putScratch(sc *opScratch) {
+	if len(sc.loans) != 0 {
+		a.returnLoans(sc)
+	}
+	a.scratch.Put(sc)
+}
 
 // opBuf is the pooled call-level state of ReadAt/WriteAt: the element ranges
 // of the byte range and their grouping into per-stripe runs.

@@ -10,7 +10,10 @@ package raid
 // marks them, reads them in runs through the one run reader (readRuns) and
 // folds each plan step. Each run is one scatter read whose iovecs point into
 // the caller's buffer for whole wanted cells and into stripe memory for
-// partial and recovery-only cells. Each step folds its lost target into the
+// partial and recovery-only cells — or, from a bare MemDevice column, a run
+// bound wholly for stripe memory is lent rather than read: the stripe
+// borrows a view of the medium, and the fold and the copy-out read the cells
+// there (loans, concurrency.go). Each step folds its lost target into the
 // target's destination (CellFrom: the caller's buffer for a whole range,
 // stripe memory for a partial one), and only partial ranges are copied out.
 // A task that wants a lost cell while two columns are down loads and
@@ -29,6 +32,7 @@ package raid
 // its pool.
 
 import (
+	"fmt"
 	"math/bits"
 
 	"dcode/internal/erasure"
@@ -95,17 +99,26 @@ func (a *Array) readStripeRanges(si int64, ers []elemRange, p []byte, sc *opScra
 // steps read it. Its callers are the stripe reader (the memoized plan of a
 // degraded read; a healthy read is a plan with nothing to fold), Rebuild (one
 // plan per call, no overlay) and read-repair (the memoized one-cell plan).
-// An error means a run's column is down and nothing was folded.
+// Runs bound for stripe memory are borrowed where the column lends; the
+// loans stay out until the scratch is pooled, so the caller reads fetched
+// cells through sc.s until then. A step never folds into a lent cell —
+// targets are lost cells, which nothing fetched — and one that would panics
+// rather than write a device's medium behind its back. An error means a
+// run's column is down, nothing was folded and nothing is lent.
 func (a *Array) fetchFold(si int64, plan *erasure.DegradedPlan, data [][]byte, sc *opScratch) error {
 	cols := a.code.Cols()
 	clear(sc.seen)
 	for _, co := range plan.Fetch {
 		sc.seen[co.Row*cols+co.Col] = true
 	}
-	if err := a.readRuns(si, a.markedRuns(sc.seen, sc), data, sc); err != nil {
+	if err := a.readRuns(si, a.markedRuns(sc.seen, sc), data, true, sc); err != nil {
+		a.returnLoans(sc)
 		return err
 	}
 	for _, step := range plan.Steps {
+		if sc.s.Borrowed(step.Target.Row, step.Target.Col) {
+			panic(fmt.Sprintf("raid: stripe %d: plan step folds into %v, a cell lent by its device", si, step.Target))
+		}
 		dst := a.code.CellFrom(sc.s, data, step.Target)
 		a.countDecodeXOR(a.code.FoldGroup(dst, sc.s, data, step.Group, step.Target))
 	}

@@ -330,7 +330,7 @@ func (a *Array) loadStripe(stripeIdx int64, lost failSet, sc *opScratch) error {
 		if failed.count() > 2 {
 			return ErrTooManyFailures
 		}
-		if err := a.readRuns(stripeIdx, a.columnRuns(failed, sc), nil, sc); err != nil {
+		if err := a.readRuns(stripeIdx, a.columnRuns(failed, sc), nil, false, sc); err != nil {
 			// The failing read marked its disk; restart the load degraded
 			// (or give up via the failure-count check — the failed set only
 			// grows, so this terminates). Under a read-repair, a bad sector

@@ -233,7 +233,7 @@ func (a *Array) markedRuns(marks []bool, sc *opScratch) []cellRun {
 // FullStripeWrites.
 func (a *Array) writePlanned(si int64, ers []elemRange, p []byte, sc *opScratch) error {
 	if runs := a.markedRuns(sc.rd, sc); len(runs) > 0 {
-		if err := a.readRuns(si, runs, nil, sc); err != nil {
+		if err := a.readRuns(si, runs, nil, false, sc); err != nil {
 			return err
 		}
 	}

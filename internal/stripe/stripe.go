@@ -23,6 +23,12 @@ type Stripe struct {
 	rows, cols int
 	elemSize   int
 	buf        []byte
+
+	// Borrowed cells (Borrow): views[c*rows+r] is the bytes cell (r, c)
+	// reads through, nil for a cell in buf; borrowed counts the non-nil
+	// views, so Elem pays one branch when there are none.
+	views    [][]byte
+	borrowed int
 }
 
 // New allocates a zeroed stripe with the given geometry.
@@ -51,10 +57,16 @@ func (s *Stripe) Cols() int { return s.cols }
 func (s *Stripe) ElemSize() int { return s.elemSize }
 
 // Elem returns the element at (r, c) as a slice aliasing the stripe's
-// storage; writes through the slice modify the stripe.
+// storage; writes through the slice modify the stripe. A borrowed cell
+// returns its view instead (see Borrow).
 func (s *Stripe) Elem(r, c int) []byte {
 	if r < 0 || r >= s.rows || c < 0 || c >= s.cols {
 		panic(fmt.Sprintf("stripe: element (%d,%d) outside %d×%d", r, c, s.rows, s.cols))
+	}
+	if s.borrowed != 0 {
+		if v := s.views[c*s.rows+r]; v != nil {
+			return v
+		}
 	}
 	off := (c*s.rows + r) * s.elemSize
 	return s.buf[off : off+s.elemSize : off+s.elemSize]
@@ -73,6 +85,48 @@ func (s *Stripe) ColRange(c, r, n int) []byte {
 	off := (c*s.rows + r) * s.elemSize
 	end := off + n*s.elemSize
 	return s.buf[off:end:end]
+}
+
+// Borrow makes the cells of column c from row r read through view, bytes
+// the stripe does not own — a device medium lent for a fold — one element
+// per cell, until Unborrow: Elem of a borrowed cell returns its slice of
+// view, so a fold reads the cell where it lies. A borrowed cell is
+// read-only; writing through its Elem writes the lender's bytes. ColRange,
+// Bytes and the other whole-stripe methods still see the stripe's own
+// memory.
+func (s *Stripe) Borrow(c, r int, view []byte) {
+	n := len(view) / s.elemSize
+	if n*s.elemSize != len(view) {
+		panic(fmt.Sprintf("stripe: borrowed view of %d bytes is not whole %d-byte elements", len(view), s.elemSize))
+	}
+	s.ColRange(c, r, n) // range check
+	if s.views == nil {
+		s.views = make([][]byte, s.rows*s.cols)
+	}
+	for k := 0; k < n; k++ {
+		v := &s.views[c*s.rows+r+k]
+		if *v == nil {
+			s.borrowed++
+		}
+		*v = view[k*s.elemSize : (k+1)*s.elemSize : (k+1)*s.elemSize]
+	}
+}
+
+// Borrowed reports whether cell (r, c) reads through a borrowed view.
+func (s *Stripe) Borrowed(r, c int) bool {
+	return s.borrowed != 0 && s.views[c*s.rows+r] != nil
+}
+
+// Borrowing reports whether any cell reads through a borrowed view.
+func (s *Stripe) Borrowing() bool { return s.borrowed != 0 }
+
+// Unborrow drops every borrowed view: each cell reads the stripe's own
+// memory again, and the stripe keeps no reference to the lent bytes.
+func (s *Stripe) Unborrow() {
+	if s.borrowed != 0 {
+		clear(s.views)
+		s.borrowed = 0
+	}
 }
 
 // Bytes returns the whole stripe storage, column-major.

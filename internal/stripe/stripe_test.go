@@ -175,6 +175,50 @@ func TestFillDeterministic(t *testing.T) {
 	}
 }
 
+// Borrowed cells read through their view until Unborrow; the stripe's own
+// memory is untouched, and a view of part of an element is refused.
+func TestBorrow(t *testing.T) {
+	s := New(4, 3, 8)
+	s.Fill(1)
+	own := s.Clone()
+	view := make([]byte, 2*8)
+	for i := range view {
+		view[i] = byte(100 + i)
+	}
+	s.Borrow(1, 2, view)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 3; c++ {
+			want, borrowed := own.Elem(r, c), c == 1 && r >= 2
+			if borrowed {
+				want = view[(r-2)*8 : (r-1)*8]
+			}
+			if got := s.Elem(r, c); string(got) != string(want) || s.Borrowed(r, c) != borrowed {
+				t.Fatalf("Elem(%d,%d) = %v, borrowed %v; want %v, %v", r, c, got, s.Borrowed(r, c), want, borrowed)
+			}
+		}
+	}
+	if !s.Equal(own) {
+		t.Fatal("Borrow changed the stripe's own memory")
+	}
+	s.Unborrow()
+	if s.Borrowed(2, 1) || string(s.Elem(3, 1)) != string(own.Elem(3, 1)) {
+		t.Fatal("a cell still reads its view after Unborrow")
+	}
+	for name, bad := range map[string]func(){
+		"part of an element": func() { s.Borrow(0, 0, make([]byte, 12)) },
+		"past the last row":  func() { s.Borrow(0, 3, make([]byte, 16)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Borrow of %s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 // allZero reports whether every byte of b is zero.
 func allZero(b []byte) bool {
 	for _, v := range b {

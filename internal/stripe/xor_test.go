@@ -25,11 +25,12 @@ func xorRef(n int, srcs ...[]byte) []byte {
 // xorLens covers every length through two 64-byte vector blocks and their
 // tails, plus the engine's default element size.
 func xorLens() []int {
-	lens := make([]int, 0, 132)
+	lens := make([]int, 0, 136)
 	for n := 0; n <= 130; n++ {
 		lens = append(lens, n)
 	}
-	return append(lens, 4096)
+	// Around XORSetCold's slice, and a last slice that is not whole.
+	return append(lens, coldSlice-1, coldSlice, coldSlice+1, 4096, 4096+100)
 }
 
 // xorCounts are the source counts the multi-source forms are pinned at:
@@ -146,6 +147,11 @@ func checkMulti(t *testing.T, rng *rand.Rand, n, dstOff int, srcs [][]byte) {
 	if !bytes.Equal(dst, want) {
 		t.Fatalf("n=%d dst+%d srcs=%d: XORSet diverges from the byte-wise oracle", n, dstOff, len(srcs))
 	}
+	dst = randAt(rng, dstOff, n)
+	XORSetCold(dst, srcs...)
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("n=%d dst+%d srcs=%d: XORSetCold diverges from the byte-wise oracle", n, dstOff, len(srcs))
+	}
 }
 
 func TestXORMultiMatchesOracle(t *testing.T) {
@@ -238,6 +244,7 @@ func TestXORMultiLengthMismatchPanics(t *testing.T) {
 			dst := make([]byte, 8)
 			mustPanic(t, "XORMulti with a mismatched source", func() { XORMulti(dst, srcs...) })
 			mustPanic(t, "XORSet with a mismatched source", func() { XORSet(dst, srcs...) })
+			mustPanic(t, "XORSetCold with a mismatched source", func() { XORSetCold(dst, srcs...) })
 			if !allZero(dst) {
 				t.Fatalf("source %d of length %d: dst written before the length check", pos, bad)
 			}
