@@ -1,23 +1,19 @@
 // dcodelint runs the project's static analyzers (internal/lint) over the
-// module: iocheck, poolcheck, lockcheck, geomcheck, and the dataflow-engine
-// trio gocheck, ctxcheck and atomiccheck, plus hygiene checks on the
-// suppression directives themselves. It exits 1 when any unsuppressed
-// finding remains, so CI can gate on it.
+// module: iocheck, poolcheck, lockcheck, gocheck and ctxcheck, plus hygiene
+// checks on the suppression directives themselves. It prints every finding,
+// then the active suppressions, and exits 1 when any unsuppressed finding
+// remains, so CI can gate on it.
 //
 // Usage:
 //
-//	dcodelint [flags] [./...]
+//	dcodelint [-C dir] [packages]
 //
-//	-C dir          module root to analyze (default: walk up from .)
-//	-analyzers a,b  run only the named analyzers (skips directive hygiene)
-//	-json           emit findings as JSON Lines (one object per finding,
-//	                suppressed ones included with "suppressed": true)
-//	-list           print the registered analyzers and exit
-//	-suppressions   print every active suppression directive and exit
+// -C names the module root (default: the nearest go.mod above the working
+// directory). Package arguments (./... or import-path suffixes) restrict
+// where findings are reported; the analyses always see the whole module.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,38 +23,16 @@ import (
 	"dcode/internal/lint"
 )
 
-// jsonFinding is the machine-readable form of one finding, for the CI
-// artifact: stable lowercase keys, one object per line.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
 func main() {
 	root := flag.String("C", "", "module root (default: nearest go.mod above the working directory)")
-	analyzerList := flag.String("analyzers", "", "comma-separated subset of analyzers to run")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON Lines (suppressed findings included, flagged)")
-	listOnly := flag.Bool("list", false, "list registered analyzers and exit")
-	suppressions := flag.Bool("suppressions", false, "list active suppression directives and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dcodelint [flags] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dcodelint [-C dir] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the project's invariant analyzers over the module. Package\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "arguments restrict where findings are reported (./... or import-path\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "suffixes); the analyses always see the whole module.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *listOnly {
-		for _, a := range lint.Registry() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	moduleRoot, err := resolveRoot(*root)
 	if err != nil {
@@ -68,75 +42,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	analyzers := lint.Registry()
-	fullRegistry := true
-	if *analyzerList != "" {
-		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(*analyzerList, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fatal(fmt.Errorf("dcodelint: unknown analyzer %q", name))
-			}
-			analyzers = append(analyzers, a)
-		}
-		fullRegistry = len(analyzers) == len(lint.Registry())
-	}
-
 	scope, err := selectScope(m, flag.Args())
 	if err != nil {
 		fatal(err)
 	}
+	res := lint.Run(m, lint.Registry(), scope, lint.Options{CheckDirectives: true})
 
-	res := lint.Run(m, analyzers, scope, lint.Options{
-		// Directive hygiene (missing justifications, unused suppressions) is
-		// only meaningful when every analyzer ran.
-		CheckDirectives: fullRegistry,
-	})
-
-	if *suppressions {
-		if len(res.Directives) == 0 {
-			fmt.Println("no active suppressions")
-			return
-		}
-		for _, d := range res.Directives {
-			state := "active"
-			if !d.Used() {
-				state = "UNUSED"
-			}
-			fmt.Printf("%s:%d: lint:%s [%s] %s (%s)\n",
-				d.Pos.Filename, d.Pos.Line, d.Kind, d.Target(), d.Justification, state)
-		}
-		return
+	for _, f := range res.Findings {
+		fmt.Println(f)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		emit := func(f lint.Finding, suppressed bool) {
-			if err := enc.Encode(jsonFinding{
-				File:       f.Pos.Filename,
-				Line:       f.Pos.Line,
-				Col:        f.Pos.Column,
-				Analyzer:   f.Analyzer,
-				Message:    f.Message,
-				Suppressed: suppressed,
-			}); err != nil {
-				fatal(err)
-			}
+	// The suppression inventory: every directive of the scope, so a run's log
+	// shows each active exemption and its justification.
+	fmt.Fprintf(os.Stderr, "dcodelint: %d suppression(s)\n", len(res.Directives))
+	for _, d := range res.Directives {
+		state := "active"
+		if !d.Used() {
+			state = "UNUSED"
 		}
-		for _, f := range res.Findings {
-			emit(f, false)
-		}
-		for _, f := range res.Suppressed {
-			emit(f, true)
-		}
-	} else {
-		for _, f := range res.Findings {
-			fmt.Println(f)
-		}
-		if n := len(res.Suppressed); n > 0 {
-			fmt.Fprintf(os.Stderr, "dcodelint: %d finding(s) suppressed by lint directives (run -suppressions to list them)\n", n)
-		}
+		fmt.Fprintf(os.Stderr, "%s:%d: lint:%s [%s] %s (%s)\n",
+			d.Pos.Filename, d.Pos.Line, d.Kind, d.Target(), d.Justification, state)
 	}
 	if len(res.Findings) > 0 {
 		fmt.Fprintf(os.Stderr, "dcodelint: %d finding(s)\n", len(res.Findings))

@@ -315,6 +315,68 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForConnectionGoroutines pins Shutdown's last promise: it
+// returns only after every connection goroutine has exited. Clients that are
+// still connected when the drain starts must all be unregistered, logged as
+// departed and folded into the totals by the time Shutdown returns.
+func TestShutdownWaitsForConnectionGoroutines(t *testing.T) {
+	const clients = 8
+	var (
+		mu       sync.Mutex
+		departed int
+	)
+	logf := func(format string, args ...any) {
+		if strings.Contains(format, "disconnected") {
+			mu.Lock()
+			departed++
+			mu.Unlock()
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := blockserve.New(blockdev.NewMem(1<<16), blockserve.Config{Logf: logf})
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+
+	for i := 0; i < clients; i++ {
+		dev, err := blockdev.DialRemote(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close()
+		if _, err := dev.WriteAt(make([]byte, 64), int64(i)*64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if active := srv.Snapshot().Active; active != clients {
+		t.Fatalf("active clients before Shutdown = %d, want %d", active, clients)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	snap := srv.Snapshot()
+	mu.Lock()
+	gone := departed
+	mu.Unlock()
+	if snap.Active != 0 || len(snap.Clients) != 0 {
+		t.Errorf("after Shutdown: %d active, %d listed live; want none", snap.Active, len(snap.Clients))
+	}
+	if snap.Accepted != clients || gone != clients {
+		t.Errorf("after Shutdown: %d accepted, %d departed; want %d of each", snap.Accepted, gone, clients)
+	}
+	if snap.Totals.Writes != clients {
+		t.Errorf("after Shutdown: totals count %d writes, want %d", snap.Totals.Writes, clients)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve returned %v after drain, want nil", err)
+	}
+}
+
 // TestSoakConcurrentClients hammers one server from many goroutine clients
 // while others disconnect mid-stream without reading their responses; run
 // under -race in CI. The surviving clients must see correct data and the

@@ -1,9 +1,9 @@
 package lint
 
-// Shape and solver tests for the dataflow engine itself, on synthetic
+// Shape tests for the CFG builder the dataflow analyzers share, on synthetic
 // type-checked sources: branch edge ordering, loop back edges, terminating
-// calls sealing paths, select-without-default having no fallthrough edge,
-// and the reaching-definitions instance merging sites at joins.
+// calls sealing paths, and select-without-default having no fallthrough
+// edge. Each asserts blocks and edges directly.
 
 import (
 	"go/ast"
@@ -15,7 +15,7 @@ import (
 )
 
 // buildTestCFG type-checks src and returns the CFG of the named function.
-func buildTestCFG(t *testing.T, src, name string) (*types.Info, *ast.FuncDecl, *cfg) {
+func buildTestCFG(t *testing.T, src, name string) (*ast.FuncDecl, *cfg) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "cfgtest.go", src, 0)
@@ -35,11 +35,51 @@ func buildTestCFG(t *testing.T, src, name string) (*types.Info, *ast.FuncDecl, *
 	}
 	for _, decl := range f.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return info, fd, buildCFG(info, fd.Body)
+			return fd, buildCFG(info, fd.Body)
 		}
 	}
 	t.Fatalf("no function %q in source", name)
-	return nil, nil, nil
+	return nil, nil
+}
+
+// reachable is the set of blocks a path from the entry reaches.
+func reachable(g *cfg) map[*cfgBlock]bool {
+	seen := map[*cfgBlock]bool{g.entry: true}
+	for work := []*cfgBlock{g.entry}; len(work) > 0; {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, s := range b.succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return seen
+}
+
+// blockOf returns the block holding stmt.
+func blockOf(t *testing.T, g *cfg, stmt ast.Stmt) *cfgBlock {
+	t.Helper()
+	for _, b := range g.blocks {
+		for _, s := range b.stmts {
+			if s == stmt {
+				return b
+			}
+		}
+	}
+	t.Fatalf("no block holds the statement at %v", stmt.Pos())
+	return nil
+}
+
+// hasEdge reports whether to is among from's successors.
+func hasEdge(from, to *cfgBlock) bool {
+	for _, s := range from.succs {
+		if s == to {
+			return true
+		}
+	}
+	return false
 }
 
 func TestCFGBranchEdges(t *testing.T) {
@@ -53,7 +93,7 @@ func f(b bool) int {
 	}
 	return x
 }`
-	info, fd, g := buildTestCFG(t, src, "f")
+	fd, g := buildTestCFG(t, src, "f")
 	var cond *cfgBlock
 	for _, b := range g.blocks {
 		if b.cond != nil {
@@ -71,16 +111,28 @@ func f(b bool) int {
 	if len(cond.succs) != 2 {
 		t.Fatalf("conditional block has %d successors, want 2", len(cond.succs))
 	}
+	ifs := fd.Body.List[1].(*ast.IfStmt)
+	if then := blockOf(t, g, ifs.Body.List[0]); cond.succs[0] != then {
+		t.Errorf("succs[0] is block %d, want the then block %d", cond.succs[0].id, then.id)
+	}
+	if els := blockOf(t, g, ifs.Else.(*ast.BlockStmt).List[0]); cond.succs[1] != els {
+		t.Errorf("succs[1] is block %d, want the else block %d", cond.succs[1].id, els.id)
+	}
 	if len(g.backEdges) != 0 {
 		t.Errorf("if/else produced %d back edges, want 0", len(g.backEdges))
 	}
-	// The body ends in a return: the syntactic fall-off block exists but is
-	// unreachable, which is what the analyzers' reached() guard tests.
-	res := reachingDefs(g, info, unitParams(info, fd.Type, fd.Recv))
-	if g.fallsOff != nil && res.reached(g.fallsOff) {
+	// The body ends in a return: its block has the one edge to exit, and the
+	// syntactic fall-off block exists but is unreachable, which is what the
+	// analyzers' reached() guard tests.
+	ret := blockOf(t, g, fd.Body.List[2])
+	if len(ret.succs) != 1 || ret.succs[0] != g.exit {
+		t.Errorf("return block's successors = %d, want exactly the exit", len(ret.succs))
+	}
+	live := reachable(g)
+	if g.fallsOff != nil && live[g.fallsOff] {
 		t.Errorf("function ending in return must not reach the fall-off block")
 	}
-	if !res.reached(g.exit) {
+	if !live[g.exit] {
 		t.Errorf("exit should be reachable through the return")
 	}
 }
@@ -94,7 +146,7 @@ func f(n int) int {
 	}
 	return s
 }`
-	_, fd, g := buildTestCFG(t, src, "f")
+	fd, g := buildTestCFG(t, src, "f")
 	if len(g.backEdges) != 1 {
 		t.Fatalf("for loop produced %d back edges, want 1", len(g.backEdges))
 	}
@@ -126,17 +178,18 @@ func f(x int) {
 	_ = x
 	panic("always")
 }`
-	info, fd, g := buildTestCFG(t, src, "f")
-	res := reachingDefs(g, info, unitParams(info, fd.Type, fd.Recv))
-	if g.fallsOff != nil && res.reached(g.fallsOff) {
+	fd, g := buildTestCFG(t, src, "f")
+	if b := blockOf(t, g, fd.Body.List[1]); len(b.succs) != 0 {
+		t.Errorf("the panic's block has %d successors, want 0", len(b.succs))
+	}
+	if g.fallsOff != nil && reachable(g)[g.fallsOff] {
 		t.Errorf("a body ending in panic must not reach the fall-off block")
 	}
 }
 
 func TestCFGSelectHasNoFallthroughEdge(t *testing.T) {
 	// A select without default always runs one clause: no head→after edge,
-	// unlike a switch without default. The reaching-definitions solve makes
-	// the difference observable: x=1 cannot reach the return directly.
+	// unlike a switch without default, which may run none.
 	src := `package cfgtest
 func f(a, b chan int) int {
 	x := 1
@@ -147,49 +200,39 @@ func f(a, b chan int) int {
 		x = v + 1
 	}
 	return x
-}`
-	info, fd, g := buildTestCFG(t, src, "f")
-	res := reachingDefs(g, info, unitParams(info, fd.Type, fd.Recv))
-	if !res.reached(g.exit) {
-		t.Fatal("exit unreachable")
-	}
-	x := findVar(t, info, "x")
-	sites := res.in[g.exit][x]
-	if len(sites) != 2 {
-		t.Errorf("defs of x reaching return = %d, want 2 (one per clause; the initial x=1 is overwritten on every path)", len(sites))
-	}
 }
-
-func TestReachingDefsMergeAtJoin(t *testing.T) {
-	src := `package cfgtest
-func f(b bool) int {
+func g(y int) int {
 	x := 1
-	if b {
+	switch y {
+	case 1:
 		x = 2
+	case 2:
+		x = 3
 	}
 	return x
 }`
-	info, fd, g := buildTestCFG(t, src, "f")
-	res := reachingDefs(g, info, unitParams(info, fd.Type, fd.Recv))
-	x := findVar(t, info, "x")
-	sites := res.in[g.exit][x]
-	if len(sites) != 2 {
-		t.Errorf("defs of x reaching return = %d, want 2 (x:=1 survives the else-less branch, x=2 joins it)", len(sites))
-	}
-	// The parameter is defined at entry: its site set is the entry marker.
-	bvar := findVar(t, info, "b")
-	if sites := res.in[g.exit][bvar]; len(sites) != 1 || !sites[nil] {
-		t.Errorf("param b should carry the entry definition marker, got %v", sites)
-	}
-}
-
-func findVar(t *testing.T, info *types.Info, name string) *types.Var {
-	t.Helper()
-	for _, obj := range info.Defs {
-		if v, ok := obj.(*types.Var); ok && v.Name() == name {
-			return v
+	for _, tc := range []struct {
+		name      string
+		fallsOver bool
+	}{{"f", false}, {"g", true}} {
+		fd, g := buildTestCFG(t, src, tc.name)
+		head := blockOf(t, g, fd.Body.List[0])
+		after := blockOf(t, g, fd.Body.List[2])
+		if got := hasEdge(head, after); got != tc.fallsOver {
+			t.Errorf("%s: head→after edge = %v, want %v", tc.name, got, tc.fallsOver)
+		}
+		// Every clause is a successor of the head and flows into after.
+		clauses := 0
+		for _, c := range head.succs {
+			if c != after {
+				clauses++
+				if !hasEdge(c, after) {
+					t.Errorf("%s: clause block %d does not flow into the statement after", tc.name, c.id)
+				}
+			}
+		}
+		if clauses != 2 {
+			t.Errorf("%s: head fans out to %d clauses, want 2", tc.name, clauses)
 		}
 	}
-	t.Fatalf("no variable %q in source", name)
-	return nil
 }

@@ -1,20 +1,16 @@
 package lint
 
-// The forward dataflow solver the CFG analyzers share, plus the engine's
-// reaching-definitions instance. An analyzer supplies a flowSpec — its
-// lattice (join/equal/clone) and transfer functions — and gets back the
-// converged state at every reachable block's entry and exit. May-analyses
-// (poolcheck's held set, gocheck's outstanding semaphore slots) use a union
-// join; must-analyses (gocheck's dominating WaitGroup.Add) use intersection.
+// The forward dataflow solver the CFG analyzers share. An analyzer supplies
+// a flowSpec — its lattice (join/equal/clone) and transfer functions — and
+// gets back the converged state at every reachable block's entry and exit.
+// May-analyses (poolcheck's held set, gocheck's outstanding semaphore slots)
+// use a union join; must-analyses (gocheck's dominating WaitGroup.Add) use
+// intersection.
 // Analyzers report nothing during iteration: after the fixed point they
 // replay each reached block once over its entry state, so a finding is
 // emitted exactly once however many times the solver visited its block.
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/token"
 
 // flowSpec defines one dataflow problem over a cfg.
 type flowSpec[S any] struct {
@@ -78,142 +74,6 @@ func solveFlow[S any](g *cfg, spec flowSpec[S]) *flowResult[S] {
 		}
 	}
 	return res
-}
-
-// Reaching definitions: for each variable, the set of definition sites that
-// may reach a program point. A site is the defining statement; the nil node
-// stands for "defined at function entry" (parameters and free variables).
-
-type defSites map[ast.Node]bool
-
-type rdState map[*types.Var]defSites
-
-func (s rdState) clone() rdState {
-	out := make(rdState, len(s))
-	for v, sites := range s {
-		c := make(defSites, len(sites))
-		for n := range sites {
-			c[n] = true
-		}
-		out[v] = c
-	}
-	return out
-}
-
-func rdJoin(dst, src rdState) rdState {
-	for v, sites := range src {
-		if dst[v] == nil {
-			dst[v] = make(defSites, len(sites))
-		}
-		for n := range sites {
-			dst[v][n] = true
-		}
-	}
-	return dst
-}
-
-func rdEqual(a, b rdState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v, as := range a {
-		bs, ok := b[v]
-		if !ok || len(as) != len(bs) {
-			return false
-		}
-		for n := range as {
-			if !bs[n] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rdUpdate applies one statement's definitions: each defined variable's site
-// set collapses to {stmt}. Exposed separately from the block transfer so
-// analyzers can replay a block statement-by-statement for uses mid-block.
-func rdUpdate(info *types.Info, st rdState, stmt ast.Stmt) {
-	def := func(id *ast.Ident) {
-		if id == nil || id.Name == "_" {
-			return
-		}
-		if v := identVar(info, id); v != nil {
-			st[v] = defSites{stmt: true}
-		}
-	}
-	switch s := stmt.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				def(id)
-			}
-		}
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(s.X).(*ast.Ident); ok {
-			def(id)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						def(id)
-					}
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		if id, ok := s.Key.(*ast.Ident); ok {
-			def(id)
-		}
-		if id, ok := s.Value.(*ast.Ident); ok {
-			def(id)
-		}
-	}
-}
-
-// reachingDefs solves the classic problem over g: params (and, implicitly,
-// every free variable read before assignment) start with the entry site.
-func reachingDefs(g *cfg, info *types.Info, params []*types.Var) *flowResult[rdState] {
-	entry := make(rdState, len(params))
-	for _, p := range params {
-		entry[p] = defSites{nil: true}
-	}
-	return solveFlow(g, flowSpec[rdState]{
-		entry: entry,
-		clone: rdState.clone,
-		join:  rdJoin,
-		equal: rdEqual,
-		transfer: func(b *cfgBlock, st rdState) rdState {
-			for _, s := range b.stmts {
-				rdUpdate(info, st, s)
-			}
-			return st
-		},
-	})
-}
-
-// unitParams collects the declared parameter (and named result) variables of
-// a function declaration or literal, for seeding entry states.
-func unitParams(info *types.Info, ftype *ast.FuncType, recv *ast.FieldList) []*types.Var {
-	var out []*types.Var
-	addList := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, id := range f.Names {
-				if v, ok := info.Defs[id].(*types.Var); ok {
-					out = append(out, v)
-				}
-			}
-		}
-	}
-	addList(recv)
-	addList(ftype.Params)
-	addList(ftype.Results)
-	return out
 }
 
 // firstAcquirePos is a tiny helper for per-resource finding dedup: report at

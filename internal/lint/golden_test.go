@@ -3,14 +3,13 @@ package lint
 // The analyzers are pinned by analysistest-style golden packages: each
 // testdata directory is a small package loaded against the real module
 // under a synthetic import path chosen so the analyzer's package scoping
-// matches (lockcheck's bracketing rule looks at ".../raid", geomcheck at the
-// code-package basenames). Expected findings are `// want "regex"` comments
-// on the offending line; the test fails on any missing or unexpected
-// finding, so every analyzer carries at least one positive and one negative
-// case.
+// matches (lockcheck's bracketing rule looks at ".../raid", gocheck and
+// ctxcheck at ".../blockserve"). Expected findings are `// want "regex"`
+// comments on the offending line; the test fails on any missing or
+// unexpected finding, so every analyzer carries at least one positive and
+// one negative case.
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -44,7 +43,7 @@ func runGolden(t *testing.T, analyzerName, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("loading testdata/%s: %v", dir, err)
 	}
-	a := ByName(analyzerName)
+	a := byName(analyzerName)
 	if a == nil {
 		t.Fatalf("no analyzer %q", analyzerName)
 	}
@@ -126,20 +125,12 @@ func TestLockCheckGolden(t *testing.T) {
 	runGolden(t, "lockcheck", "lockcheck", "dcode/ztest/lockcheck/raid")
 }
 
-func TestGeomCheckGolden(t *testing.T) {
-	runGolden(t, "geomcheck", "geomcheck", "dcode/ztest/geom/core")
-}
-
 func TestGoCheckGolden(t *testing.T) {
 	runGolden(t, "gocheck", "gocheck", "dcode/ztest/gocheck/blockserve")
 }
 
 func TestCtxCheckGolden(t *testing.T) {
 	runGolden(t, "ctxcheck", "ctxcheck", "dcode/ztest/ctxcheck/blockserve")
-}
-
-func TestAtomicCheckGolden(t *testing.T) {
-	runGolden(t, "atomiccheck", "atomiccheck", "dcode/ztest/atomiccheck")
 }
 
 // TestRepoIsClean pins the acceptance bar the CI lint job enforces: the
@@ -192,8 +183,9 @@ func TestSuppressionHandling(t *testing.T) {
 		t.Errorf("unused-directive findings = %d, want 1", unused)
 	}
 
-	// The -suppressions listing: every directive of the scope, in order,
-	// with its target analyzer and whether it matched anything.
+	// The suppression inventory dcodelint prints: every directive of the
+	// scope, in order, with its target analyzer and whether it matched
+	// anything.
 	if len(res.Directives) != 3 {
 		t.Fatalf("directives = %d, want 3", len(res.Directives))
 	}
@@ -219,11 +211,10 @@ func TestFindingFormat(t *testing.T) {
 	if got, want := f.String(), "x/y.go:7: [iocheck] boom"; got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
-	if ByName("nope") != nil {
-		t.Errorf("ByName(nope) should be nil")
+	if byName("nope") != nil {
+		t.Errorf("byName(nope) should be nil")
 	}
-	if len(Registry()) != 7 {
-		t.Errorf("registry = %d analyzers, want 7", len(Registry()))
+	if len(Registry()) != 5 {
+		t.Errorf("registry = %d analyzers, want 5", len(Registry()))
 	}
-	_ = fmt.Sprintf
 }

@@ -54,15 +54,13 @@ func Registry() []*Analyzer {
 		ioCheckAnalyzer,
 		poolCheckAnalyzer,
 		lockCheckAnalyzer,
-		geomCheckAnalyzer,
 		goCheckAnalyzer,
 		ctxCheckAnalyzer,
-		atomicCheckAnalyzer,
 	}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
+// byName returns the named analyzer, or nil.
+func byName(name string) *Analyzer {
 	for _, a := range Registry() {
 		if a.Name == name {
 			return a
@@ -116,7 +114,7 @@ func Run(m *Module, analyzers []*Analyzer, scope []*Package, opts Options) Resul
 				})
 				continue
 			}
-			if d.Kind == "ignore" && d.Analyzer != "suppress" && ByName(d.Analyzer) == nil {
+			if d.Kind == "ignore" && d.Analyzer != "suppress" && byName(d.Analyzer) == nil {
 				res.Findings = append(res.Findings, Finding{
 					Pos:      d.Pos,
 					Analyzer: "suppress",

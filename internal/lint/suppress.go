@@ -12,9 +12,9 @@ package lint
 // the statement it excuses). lint:escape is poolcheck's hand-off marker: it
 // declares that the pooled value acquired or stored on that line
 // intentionally outlives the function (for example, a buffer parked in a
-// long-lived structure that puts it back later). Both kinds are listed by
-// `dcodelint -suppressions` so CI logs every active exemption, and a
-// directive that matches no finding is reported as unused.
+// long-lived structure that puts it back later). Every dcodelint run lists
+// both kinds, so CI logs every active exemption, and a directive that
+// matches no finding is reported as unused.
 
 import (
 	"go/token"

@@ -19,6 +19,12 @@ func direct(a *app) {
 	a.work(context.Background()) // want `context\.Background\(\) is passed to [a-z]*\.?app\.work below the serve boundary`
 }
 
+// spawned hands a connection goroutine a bare context in place of the
+// server's lifetime context.
+func spawned(a *app) {
+	go a.work(context.Background()) // want `context\.Background\(\) is passed to [a-z]*\.?app\.work below the serve boundary`
+}
+
 // flows tracks the bare value through a variable.
 func flows(a *app) {
 	ctx := context.Background()

@@ -42,6 +42,18 @@ func spawnsNamedLoose() {
 	go spin() // want `goroutine has no join or drain path`
 }
 
+// acceptLoose is a server's accept path with its WaitGroup pair dropped:
+// the method spawned has no Done, so the connection goroutine outlives the
+// server's Wait.
+func (s *srv) acceptLoose(conn int) {
+	go s.serveConn(conn) // want `goroutine has no join or drain path`
+}
+
+func (s *srv) serveConn(conn int) {
+	_ = conn
+	s.handle()
+}
+
 // addOnBranch: the Add does not dominate the spawn — on the !b path, Wait
 // can return before the goroutine has run.
 func (s *srv) addOnBranch(b bool) {

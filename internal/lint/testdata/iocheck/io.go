@@ -3,6 +3,7 @@ package iotest
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"os"
 	"text/tabwriter"
@@ -86,5 +87,19 @@ func closes(path string) error {
 	}
 	defer g.Close() // read-only file: Close cannot lose writes, no finding
 	_ = f
+	return nil
+}
+
+// closeDropped writes a file it created and drops the final Close's error,
+// where write-back failures surface.
+func closeDropped(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	f.Close() // want `Close error on a file opened for writing is discarded`
 	return nil
 }

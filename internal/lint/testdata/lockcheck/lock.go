@@ -63,3 +63,11 @@ func (a *array) WriteMaintenance(p []byte) {
 func (a *array) WriteUnlocked(p []byte) { // want `device write reachable without a per-stripe lock or exclusive opMu`
 	a.writeRaw(p)
 }
+
+// WriteShared holds opMu only shared, which lets the data path run beside
+// it: a maintenance pass (Scrub, Rebuild) must hold it exclusively.
+func (a *array) WriteShared(p []byte) { // want `device write reachable without a per-stripe lock or exclusive opMu`
+	a.opMu.RLock()
+	defer a.opMu.RUnlock()
+	a.writeRaw(p)
+}

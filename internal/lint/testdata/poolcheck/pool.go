@@ -69,6 +69,17 @@ func wrapper(a *arena) {
 	use(b)
 }
 
+// leakOnError is a stripe task whose failure path returns before putting
+// its scratch back; the success path is clean.
+func leakOnError(a *arena, work func([]byte) error) error {
+	b := a.getBuf()
+	if err := work(b); err != nil {
+		return err // want `pooled value b \(acquired at line \d+\) is not returned to its pool on this path`
+	}
+	a.putBuf(b)
+	return nil
+}
+
 func steal(a *arena) []byte {
 	b := a.getBuf()
 	return b // want `pooled value b \(acquired at line \d+\) escapes by return from a non-getter function`
