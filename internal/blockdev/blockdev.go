@@ -5,8 +5,9 @@
 // A Device moves bytes by copy: vectored reads and writes into and out of
 // the caller's buffers. A MemDevice can also lend a read-only view of its
 // medium (Lend, Return), so a reader that only folds the bytes need not copy
-// them first; Instrumented offers that to the raid layer for a bare
-// MemDevice only (see Instrumented.Lends).
+// them first. The raid layer lends only from a bare MemDevice, so a wrapper
+// that embeds one still copies, and it tallies each column's accesses itself:
+// this package keeps no per-disk accounting.
 package blockdev
 
 import (

@@ -38,7 +38,6 @@ type Remote struct {
 	timeout  time.Duration // per-request deadline
 	attempts int           // total tries per op (1 = no retry)
 	backoff  time.Duration // first retry delay, doubling per retry
-	poolCap  int
 
 	mu     sync.Mutex
 	idle   []*rconn
@@ -74,6 +73,15 @@ type rconn struct {
 // errors to simulate a dead remote.
 type InjectFunc func(op uint8, attempt int) error
 
+// LinkedDevice is implemented by devices that can carry a trace link with
+// each vectored operation — today only Remote, which stamps the link onto the
+// wire so the serving node's spans join the caller's trace. Local devices
+// have nothing to propagate to.
+type LinkedDevice interface {
+	ReadVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error)
+	WriteVecAtLink(bufs [][]byte, off int64, l trace.Link) (int, error)
+}
+
 // RemoteOption tunes DialRemote.
 type RemoteOption func(*Remote)
 
@@ -99,16 +107,6 @@ func WithRetry(attempts int, backoff time.Duration) RemoteOption {
 	}
 }
 
-// WithPool caps the idle-connection pool (default 4). Concurrent operations
-// beyond the cap dial extra connections and close them when done.
-func WithPool(n int) RemoteOption {
-	return func(r *Remote) {
-		if n > 0 {
-			r.poolCap = n
-		}
-	}
-}
-
 // DialRemote connects to a blockserve endpoint and returns it as a Device.
 // It performs one STATUS round trip to learn the volume size and verify the
 // endpoint speaks the protocol.
@@ -118,7 +116,6 @@ func DialRemote(addr string, opts ...RemoteOption) (*Remote, error) {
 		timeout:  2 * time.Second,
 		attempts: 3,
 		backoff:  10 * time.Millisecond,
-		poolCap:  4,
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -201,11 +198,15 @@ func (r *Remote) getConn(oc *opCtx) (*rconn, error) {
 	return &rconn{c: c}, nil
 }
 
+// poolCap caps the idle-connection pool. Concurrent operations beyond it dial
+// extra connections and close them when done.
+const poolCap = 4
+
 // putConn returns a healthy connection to the pool (or closes it beyond the
 // cap or after Close).
 func (r *Remote) putConn(rc *rconn) {
 	r.mu.Lock()
-	if !r.closed && len(r.idle) < r.poolCap {
+	if !r.closed && len(r.idle) < poolCap {
 		r.idle = append(r.idle, rc)
 		r.mu.Unlock()
 		return

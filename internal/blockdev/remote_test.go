@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"dcode/internal/blockserve"
-	"dcode/internal/obs"
-	"dcode/internal/trace"
 )
 
 // serveMem runs a block server over b on loopback for the test's lifetime.
@@ -81,6 +79,113 @@ func TestRemoteRetryExhaustionIsErrFailed(t *testing.T) {
 	}
 }
 
+// wedgedPeer listens on loopback, answers the STATUS probe DialRemote sends,
+// and then never answers again: every later request on any connection — the
+// probe's, pooled, and every one a retry dials — is read and left hanging.
+func wedgedPeer(t *testing.T, size int64) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []byte
+				for {
+					f, b, err := blockserve.ReadFrame(c, buf)
+					if err != nil {
+						return
+					}
+					buf = b
+					if f.Type != blockserve.OpStatus {
+						continue
+					}
+					if _, err := blockserve.WriteFrame(c, nil, blockserve.Frame{Type: blockserve.RespOK, ID: f.ID, Off: size}); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestRemoteTimesOutWedgedPeer pins that a peer which accepts connections
+// and never answers cannot hold an operation: each attempt ends at its own
+// deadline, and the op returns ErrFailed once the attempt budget is spent —
+// within attempts × timeout plus the backoffs, and a stated slack for
+// scheduling. It takes at least attempts × timeout, since every attempt
+// waits its deadline out.
+func TestRemoteTimesOutWedgedPeer(t *testing.T) {
+	const (
+		attempts = 3
+		timeout  = 100 * time.Millisecond
+		backoff  = 10 * time.Millisecond
+		slack    = 400 * time.Millisecond
+	)
+	r, err := DialRemote(wedgedPeer(t, 8192),
+		WithRetry(attempts, backoff), WithRequestTimeout(timeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+	bound := attempts*timeout + backoff + 2*backoff
+	for _, op := range []string{"read", "write"} {
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			if op == "read" {
+				_, err = r.ReadAt(make([]byte, 512), 0)
+			} else {
+				_, err = r.WriteAt(make([]byte, 512), 0)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			el := time.Since(start)
+			if !errors.Is(err, ErrFailed) {
+				t.Fatalf("%s of a wedged peer: %v, want ErrFailed", op, err)
+			}
+			if el < attempts*timeout || el > bound+slack {
+				t.Fatalf("%s of a wedged peer returned after %v, want %v..%v", op, el, attempts*timeout, bound+slack)
+			}
+		case <-time.After(bound + slack):
+			t.Fatalf("%s of a wedged peer still blocked after %v (bound %v + slack %v)", op, bound+slack, bound, slack)
+		}
+	}
+	if got := r.Retries(); got != 2*(attempts-1) {
+		t.Fatalf("Retries() = %d, want %d", got, 2*(attempts-1))
+	}
+}
+
 func TestRemoteMapsServerSentinels(t *testing.T) {
 	mem := NewMem(8192)
 	r := dialFast(t, serveMem(t, mem))
@@ -116,60 +221,6 @@ func TestRemoteRangeErrorIsNotASentinel(t *testing.T) {
 	}
 }
 
-// TestInstrumentedRemoteHookFiresOncePerOp pins the accounting contract
-// between the retry loop and the instrumentation layer: the Remote retries
-// internally, so Instrumented — the raid layer's per-column tally — must see
-// exactly one completed operation per logical op, whether the op needed
-// retries to succeed or exhausted its budget.
-func TestInstrumentedRemoteHookFiresOncePerOp(t *testing.T) {
-	mem := NewMem(8192)
-	r := dialFast(t, serveMem(t, mem))
-	inst := Instrument(r)
-
-	var hookCalls, hookOps atomic.Int64
-	inst.SetOpHook(func(write bool, ops, bytes int64, _ int64) {
-		hookCalls.Add(1)
-		hookOps.Add(ops)
-	})
-
-	// Succeeds on the second attempt: one logical read, one hook firing.
-	r.SetInjector(func(op uint8, attempt int) error {
-		if attempt == 0 {
-			return errors.New("injected: transient")
-		}
-		return nil
-	})
-	bufs := [][]byte{make([]byte, 256)}
-	if _, _, err := inst.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if hookCalls.Load() != 1 || hookOps.Load() != 1 {
-		t.Fatalf("after retried success: hook fired %d times for %d ops, want 1/1",
-			hookCalls.Load(), hookOps.Load())
-	}
-	m := inst.Metrics()
-	if m.Reads.Load() != 1 || m.ReadErrors.Load() != 0 {
-		t.Fatalf("after retried success: reads=%d errors=%d, want 1/0",
-			m.Reads.Load(), m.ReadErrors.Load())
-	}
-
-	// Exhausts the budget: still one logical (failed) read, one hook firing.
-	r.SetInjector(func(op uint8, attempt int) error {
-		return errors.New("injected: dead remote")
-	})
-	if _, _, err := inst.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err == nil {
-		t.Fatal("read should fail with the injector pinned on")
-	}
-	if hookCalls.Load() != 2 || hookOps.Load() != 2 {
-		t.Fatalf("after exhausted failure: hook fired %d times for %d ops, want 2/2",
-			hookCalls.Load(), hookOps.Load())
-	}
-	if m.Reads.Load() != 2 || m.ReadErrors.Load() != 1 {
-		t.Fatalf("after exhausted failure: reads=%d errors=%d, want 2/1",
-			m.Reads.Load(), m.ReadErrors.Load())
-	}
-}
-
 // flakyMem fails every other ReadAt with ErrFailed, so ERR and OK responses
 // alternate on the wire.
 type flakyMem struct {
@@ -197,7 +248,7 @@ func TestRemoteErrMessageSurvivesConnReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := DialRemote(serveMem(t, &flakyMem{MemDevice: mem}), WithPool(2))
+	r, err := DialRemote(serveMem(t, &flakyMem{MemDevice: mem}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"dcode/internal/obs"
-	"dcode/internal/trace"
 )
 
 // chunkRand cuts p into deterministic pseudo-random pieces, including some
@@ -215,50 +212,6 @@ func TestDelayedPerByte(t *testing.T) {
 	// One vectored call is one physical access on the wrapped device.
 	if st := mem.Stats(); st.Writes != 1 {
 		t.Fatalf("vectored write through Delayed made %d physical writes, want 1", st.Writes)
-	}
-}
-
-func TestInstrumentedVecTallies(t *testing.T) {
-	mem := NewMem(4096)
-	d := Instrument(mem)
-	var hookOps, hookBytes int64
-	d.SetOpHook(func(write bool, ops, bytes int64, _ int64) {
-		hookOps += ops
-		hookBytes += bytes
-	})
-	bufs := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16)}
-	if _, _, err := d.WriteVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); err != nil {
-		t.Fatal(err)
-	}
-	m := d.Metrics()
-	if m.Reads.Load() != 3 || m.Writes.Load() != 3 {
-		t.Fatalf("ops-equivalent tallies = %d reads / %d writes, want 3 / 3",
-			m.Reads.Load(), m.Writes.Load())
-	}
-	if m.BytesRead.Load() != 48 || m.BytesWritten.Load() != 48 {
-		t.Fatalf("byte tallies = %d / %d, want 48 / 48", m.BytesRead.Load(), m.BytesWritten.Load())
-	}
-	if hookOps != 6 || hookBytes != 96 {
-		t.Fatalf("hook saw ops=%d bytes=%d, want 6 / 96", hookOps, hookBytes)
-	}
-	// A call tallies the ops it is handed, however many buffers it moves.
-	if _, _, err := d.ReadVecAtNLink(bufs, 0, 1, trace.Link{}, obs.Mono()); err != nil {
-		t.Fatal(err)
-	}
-	if m.Reads.Load() != 4 {
-		t.Fatalf("a one-op vectored read tallied %d, want one more read", m.Reads.Load()-3)
-	}
-	// A failed vectored call is one failed access.
-	mem.Fail()
-	if _, _, err := d.ReadVecAtNLink(bufs, 0, 3, trace.Link{}, obs.Mono()); !errors.Is(err, ErrFailed) {
-		t.Fatalf("vec read on failed device: %v", err)
-	}
-	if m.Reads.Load() != 5 || m.ReadErrors.Load() != 1 {
-		t.Fatalf("failed vec read tallies = %d reads / %d errors, want 5 / 1",
-			m.Reads.Load(), m.ReadErrors.Load())
 	}
 }
 

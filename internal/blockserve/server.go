@@ -64,11 +64,6 @@ type Config struct {
 	// cannot acquire a slot stops being read until one frees, so pressure
 	// propagates to the client through TCP flow control. Default 128.
 	MaxInflight int
-	// RequestTimeout bounds each request's handling, measured from dispatch:
-	// a request whose deadline expires before it reaches the backend is
-	// answered with an ERR frame instead of touching the devices. Zero means
-	// no per-request deadline — requests are bounded only by server shutdown.
-	RequestTimeout time.Duration
 	// Tracer, when non-nil and enabled, records one client-tagged span per
 	// served request.
 	Tracer *trace.Tracer
@@ -325,15 +320,9 @@ func isEOF(err error) bool {
 
 // handle executes one request and writes its response frame; the error it
 // returns is the response write's, after which the connection is unusable.
-// ctx carries the server lifetime; a request gets a context of its own only
-// under a configured RequestTimeout, measured from here. A request whose
-// context is already done is failed without touching the backend.
+// ctx carries the server lifetime: a request that arrives once it is done —
+// the server is winding down — is failed without touching the backend.
 func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
 	if s.cfg.Events != nil {
 		// Flight-recorder last words: a panicking handler takes the process
 		// down (Go has no global panic hook), so dump the event ring on the
@@ -374,8 +363,7 @@ func (s *Server) handle(ctx context.Context, c *clientState, f Frame) error {
 	var err error
 
 	if cerr := ctx.Err(); cerr != nil {
-		// Expired before dispatch (or the server is winding down): answer
-		// without touching the backend.
+		// The server is winding down: answer without touching the backend.
 		err = fmt.Errorf("request aborted before dispatch: %w", cerr)
 	}
 

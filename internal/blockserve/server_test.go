@@ -490,43 +490,6 @@ func TestSnapshotKeepsDepartedClients(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutExpiresQueuedRequests pins the pre-dispatch deadline
-// gate: with a RequestTimeout no request can meet, every request — including
-// DialRemote's STATUS probe — is answered with an ERR frame that names the
-// expired deadline, and the backend is never touched.
-func TestRequestTimeoutExpiresQueuedRequests(t *testing.T) {
-	addr, _ := startServer(t, blockdev.NewMem(1<<16), blockserve.Config{RequestTimeout: time.Nanosecond})
-	_, err := blockdev.DialRemote(addr, blockdev.WithRetry(1, 0), blockdev.WithRequestTimeout(time.Second))
-	if err == nil {
-		t.Fatal("DialRemote succeeded, want every request to expire under a 1ns RequestTimeout")
-	}
-	if !strings.Contains(err.Error(), "aborted before dispatch") {
-		t.Fatalf("error = %v, want the pre-dispatch deadline rejection", err)
-	}
-}
-
-// TestRequestTimeoutGenerousServes is the complement: a sane deadline leaves
-// the data path untouched.
-func TestRequestTimeoutGenerousServes(t *testing.T) {
-	addr, _ := startServer(t, blockdev.NewMem(1<<16), blockserve.Config{RequestTimeout: 5 * time.Second})
-	dev, err := blockdev.DialRemote(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	want := bytes.Repeat([]byte{0xA7}, 1024)
-	if _, err := dev.WriteAt(want, 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	got := make([]byte, len(want))
-	if _, err := dev.ReadAt(got, 0); err != nil {
-		t.Fatalf("ReadAt: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("round trip corrupted data under RequestTimeout")
-	}
-}
-
 // linkedMem is a MemDevice that records the trace links the server threads
 // into it, proving the LinkedBackend path is taken when a request carries a
 // trace extension.

@@ -30,7 +30,7 @@ func (c *Code) Reconstruct(s *stripe.Stripe, failed ...int) error {
 	// All three lists live in the code's pooled scratch, so a steady-state
 	// decode does not allocate.
 	sc := c.getScratch(s.ElemSize())
-	defer c.scratch.Put(sc)
+	defer c.putScratch(sc)
 	unknownAt := resize(sc.unknownAt, c.rows*c.cols)
 	clear(unknownAt)
 	unknowns := sc.unknowns[:0]

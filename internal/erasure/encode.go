@@ -156,6 +156,9 @@ func (c *Code) getScratch(elemSize int) *codeScratch {
 	return &codeScratch{buf: make([]byte, elemSize)}
 }
 
+// putScratch returns a getScratch scratch to the code's pool.
+func (c *Code) putScratch(sc *codeScratch) { c.scratch.Put(sc) }
+
 // UpdateData applies a read-modify-write style small write: it stores
 // newData into the data cell at (r, col) and patches every parity whose
 // value depends on it with (old XOR new), without touching any other data
@@ -177,7 +180,7 @@ func (c *Code) UpdateData(s *stripe.Stripe, r, col int, newData []byte) {
 		p := c.groups[gi].Parity
 		stripe.XOR(s.Elem(p.Row, p.Col), delta)
 	}
-	c.scratch.Put(sc)
+	c.putScratch(sc)
 	ops := int64(1 + len(c.updateOf[r][col])) // the delta plus one patch per parity
 	c.xor.addEncode(ops, ops*int64(s.ElemSize()))
 }
@@ -187,7 +190,7 @@ func (c *Code) UpdateData(s *stripe.Stripe, r, col int, newData []byte) {
 func (c *Code) Verify(s *stripe.Stripe) bool {
 	c.checkStripe(s)
 	sc := c.getScratch(s.ElemSize())
-	defer c.scratch.Put(sc)
+	defer c.putScratch(sc)
 	for gi := range c.groups {
 		p := c.groups[gi].Parity
 		c.FoldGroup(sc.buf, s, nil, gi, p)

@@ -103,18 +103,17 @@ func isMutexType(t types.Type) bool {
 }
 
 // deviceMethodNames is the accounting-bearing device I/O surface: the Device
-// methods, Instrumented's ops-and-link pair and LinkedDevice's link pair — a
-// discarded scatter/gather error skips failure marking exactly as a
-// discarded ReadAt error would.
+// methods, LinkedDevice's link pair and MemDevice's Lend — a discarded
+// scatter/gather or lend error skips failure marking exactly as a discarded
+// ReadAt error would.
 var deviceMethodNames = map[string]bool{
 	"ReadAt": true, "WriteAt": true, "ReadVecAt": true, "WriteVecAt": true,
-	"ReadVecAtNLink": true, "WriteVecAtNLink": true,
-	"ReadVecAtLink": true, "WriteVecAtLink": true,
+	"ReadVecAtLink": true, "WriteVecAtLink": true, "Lend": true,
 }
 
 // deviceCall classifies a call as device-surface I/O: a deviceMethodNames
 // method whose receiver is a blockdev type (Device implementations and the
-// Instrumented wrapper) or a module type exposing the same surface (the raid
+// LinkedDevice view) or a module type exposing the same surface (the raid
 // array and its facade). It returns the method object and whether the call
 // writes.
 func deviceCall(m *Module, info *types.Info, call *ast.CallExpr) (fn *types.Func, isWrite bool, ok bool) {

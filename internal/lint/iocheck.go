@@ -8,9 +8,9 @@ import (
 )
 
 // iocheck enforces the I/O-accounting invariant: every error produced by the
-// device surface (blockdev Device implementations, the Instrumented wrapper,
-// and module types exposing the same ReadAt/WriteAt surface, i.e. the raid
-// array and its facade) must be consumed. A discarded device error silently
+// device surface (blockdev Device implementations, the LinkedDevice pair,
+// MemDevice's Lend, and module types exposing the same ReadAt/WriteAt
+// surface, i.e. the raid array and its facade) must be consumed. A discarded device error silently
 // skips failure marking, read-repair, and the per-disk load accounting the
 // paper's evaluation rests on. It also covers the classic print-and-exit
 // leak in tools: discarding the error of a write-side finisher —

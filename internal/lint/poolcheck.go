@@ -9,7 +9,7 @@ import (
 )
 
 // poolcheck enforces get/put pairing for pooled buffers: every acquisition
-// from a sync.Pool, a stripe.Pool, or a module getX/putX wrapper pair (the
+// from a sync.Pool or a module getX/putX wrapper pair (the
 // raid layer's getScratch/putScratch, getColBuf/putColBuf, getOpBuf/
 // putOpBuf and erasure's getScratch/putScratch are discovered from the
 // method pairs, not hardcoded) must reach a matching put on every return
@@ -519,9 +519,9 @@ func pairedPutName(getName string) (string, bool) {
 	return "", false
 }
 
-// isReleaseCall matches put-named calls (sync.Pool.Put, stripe.Pool.Put and
-// the module's put* wrappers). The release is matched by name and argument,
-// not by pool identity — see the package comment on approximations.
+// isReleaseCall matches put-named calls (sync.Pool.Put and the module's put*
+// wrappers). The release is matched by name and argument, not by pool
+// identity — see the package comment on approximations.
 func isReleaseCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := staticCallee(info, call)
 	if fn == nil {

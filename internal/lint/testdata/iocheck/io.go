@@ -19,18 +19,22 @@ func discards(dev blockdev.Device, buf []byte) {
 	_ = n
 }
 
-// linkDiscards drops the error of the vectored accounting call the raid
-// layer issues every device run through; the error is its last result, after
-// the byte count and the end stamp.
-func linkDiscards(dev *blockdev.Instrumented, bufs [][]byte) int64 {
-	dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}, 0)               // want `device I/O error from .*ReadVecAtNLink is discarded`
-	_, end, _ := dev.WriteVecAtNLink(bufs, 0, 2, trace.Link{}, 0) // want `device I/O error from .*WriteVecAtNLink is assigned to the blank identifier`
-	return end
+// linkDiscards drops the error of the link pair the raid layer issues a
+// traced run through, and of the lend it folds a bare memory column's run
+// from.
+func linkDiscards(dev blockdev.LinkedDevice, mem *blockdev.MemDevice, bufs [][]byte) []byte {
+	dev.ReadVecAtLink(bufs, 0, trace.Link{})         // want `device I/O error from .*ReadVecAtLink is discarded`
+	_, _ = dev.WriteVecAtLink(bufs, 0, trace.Link{}) // want `device I/O error from .*WriteVecAtLink is assigned to the blank identifier`
+	view, _ := mem.Lend(64, 0)                       // want `device I/O error from .*Lend is assigned to the blank identifier`
+	return view
 }
 
-// linkConsumes keeps the error and drops only the byte count and the stamp.
-func linkConsumes(dev *blockdev.Instrumented, bufs [][]byte) error {
-	_, _, err := dev.ReadVecAtNLink(bufs, 0, 2, trace.Link{}, 0)
+// linkConsumes keeps the errors and drops only the byte count and the view.
+func linkConsumes(dev blockdev.LinkedDevice, mem *blockdev.MemDevice, bufs [][]byte) error {
+	if _, err := mem.Lend(64, 0); err != nil {
+		return err
+	}
+	_, err := dev.ReadVecAtLink(bufs, 0, trace.Link{})
 	return err
 }
 

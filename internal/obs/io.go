@@ -2,7 +2,7 @@ package obs
 
 // IOMetrics instruments one block device: operation and byte counts, error
 // counts, and per-operation latency histograms. All fields are lock-free;
-// blockdev.Instrument feeds one of these per array column.
+// the raid layer keeps one of these per array column.
 //
 // The zero value is ready to use. IOMetrics must not be copied after first
 // use.

@@ -7,8 +7,8 @@ package raid
 //     per-column device fan-out;
 //   - column coalescing: a stripe's rows are contiguous per device (see
 //     deviceOffset), so a run of same-column cells is read or written as one
-//     physical device call, tallied through Instrumented's
-//     ReadVecAtNLink/WriteVecAtNLink as the element operations it replaces;
+//     physical device call, which devIO tallies as the element operations
+//     it replaces;
 //     callers mark the cells they want and markedRuns (writeplan.go), the one
 //     run builder, lists the runs;
 //   - the data path's one run reader and one run writer (readRuns,
@@ -242,11 +242,7 @@ func (a *Array) issueRun(write bool, si int64, r *vecRun, sc *opScratch, start i
 	if !a.isFailed(r.col) {
 		bufs := sc.vecbufs[r.lo:r.hi]
 		off := a.deviceOffset(si, r.row)
-		if dev := a.iodevs[r.col]; r.lend && dev.Lends() {
-			r.view, end, err = dev.LendN(len(bufs[0]), off, int64(r.n), start)
-		} else {
-			end, err = a.devIO(write, r.col, bufs, off, int64(r.n), tc.Link(), start)
-		}
+		r.view, end, err = a.devIO(write, r.lend, r.col, bufs, off, int64(r.n), tc.Link(), start)
 		switch {
 		case err == nil:
 		case !sc.repair:
@@ -306,7 +302,7 @@ func (a *Array) settleRun(write bool, si int64, r *vecRun, bufs [][]byte, err er
 // Loans. The reconstruction executor (fetchFold) folds the cells it fetches
 // and, for a healthy or degraded read, copies out partial ranges; it never
 // writes them. So a run it reads into stripe memory from a bare MemDevice
-// column is borrowed — a view of the medium (blockdev.Instrumented.LendN) —
+// column is borrowed — a view of the medium (blockdev.MemDevice.Lend) —
 // rather than copied, and the fold reads the cells there through sc.s's
 // borrowed views (stripe.Borrow). Every other read copies: runs that land in
 // the caller's buffer, and every read on the write path, whose stripe cells
@@ -332,7 +328,7 @@ func (a *Array) takeLoans(vruns []vecRun, sc *opScratch) {
 // views, so its stripe reads its own memory again.
 func (a *Array) returnLoans(sc *opScratch) {
 	for _, col := range sc.loans {
-		a.iodevs[col].Return()
+		a.columns[col].mem.Return()
 	}
 	sc.loans = sc.loans[:0]
 	sc.s.Unborrow()
@@ -346,17 +342,56 @@ func devOp(write bool) trace.Op {
 	return trace.OpDevRead
 }
 
-// devIO is the array's one synchronous device call: a vectored read or
-// write of column col at off, tallied as ops element accesses, carrying the
-// span link l, and timed from the obs.Mono reading start. It returns the
-// call's end stamp.
-func (a *Array) devIO(write bool, col int, bufs [][]byte, off, ops int64, l trace.Link, start int64) (end int64, err error) {
-	if write {
-		_, end, err = a.iodevs[col].WriteVecAtNLink(bufs, off, ops, l, start)
-	} else {
-		_, end, err = a.iodevs[col].ReadVecAtNLink(bufs, off, ops, l, start)
+// devIO is the array's one device call: a vectored read or write of column
+// col at off — or, when lend is set and the column is a bare MemDevice, a
+// lend of len(bufs[0]) bytes returned as view instead of copied — carrying
+// the span link l when it is live and the device threads links. It tallies
+// the call once, on the column and in the load window: a success counts ops
+// element accesses (a coalesced run the accesses it replaced), a failure one
+// access and one error, since the element-wise path stops at its first
+// failing element; the bytes count what moved, and a lend counts as the read
+// it replaces. The latency runs from the obs.Mono reading start; the call's
+// one clock read is taken after the device returns and handed back as end,
+// which a caller issuing runs back to back passes on as the next start.
+func (a *Array) devIO(write, lend bool, col int, bufs [][]byte, off, ops int64, l trace.Link, start int64) (view []byte, end int64, err error) {
+	c := a.columns[col]
+	link := c.linked != nil && l.Trace != 0
+	var n int
+	switch {
+	case write && link:
+		n, err = c.linked.WriteVecAtLink(bufs, off, l)
+	case write:
+		n, err = c.dev.WriteVecAt(bufs, off)
+	case lend && c.mem != nil:
+		view, err = c.mem.Lend(len(bufs[0]), off)
+		n = len(view)
+	case link:
+		n, err = c.linked.ReadVecAtLink(bufs, off, l)
+	default:
+		n, err = c.dev.ReadVecAt(bufs, off)
 	}
-	return end, err
+	end = obs.Mono()
+	if err != nil {
+		ops = 1
+	}
+	m := &c.m
+	if write {
+		m.WriteLatency.ObserveNanos(end - start)
+		m.Writes.Add(ops)
+		m.BytesWritten.Add(int64(n))
+		if err != nil {
+			m.WriteErrors.Inc()
+		}
+	} else {
+		m.ReadLatency.ObserveNanos(end - start)
+		m.Reads.Add(ops)
+		m.BytesRead.Add(int64(n))
+		if err != nil {
+			m.ReadErrors.Inc()
+		}
+	}
+	a.window.Record(col, write, ops, end)
+	return view, end, err
 }
 
 // columnRuns lists stripe-long runs of every column not in skip, in sc.runs —
@@ -380,7 +415,7 @@ func (a *Array) columnRuns(skip failSet, sc *opScratch) []cellRun {
 func (a *Array) writeColumn(si int64, col, row int, buf []byte, sc *opScratch) error {
 	tc := a.tr.Begin(trace.OpDevWrite, int32(col), si, sc.tc.Link())
 	sc.vecbufs = append(sc.vecbufs[:0], buf)
-	_, err := a.devIO(true, col, sc.vecbufs, a.deviceOffset(si, row), int64(len(buf)/a.elemSize), tc.Link(), obs.Mono())
+	_, _, err := a.devIO(true, false, col, sc.vecbufs, a.deviceOffset(si, row), int64(len(buf)/a.elemSize), tc.Link(), obs.Mono())
 	clear(sc.vecbufs)
 	a.tr.End(tc, int64(len(buf)), err != nil)
 	return err

@@ -473,7 +473,7 @@ func TestRunChainAttributesEachRun(t *testing.T) {
 
 	busy := 0
 	for c, d := range slow {
-		lat := a.iodevs[c].Metrics().Snapshot().ReadLatency
+		lat := a.columns[c].m.Snapshot().ReadLatency
 		if lat.Count != d.calls.Load() {
 			t.Errorf("col %d: %d latency observations for %d device calls", c, lat.Count, d.calls.Load())
 		}

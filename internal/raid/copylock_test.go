@@ -28,6 +28,7 @@ func vetGuardedRaid(t reflect.Type) bool {
 func TestSharedStateIsCopylocksVisible(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(Array{}),
+		reflect.TypeOf(column{}),
 		reflect.TypeOf(planMemo{}),
 		reflect.TypeOf(journal{}),
 	} {

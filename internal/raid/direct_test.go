@@ -369,8 +369,8 @@ func TestDirectReadRepairsBadSectorInPlace(t *testing.T) {
 	wantReads := []int64{4, 4, 4, 4, 3}
 	wantWrites := []int64{11, 10, 10, 10, 10}
 	wantErrs := []int64{2, 0, 0, 0, 0}
-	for c := range a.iodevs {
-		s := a.iodevs[c].Metrics().Snapshot()
+	for c := range a.columns {
+		s := a.columns[c].m.Snapshot()
 		if s.Reads != wantReads[c] || s.Writes != wantWrites[c] || s.ReadErrors != wantErrs[c] {
 			t.Fatalf("disk %d tallies: %d reads / %d writes / %d read errors, want %d / %d / %d",
 				c, s.Reads, s.Writes, s.ReadErrors, wantReads[c], wantWrites[c], wantErrs[c])
@@ -614,9 +614,9 @@ func testReadsMatchModel(t *testing.T, id string, p, down int) {
 		return want
 	}
 	reads := func() []int64 {
-		out := make([]int64, len(a.iodevs))
-		for c, dev := range a.iodevs {
-			out[c] = dev.Metrics().Reads.Load()
+		out := make([]int64, len(a.columns))
+		for c, dev := range a.columns {
+			out[c] = dev.m.Reads.Load()
 		}
 		return out
 	}

@@ -56,9 +56,9 @@ func newLendTwin(t *testing.T, id string, p int) *lendTwin {
 			tw.copy, tw.cmems = a, mems
 		}
 	}
-	for i, d := range tw.lend.iodevs {
-		if !d.Lends() || tw.copy.iodevs[i].Lends() {
-			t.Fatalf("column %d: bare device lends %v, wrapped one %v", i, d.Lends(), tw.copy.iodevs[i].Lends())
+	for i, d := range tw.lend.columns {
+		if d.mem == nil || tw.copy.columns[i].mem != nil {
+			t.Fatalf("column %d: bare device lends %v, wrapped one %v", i, d.mem != nil, tw.copy.columns[i].mem != nil)
 		}
 	}
 	return tw
@@ -256,8 +256,8 @@ func TestWrappersDoNotLend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, d := range a.iodevs {
-				if d.Lends() {
+			for i, d := range a.columns {
+				if d.mem != nil {
 					t.Fatalf("column %d: a wrapped MemDevice lends", i)
 				}
 			}

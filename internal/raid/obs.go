@@ -1,15 +1,15 @@
 package raid
 
 import (
+	"dcode/internal/erasure"
 	"dcode/internal/obs"
 	"dcode/internal/trace"
 )
 
 // arrayMetrics is the array's observability state: lock-free counters for
 // every logical event the old Stats struct tracked, latency histograms for
-// the hot paths, and (via the per-column blockdev.Instrumented wrappers) the
-// per-disk I/O load that mirrors the paper's Figure 4/5 metric on the live
-// engine.
+// the hot paths. The per-disk I/O load that mirrors the paper's Figure 4/5
+// metric on the live engine is kept per column (see column).
 type arrayMetrics struct {
 	reads            obs.Counter
 	writes           obs.Counter
@@ -132,12 +132,7 @@ func (p *PhaseSnapshot) Merge(o PhaseSnapshot) {
 
 // XORSnapshot aliases the erasure engine's counter snapshot so Snapshot
 // consumers only deal with raid types.
-type XORSnapshot struct {
-	EncodeOps   int64 `json:"encode_ops"`
-	EncodeBytes int64 `json:"encode_bytes"`
-	DecodeOps   int64 `json:"decode_ops"`
-	DecodeBytes int64 `json:"decode_bytes"`
-}
+type XORSnapshot = erasure.XORSnapshot
 
 // CounterSnapshot is the array's counter record, as Stats returns it and
 // Snapshot carries it. Under the write plan a stripe write that patches any
@@ -183,21 +178,17 @@ func (a *Array) Snapshot() Snapshot {
 			Rebuild:      a.m.rebuildLatency.Snapshot(),
 			Scrub:        a.m.scrubLatency.Snapshot(),
 		},
-		Devices: make([]obs.IOSnapshot, len(a.iodevs)),
-		Load:    obs.LoadSnapshot{PerDisk: make([]int64, len(a.iodevs))},
+		Devices: make([]obs.IOSnapshot, len(a.columns)),
+		Load:    obs.LoadSnapshot{PerDisk: make([]int64, len(a.columns))},
 	}
-	for i, d := range a.iodevs {
-		s.Devices[i] = d.Metrics().Snapshot()
+	for i, c := range a.columns {
+		s.Devices[i] = c.m.Snapshot()
 		s.Load.PerDisk[i] = s.Devices[i].Ops()
 	}
 	s.Load.Recompute()
-	x := a.code.XORStats()
-	s.XOR = XORSnapshot{
-		EncodeOps:   x.EncodeOps,
-		EncodeBytes: x.EncodeBytes,
-		DecodeOps:   x.DecodeOps + a.m.decodeXOROps.Load(),
-		DecodeBytes: x.DecodeBytes + a.m.decodeXORBytes.Load(),
-	}
+	s.XOR = a.code.XORStats()
+	s.XOR.DecodeOps += a.m.decodeXOROps.Load()
+	s.XOR.DecodeBytes += a.m.decodeXORBytes.Load()
 	s.AnalyticEncodeXORPerData = a.code.ComputeMetrics().EncodeXORPerData
 	if a.window != nil {
 		ws := a.window.Snapshot()
@@ -221,8 +212,8 @@ func (a *Array) Snapshot() Snapshot {
 		ph.Device.Merge(s.Devices[i].ReadLatency)
 		ph.Device.Merge(s.Devices[i].WriteLatency)
 	}
-	for _, d := range a.iodevs {
-		if rd, ok := d.Underlying().(interface{ RTTSnapshot() obs.HistogramSnapshot }); ok {
+	for _, c := range a.columns {
+		if rd, ok := c.dev.(interface{ RTTSnapshot() obs.HistogramSnapshot }); ok {
 			ph.Network.Merge(rd.RTTSnapshot())
 		}
 	}
@@ -290,10 +281,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Devices[i].Merge(o.Devices[i])
 	}
 
-	s.XOR.EncodeOps += o.XOR.EncodeOps
-	s.XOR.EncodeBytes += o.XOR.EncodeBytes
-	s.XOR.DecodeOps += o.XOR.DecodeOps
-	s.XOR.DecodeBytes += o.XOR.DecodeBytes
+	s.XOR.Merge(o.XOR)
 
 	// The window is a point-in-time rolling view and the slow-span log is a
 	// recent-history capture: neither sums meaningfully, so the merge adopts
@@ -352,8 +340,8 @@ func (a *Array) ResetMetrics() {
 	a.m.decodeXOROps.Reset()
 	a.m.decodeXORBytes.Reset()
 	a.m.degradedPlanHits.Reset()
-	for _, d := range a.iodevs {
-		d.Metrics().Reset()
+	for _, c := range a.columns {
+		c.m.Reset()
 	}
 	a.window.Reset()
 	a.code.ResetXORStats()

@@ -49,13 +49,12 @@ type Array struct {
 	failMu sync.Mutex
 	failed atomic.Uint64
 
-	// m and iodevs are the observability layer (see obs.go): lock-free
-	// counters and latency histograms at the array level, plus a
-	// blockdev.Instrumented wrapper per column feeding the per-disk I/O
-	// load view. Every access — data path, repair, rebuild — goes through
-	// these wrappers and is tallied.
-	m      arrayMetrics
-	iodevs []*blockdev.Instrumented
+	// columns holds one record per device: the device and its per-disk
+	// tally. Every access — data path, repair, rebuild — goes through devIO,
+	// which tallies it there; m holds the array-level counters and latency
+	// histograms (see obs.go).
+	columns []*column
+	m       arrayMetrics
 
 	// tr is the structured tracer (trace.Nop unless WithTracer attached
 	// one) and window the always-on rolling per-disk load tracker; both are
@@ -92,6 +91,28 @@ type Array struct {
 
 	// ev is the flight recorder (WithEvents); nil records nothing.
 	ev *obs.Recorder
+}
+
+// column is one device of the array and its I/O tally: op and byte counts,
+// error counts and per-call latency histograms, the paper's per-disk load
+// (Figs. 4–5) on the live engine. Each column is its own allocation, not an
+// element of one shared array, so a column's hot counters sit apart from its
+// neighbours'.
+type column struct {
+	dev    blockdev.Device
+	linked blockdev.LinkedDevice // dev's link-threading view, nil if unsupported
+	mem    *blockdev.MemDevice   // dev when it is a bare MemDevice, the one device that lends
+	m      obs.IOMetrics
+}
+
+// newColumn records dev. The lend test is on the concrete type, not on an
+// interface, so a wrapper that embeds a MemDevice to inject faults or record
+// calls does not inherit the lend and have its own reads bypassed;
+// FileDevice, Remote and Delayed copy too.
+func newColumn(dev blockdev.Device) *column {
+	linked, _ := dev.(blockdev.LinkedDevice)
+	mem, _ := dev.(*blockdev.MemDevice)
+	return &column{dev: dev, linked: linked, mem: mem}
 }
 
 func (a *Array) lockStripe(si int64) *sync.Mutex {
@@ -167,11 +188,11 @@ func New(code *erasure.Code, devs []blockdev.Device, elemSize int, stripes int64
 		code:     code,
 		elemSize: elemSize,
 		stripes:  stripes,
-		iodevs:   make([]*blockdev.Instrumented, len(devs)),
+		columns:  make([]*column, len(devs)),
 		conc:     defaultConcurrency(),
 	}
 	for i, d := range devs {
-		a.iodevs[i] = blockdev.Instrument(d)
+		a.columns[i] = newColumn(d)
 	}
 	for _, opt := range opts {
 		opt(a)
@@ -243,7 +264,7 @@ func (a *Array) elemIO(write bool, si int64, co erasure.Coord, iov [][]byte, tc 
 	if a.isFailed(co.Col) {
 		return blockdev.ErrFailed
 	}
-	_, err := a.devIO(write, co.Col, iov, a.deviceOffset(si, co.Row), 1, tc.Link(), obs.Mono())
+	_, _, err := a.devIO(write, false, co.Col, iov, a.deviceOffset(si, co.Row), 1, tc.Link(), obs.Mono())
 	return a.elemFault(write, si, co, iov[0], err, tc)
 }
 

@@ -136,8 +136,8 @@ func TestRangeValidation(t *testing.T) {
 			t.Errorf("write of %d bytes at %d accepted", c.n, c.off)
 		}
 	}
-	for c, dev := range a.iodevs {
-		if s := dev.Metrics().Snapshot(); s.Reads+s.Writes != 0 {
+	for c, dev := range a.columns {
+		if s := dev.m.Snapshot(); s.Reads+s.Writes != 0 {
 			t.Fatalf("disk %d served %d reads and %d writes for refused ranges", c, s.Reads, s.Writes)
 		}
 	}

@@ -91,8 +91,8 @@ func TestRMWCostIs2wPlus2P(t *testing.T) {
 					t.Fatalf("patch-all write not counted as RMW for %d elements: %+v -> %+v", w, st0, st1)
 				}
 				var total int64
-				for c, dev := range a.iodevs {
-					r, wr := dev.Metrics().Reads.Load(), dev.Metrics().Writes.Load()
+				for c, dev := range a.columns {
+					r, wr := dev.m.Reads.Load(), dev.m.Writes.Load()
 					if r != wantReads[c] || wr != wantWrites[c] {
 						t.Errorf("plans %b column %d: %d reads + %d writes, want %d + %d", plans, c, r, wr, wantReads[c], wantWrites[c])
 					}

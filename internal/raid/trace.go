@@ -10,8 +10,7 @@ package raid
 //     Without the option the array uses trace.Nop, whose Begin is a single
 //     atomic load — the steady-state data path stays allocation-free.
 //   - The load window is always on: every device operation is recorded into
-//     a rolling per-disk read/write tally via the blockdev.Instrumented op
-//     hook, so Snapshot carries the paper's LF metric computed live over the
+//     a rolling per-disk read/write tally by devIO, so Snapshot carries the paper's LF metric computed live over the
 //     recent window (60 one-second slots), plus hot-disk detection.
 
 import (
@@ -37,18 +36,12 @@ func (a *Array) Tracer() *trace.Tracer { return a.tr }
 func (a *Array) LoadWindow() *obs.LoadWindow { return a.window }
 
 // initObservability finishes the observability wiring once options have run:
-// the default tracer, the load window, and the per-device hooks feeding it.
+// the default tracer and the load window devIO feeds.
 func (a *Array) initObservability() {
 	if a.tr == nil {
 		a.tr = trace.Nop
 	}
 	a.window = obs.NewLoadWindow(a.code.Cols(), 0, 0)
-	for i := range a.iodevs {
-		col := i
-		a.iodevs[i].SetOpHook(func(write bool, ops, _ int64, end int64) {
-			a.window.Record(col, write, ops, end)
-		})
-	}
 }
 
 // TraceSnapshot is the tracer's contribution to Snapshot: the ring counters

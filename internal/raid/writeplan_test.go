@@ -13,9 +13,9 @@ import (
 
 // deviceTallies returns each column's element reads and writes so far.
 func (a *Array) deviceTallies() (reads, writes []int64) {
-	for _, d := range a.iodevs {
-		reads = append(reads, d.Metrics().Reads.Load())
-		writes = append(writes, d.Metrics().Writes.Load())
+	for _, d := range a.columns {
+		reads = append(reads, d.m.Reads.Load())
+		writes = append(writes, d.m.Writes.Load())
 	}
 	return reads, writes
 }
